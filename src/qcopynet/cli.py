@@ -8,6 +8,7 @@ significant digits; machine formats carry 17.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -84,6 +85,8 @@ def _parse_complex(text: str, what: str) -> complex:
 
 
 def _normalized(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"{what} must be finite")
     norm = float(np.linalg.norm(values))
     if abs(norm - 1.0) > _NORMALIZATION_ERROR_TOL:
         raise UsageError(f"{what} are not normalizable: norm {norm!r} deviates by more than 1e-6")
@@ -106,7 +109,10 @@ def _input_from_args(args) -> InputQubit:
         return InputQubit.from_amplitudes(amps[0], amps[1])
     if args.theta is None:
         raise UsageError("an input state is required: --theta [--phi] or --alpha --beta")
-    return InputQubit(theta=args.theta, phi=args.phi if args.phi is not None else 0.0)
+    phi = args.phi if args.phi is not None else 0.0
+    if not (math.isfinite(args.theta) and math.isfinite(phi)):
+        raise UsageError("--theta and --phi must be finite")
+    return InputQubit(theta=args.theta, phi=phi)
 
 
 def _print_state_analysis(state: PureState) -> None:
@@ -226,7 +232,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"unknown metrics {sorted(unknown)}; choose from {sorted(METRICS)}")
     def grid(values, name: str) -> GridSpec:
         start, stop, count = values
-        if count != int(count):
+        if not (math.isfinite(count) and count == int(count)):
             raise UsageError(f"{name} grid count must be an integer, got {count!r}")
         return GridSpec(start, stop, int(count))
 

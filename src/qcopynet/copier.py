@@ -3,14 +3,17 @@
 Both machines share one three-qubit circuit: a five-gate preparation stage
 acting on the two blank qubits (a2, a3), followed by four CNOTs that spread
 the original qubit (a1) over all three.  The two variants differ only in the
-sign of the middle preparation angle.  ``run_copier`` executes the circuit
-and collects every reduced state, scaling fit, fidelity split, and
-Hilbert-Schmidt distance into a CopyReport.
+sign of the middle preparation angle.  ``evaluate_grid`` runs the circuit
+once per variant on the two basis inputs |000> and |100>, then evaluates
+whole (theta, phi) grids as arrays: reduced states, scaling fits, fidelity
+splits, Hilbert-Schmidt distances and the a2a3 partial-transpose spectrum.
+``run_copier`` is its one-point case and returns a CopyReport.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,17 +22,19 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .gates import CNOT, GateNetwork, PureState, Rotation, density_of, run_network
+from .gates import CNOT, GateNetwork, PureState, Rotation, _check_normalized, density_of, run_network
 
 __all__ = [
     "CopyVariant",
     "InputQubit",
     "PreparationAngles",
     "CopyReport",
+    "CopyGrid",
     "AngleSolverError",
     "QUBIT_LABELS",
     "PAIR_LABELS",
     "PAIR_QUBITS",
+    "METRICS",
     "preparation_amplitudes",
     "preparation_angles",
     "amplitudes_from_angles",
@@ -38,6 +43,7 @@ __all__ = [
     "copy_stage_network",
     "full_network",
     "run_copier",
+    "evaluate_grid",
     "ideal_density",
     "scaling_decompose",
     "fidelity_split",
@@ -334,6 +340,27 @@ def ideal_density(input_qubit: InputQubit, n: int) -> np.ndarray:
     return out
 
 
+def _scaling_fit(rho_out: np.ndarray, rho_id: np.ndarray, residual_tol: float) -> np.ndarray:
+    """Least-squares s per 2x2 matrix of a stack (..., 2, 2); NaN where the fit is not exact.
+
+    ``rho_id`` broadcasts against ``rho_out``.
+    """
+    purity = np.einsum("...ij,...ji->...", rho_id, rho_id).real
+    low = float(np.min(purity))
+    if low < 1.0 - _PURITY_TOL:
+        raise ValueError(f"reference state is not pure (purity {low!r})")
+    eye = np.eye(2)
+    direction = rho_id - eye / 2.0
+    offset = rho_out - eye / 2.0
+    s = (
+        np.einsum("...ij,...ji->...", offset, direction).real
+        / np.einsum("...ij,...ji->...", direction, direction).real
+    )
+    fitted = s[..., None, None] * rho_id + ((1.0 - s) / 2.0)[..., None, None] * eye
+    residual = linalg.hs_distance(rho_out, fitted)
+    return np.where(residual <= residual_tol, s, np.nan)
+
+
 def scaling_decompose(
     rho_out,
     rho_id,
@@ -349,17 +376,13 @@ def scaling_decompose(
     rho_id = np.asarray(rho_id, dtype=complex)
     if rho_out.shape != (2, 2) or rho_id.shape != (2, 2):
         raise ValueError("scaling decomposition applies to single-qubit matrices")
-    purity = float(np.trace(rho_id @ rho_id).real)
-    if purity < 1.0 - _PURITY_TOL:
-        raise ValueError(f"reference state is not pure (purity {purity!r})")
-    eye = np.eye(2)
-    direction = rho_id - eye / 2.0
-    offset = rho_out - eye / 2.0
-    s = float(np.trace(offset @ direction).real / np.trace(direction @ direction).real)
-    residual = linalg.hs_distance(rho_out, s * rho_id + (1.0 - s) / 2.0 * eye)
-    if residual > residual_tol:
-        return None
-    return s
+    s = float(_scaling_fit(rho_out[None], rho_id[None], residual_tol)[0])
+    return None if math.isnan(s) else s
+
+
+def _weight(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """<v|rho|v> per stacked matrix and vector, real part."""
+    return np.einsum("ni,nij,nj->n", vectors.conj(), rho, vectors).real
 
 
 def fidelity_split(rho_out, input_qubit: InputQubit) -> tuple[float, float]:
@@ -369,37 +392,149 @@ def fidelity_split(rho_out, input_qubit: InputQubit) -> tuple[float, float]:
         raise ValueError("fidelity split applies to single-qubit matrices")
     psi = input_qubit.state().amplitudes
     perp = input_qubit.orthogonal_state().amplitudes
-    p_ideal = float(np.real(psi.conj() @ rho_out @ psi))
-    p_orth = float(np.real(perp.conj() @ rho_out @ perp))
-    return p_ideal, p_orth
+    return float(_weight(rho_out[None], psi[None])[0]), float(_weight(rho_out[None], perp[None])[0])
+
+
+METRICS = frozenset({"d1", "d2", "d3", "s", "fidelity", "E"})
+
+
+@dataclass(frozen=True)
+class CopyGrid:
+    """Copier outputs and metrics on N input points, every array indexed by point first.
+
+    ``states`` holds the (N, 8) output amplitudes; reductions are keyed as
+    in CopyReport, with shapes (N, 2, 2) and (N, 4, 4).  Metrics are None
+    unless requested, and ``d3`` is None for the duplicator.  ``scaling``
+    is NaN where a qubit has no scaled form; ``fidelity`` holds (N, 2)
+    weights on the input state and on its orthogonal complement;
+    ``ppt_spectrum`` (metric "E") is the ascending (N, 4) spectrum of the
+    partially transposed a2a3 pair.
+    """
+
+    variant: CopyVariant
+    theta: np.ndarray
+    phi: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+    states: np.ndarray
+    qubit_reductions: dict[str, np.ndarray]
+    pair_reductions: dict[str, np.ndarray]
+    d1: dict[str, np.ndarray] | None = None
+    d2: dict[str, np.ndarray] | None = None
+    d3: np.ndarray | None = None
+    scaling: dict[str, np.ndarray] | None = None
+    fidelity: dict[str, np.ndarray] | None = None
+    ppt_spectrum: np.ndarray | None = None
+
+
+@functools.cache
+def _basis_outputs(variant: CopyVariant) -> np.ndarray:
+    """Read-only (2, 8) rows U|000> and U|100> of the variant's network U.
+
+    The blanks start in |00> and the input enters only through a1, so by
+    linearity every output is alpha * U|000> + beta * U|100>.
+    """
+    net = full_network(variant)
+    rows = np.array([run_network(PureState.computational(3, index), net).amplitudes for index in (0b000, 0b100)])
+    rows.flags.writeable = False
+    return rows
+
+
+def evaluate_grid(variant: CopyVariant, thetas, phis, metrics=METRICS) -> CopyGrid:
+    """Run the copier on the theta-major product grid thetas x phis, all points at once.
+
+    Each point gets what ``run_copier`` computes for InputQubit(theta, phi),
+    plus the a2a3 partial-transpose spectrum; only the metrics named in
+    ``metrics`` (from METRICS) are evaluated.  The output states pass the
+    PureState norm check, and the pairs pass ``linalg.validate_density``
+    before their spectra are taken; either raises ValueError.
+    """
+    metrics = frozenset(metrics)
+    unknown = metrics - METRICS
+    if unknown:
+        raise ValueError(f"unknown metrics: {sorted(unknown)}")
+    thetas = np.asarray(thetas, dtype=float).reshape(-1)
+    phis = np.asarray(phis, dtype=float).reshape(-1)
+    if not (thetas.size and phis.size):
+        raise ValueError("the grid needs at least one theta and one phi")
+    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(phis))):
+        raise ValueError("input angles must be finite")
+    theta = np.repeat(thetas, phis.size)
+    phi = np.tile(phis, thetas.size)
+    alpha = np.sin(theta) * np.exp(1j * phi)
+    beta = np.cos(theta)
+    outputs = _basis_outputs(variant)
+    states = alpha[:, None] * outputs[0] + beta[:, None] * outputs[1]
+    _check_normalized(states)
+
+    t = states.reshape(-1, 2, 2, 2)
+    c = t.conj()
+    singles = {
+        "a1": np.einsum("nijk,nljk->nil", t, c),
+        "a2": np.einsum("nijk,nilk->njl", t, c),
+        "a3": np.einsum("nijk,nijl->nkl", t, c),
+    }
+    pairs = {
+        "a2a3": np.einsum("nijk,nilm->njklm", t, c).reshape(-1, 4, 4),
+        "a1a2": np.einsum("nijk,nlmk->nijlm", t, c).reshape(-1, 4, 4),
+        "a1a3": np.einsum("nijk,nljm->niklm", t, c).reshape(-1, 4, 4),
+    }
+    psi = np.stack([alpha, beta.astype(complex)], axis=1)
+    ideal1 = psi[:, :, None] * psi.conj()[:, None, :]
+    results = {}
+    if "d1" in metrics:
+        results["d1"] = {label: linalg.hs_distance(m, ideal1) for label, m in singles.items()}
+    if "d2" in metrics:
+        ideal2 = linalg.kron(ideal1, ideal1)
+        results["d2"] = {label: linalg.hs_distance(m, ideal2) for label, m in pairs.items()}
+    if "d3" in metrics and variant is CopyVariant.TRIPLICATOR:
+        # Tr[(rho - sigma)^2] for pure rho = |s><s|, sigma = |v><v|: |s|^4 + |v|^4 - 2|<v|s>|^2
+        ideal3 = np.einsum("ni,nj,nk->nijk", psi, psi, psi).reshape(-1, 8)
+        norm_s = np.sum(np.abs(states) ** 2, axis=1)
+        norm_v = np.sum(np.abs(ideal3) ** 2, axis=1)
+        overlap = np.abs(np.sum(ideal3.conj() * states, axis=1)) ** 2
+        results["d3"] = norm_s**2 + norm_v**2 - 2.0 * overlap
+    if "s" in metrics:
+        fits = _scaling_fit(np.stack(list(singles.values())), ideal1, SCALING_RESIDUAL_TOL)
+        results["scaling"] = dict(zip(singles, fits))
+    if "fidelity" in metrics:
+        perp = np.stack([psi[:, 1].conj(), -psi[:, 0].conj()], axis=1)
+        results["fidelity"] = {
+            label: np.stack([_weight(m, psi), _weight(m, perp)], axis=1) for label, m in singles.items()
+        }
+    if "E" in metrics:
+        valid = linalg.validate_density(pairs["a2a3"])
+        results["ppt_spectrum"] = linalg.hermitian_eigenvalues(linalg.partial_transpose(valid))
+    return CopyGrid(
+        variant=variant,
+        theta=theta,
+        phi=phi,
+        alpha=alpha,
+        beta=beta,
+        states=states,
+        qubit_reductions=singles,
+        pair_reductions=pairs,
+        **results,
+    )
 
 
 def run_copier(input_qubit: InputQubit, variant: CopyVariant) -> CopyReport:
-    """Run the copying network on the input qubit and characterize the output."""
-    init = np.zeros(8, dtype=complex)
-    init[0b000] = input_qubit.alpha
-    init[0b100] = input_qubit.beta
-    out = run_network(PureState(init), full_network(variant))
-    rho = density_of(out)
+    """Run the copying network on the input qubit and characterize the output.
 
-    ideal1 = input_qubit.density()
-    ideal2 = linalg.kron(ideal1, ideal1)
-    ideal3 = linalg.kron(ideal2, ideal1)
-
-    singles = {label: linalg.partial_trace(rho, (i,)) for i, label in enumerate(QUBIT_LABELS)}
-    pairs = {label: linalg.partial_trace(rho, PAIR_QUBITS[label]) for label in PAIR_LABELS}
-
+    This is the one-point case of ``evaluate_grid``.
+    """
+    grid = evaluate_grid(variant, [input_qubit.theta], [input_qubit.phi], METRICS - {"E"})
     return CopyReport(
         variant=variant,
         input=input_qubit,
-        output_state=out,
-        qubit_reductions=singles,
-        pair_reductions=pairs,
-        scaling={label: scaling_decompose(m, ideal1) for label, m in singles.items()},
-        fidelity={label: fidelity_split(m, input_qubit) for label, m in singles.items()},
-        d1={label: linalg.hs_distance(m, ideal1) for label, m in singles.items()},
-        d2={label: linalg.hs_distance(m, ideal2) for label, m in pairs.items()},
-        d3=linalg.hs_distance(rho, ideal3) if variant is CopyVariant.TRIPLICATOR else None,
+        output_state=PureState(grid.states[0]),
+        qubit_reductions={label: m[0] for label, m in grid.qubit_reductions.items()},
+        pair_reductions={label: m[0] for label, m in grid.pair_reductions.items()},
+        scaling={label: None if math.isnan(s[0]) else float(s[0]) for label, s in grid.scaling.items()},
+        fidelity={label: (float(f[0, 0]), float(f[0, 1])) for label, f in grid.fidelity.items()},
+        d1={label: float(d[0]) for label, d in grid.d1.items()},
+        d2={label: float(d[0]) for label, d in grid.d2.items()},
+        d3=None if grid.d3 is None else float(grid.d3[0]),
     )
 
 

@@ -10,7 +10,7 @@ state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin
+from math import cos, isfinite, sin
 from typing import Iterable, Iterator, Union
 
 import numpy as np
@@ -62,6 +62,16 @@ class CNOT:
 Gate = Union[Rotation, CNOT]
 
 
+def _check_normalized(amps: np.ndarray) -> None:
+    """Raise ValueError unless every state (last axis) is finite and normalized within NORM_TOL."""
+    if not np.all(np.isfinite(amps)):
+        raise ValueError("amplitudes must be finite")
+    norms = np.sum(np.abs(amps) ** 2, axis=-1).reshape(-1)
+    norm = float(norms[np.argmax(np.abs(norms - 1.0))])
+    if abs(norm - 1.0) > NORM_TOL:
+        raise ValueError(f"state is not normalized (sum of |amp|^2 = {norm!r})")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitudes over the computational basis, qubit 0 as MSB."""
@@ -73,11 +83,7 @@ class PureState:
         n = (amps.size - 1).bit_length()
         if amps.ndim != 1 or amps.size < 2 or 2**n != amps.size or n > MAX_QUBITS:
             raise ValueError(f"amplitude count {amps.size} does not describe 1..{MAX_QUBITS} qubits")
-        if not np.all(np.isfinite(amps.real)) or not np.all(np.isfinite(amps.imag)):
-            raise ValueError("amplitudes must be finite")
-        norm = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state is not normalized (sum of |amp|^2 = {norm!r})")
+        _check_normalized(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
@@ -216,7 +222,10 @@ def parse_network(text: str) -> GateNetwork:
         parts = line.split()
         try:
             if parts[0] == "R" and len(parts) == 3:
-                gates.append(Rotation(int(parts[1]), float(parts[2])))
+                theta = float(parts[2])
+                if not isfinite(theta):
+                    raise ValueError(f"rotation angle {parts[2]!r} is not finite")
+                gates.append(Rotation(int(parts[1]), theta))
             elif parts[0] == "CNOT" and len(parts) == 3:
                 gates.append(CNOT(int(parts[1]), int(parts[2])))
             else:

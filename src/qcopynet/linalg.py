@@ -4,12 +4,13 @@ Matrices are plain complex ndarrays indexed in ascending binary order with
 qubit 0 as the most significant bit, so a two-qubit basis reads
 |00>, |01>, |10>, |11>.  ``reverse_basis`` flips a vector or matrix to the
 descending order (|11>, |10>, |01>, |00>) that some references prefer;
-eigenvalues and traces are unaffected by the choice.
+eigenvalues and traces are unaffected by the choice.  Tensor products,
+eigenvalues, partial transposes, Hilbert-Schmidt distances and density
+checks also take stacks of matrices (leading batch axes), so a whole
+parameter grid is handled in one call.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -32,8 +33,6 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 _EIG_HERMITICITY_TOL = 1e-10
-_JACOBI_OFF_TOL = 1e-14
-_MAX_JACOBI_SWEEPS = 64
 
 
 def _square(m) -> np.ndarray:
@@ -43,9 +42,17 @@ def _square(m) -> np.ndarray:
     return m
 
 
+def _stack(m) -> np.ndarray:
+    """A square matrix or a stack of them, shape (..., n, n)."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    return m
+
+
 def num_qubits_of(m: np.ndarray) -> int:
-    """Number of qubits of a square matrix; rejects dims outside {2, 4, 8}."""
-    dim = m.shape[0]
+    """Number of qubits of a square matrix (or stack); rejects dims outside {2, 4, 8}."""
+    dim = m.shape[-1]
     n = (dim - 1).bit_length()
     if dim < 2 or dim > MAX_DIM or 2**n != dim:
         raise ValueError(f"unsupported dimension {dim}; expected 2, 4 or 8")
@@ -53,15 +60,19 @@ def num_qubits_of(m: np.ndarray) -> int:
 
 
 def kron(a, b) -> np.ndarray:
-    """Tensor product; the left factor becomes the high-order subsystem."""
-    a = _square(a)
-    b = _square(b)
+    """Tensor product; the left factor becomes the high-order subsystem.
+
+    Two stacks of matrices (equal leading axes) are multiplied matrix by matrix.
+    """
+    a = _stack(a)
+    b = _stack(b)
     num_qubits_of(a)
     num_qubits_of(b)
-    dim = a.shape[0] * b.shape[0]
+    dim = a.shape[-1] * b.shape[-1]
     if dim > MAX_DIM:
         raise ValueError(f"tensor product dimension {dim} exceeds the supported maximum {MAX_DIM}")
-    return np.kron(a, b)
+    out = np.einsum("...ij,...kl->...ikjl", a, b)
+    return out.reshape(out.shape[:-4] + (dim, dim))
 
 
 def partial_trace(rho, keep) -> np.ndarray:
@@ -94,86 +105,51 @@ def partial_transpose(rho, subsystem: int = 1) -> np.ndarray:
     The result stays Hermitian when the input is Hermitian, but need not
     stay positive; that loss of positivity is exactly what the separability
     analysis looks for.  Applying the same transposition twice restores the
-    input entry for entry.
+    input entry for entry.  A stack of matrices (shape (..., 4, 4)) is
+    transposed matrix by matrix.
     """
-    rho = _square(rho)
-    if rho.shape[0] != 4:
+    rho = _stack(rho)
+    if rho.shape[-1] != 4:
         raise ValueError("partial transpose is defined here for two-qubit matrices")
     if subsystem not in (0, 1):
         raise ValueError("subsystem must be 0 or 1")
-    r = rho.reshape(2, 2, 2, 2)
-    r = r.transpose((2, 1, 0, 3) if subsystem == 0 else (0, 3, 2, 1))
-    return r.reshape(4, 4).copy()
-
-
-def _jacobi_rotate(a: np.ndarray, p: int, q: int, negligible: float) -> None:
-    """Zero a[p, q] (and a[q, p]) with a unitary plane rotation, in place."""
-    apq = a[p, q]
-    r = abs(apq)
-    if r <= negligible:
-        a[p, q] = 0.0
-        a[q, p] = 0.0
-        return
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-    if abs(tau) > 1e150:
-        t = 1.0 / (2.0 * tau)
-    elif tau >= 0.0:
-        t = 1.0 / (tau + math.sqrt(tau * tau + 1.0))
-    else:
-        t = -1.0 / (-tau + math.sqrt(tau * tau + 1.0))
-    c = 1.0 / math.sqrt(t * t + 1.0)
-    s = t * c
-    w = apq / r
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * np.conj(w) * col_q
-    a[:, q] = s * w * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * w * row_q
-    a[q, :] = s * np.conj(w) * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
+    batch = rho.shape[:-2]
+    r = rho.reshape(batch + (2, 2, 2, 2))
+    k = len(batch)
+    swap = (k + 2, k + 1, k, k + 3) if subsystem == 0 else (k, k + 3, k + 2, k + 1)
+    r = r.transpose(tuple(range(k)) + swap)
+    return r.reshape(rho.shape).copy()
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending, repeats kept.
 
-    Cyclic Jacobi rotations, swept until the off-diagonal norm drops below
-    1e-14 (relative to the largest entry for badly scaled inputs).  For the
-    dimensions handled here (<= 8) this is exact to machine precision.
+    Accepts one matrix or a stack of them (shape (..., n, n)), returning
+    spectra of shape (..., n).  Raises ValueError if any matrix deviates
+    from Hermitian by more than 1e-10; the spectrum is that of the
+    Hermitian part, taken with LAPACK (``np.linalg.eigvalsh``).
     """
-    h = _square(h)
-    deviation = float(np.max(np.abs(h - h.conj().T)))
+    h = _stack(h)
+    hc = np.swapaxes(h, -1, -2).conj()
+    deviation = float(np.max(np.abs(h - hc)))
     if deviation > _EIG_HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
-    a = np.array((h + h.conj().T) / 2.0, dtype=complex)
-    n = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(a))))
-    negligible = _JACOBI_OFF_TOL * scale / (n * n)
-    off_mask = ~np.eye(n, dtype=bool)
-    for _ in range(_MAX_JACOBI_SWEEPS):
-        off = math.sqrt(float(np.sum(np.abs(a[off_mask]) ** 2)))
-        if off <= _JACOBI_OFF_TOL * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                _jacobi_rotate(a, p, q, negligible)
-    else:
-        raise RuntimeError("Jacobi eigenvalue iteration did not converge")
-    return np.sort(np.diag(a).real)
+    return np.linalg.eigvalsh((h + hc) / 2.0)
 
 
-def hs_distance(rho1, rho2) -> float:
-    """Squared Hilbert-Schmidt norm of the difference, Tr[(rho1 - rho2)^2]."""
-    rho1 = _square(rho1)
-    rho2 = _square(rho2)
+def hs_distance(rho1, rho2):
+    """Squared Hilbert-Schmidt norm of the difference, Tr[(rho1 - rho2)^2].
+
+    A float for two matrices; for two equally shaped stacks, an array of
+    one distance per matrix.
+    """
+    rho1 = _stack(rho1)
+    rho2 = _stack(rho2)
     if rho1.shape != rho2.shape:
-        raise ValueError(f"dimension mismatch: {rho1.shape[0]} vs {rho2.shape[0]}")
+        raise ValueError(f"dimension mismatch: {rho1.shape} vs {rho2.shape}")
     delta = rho1 - rho2
-    return float(np.trace(delta @ delta).real)
+    distance = np.einsum("...ij,...ji->...", delta, delta).real
+    return float(distance) if rho1.ndim == 2 else distance
 
 
 def validate_density(
@@ -187,19 +163,22 @@ def validate_density(
 
     Raises ValueError if rho is not Hermitian, not unit trace, or not
     positive semidefinite within the given tolerances, or if any entry is
-    non-finite.
+    non-finite.  A stack of matrices (shape (..., n, n)) passes only if
+    every matrix does; the error names the worst one.
     """
-    rho = _square(rho)
+    rho = _stack(rho)
     num_qubits_of(rho)
     if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
         raise ValueError("density matrix has non-finite entries")
-    dev = float(np.max(np.abs(rho - rho.conj().T)))
+    dev = float(np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())))
     if dev > hermiticity_tol:
         raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
-    tr = complex(np.trace(rho))
+    traces = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
+    worst = int(np.argmax(np.abs(traces - 1.0)))
+    tr = complex(traces[worst])
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"density matrix trace {tr} is not 1")
-    low = float(hermitian_eigenvalues(rho)[0])
+    low = float(np.min(hermitian_eigenvalues(rho)[..., 0]))
     if low < -psd_tol:
         raise ValueError(f"density matrix is not positive semidefinite (min eigenvalue {low:.3e})")
     return rho

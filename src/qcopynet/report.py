@@ -13,12 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .copier import CopyVariant, InputQubit, run_copier
-from .separability import ppt_verdict
+from .copier import METRICS, PAIR_LABELS, QUBIT_LABELS, CopyVariant, evaluate_grid
 
 __all__ = [
     "CSV_COLUMNS",
     "METRICS",
+    "MAX_GRID_POINTS",
     "SCHEMA_VERSION",
     "GridSpec",
     "SweepSpec",
@@ -47,16 +47,9 @@ CSV_COLUMNS = [
     "E_a2a3",
 ]
 
-METRICS = frozenset({"d1", "d2", "d3", "s", "fidelity", "E"})
-
-_METRIC_COLUMNS = {
-    "d1": ("d1_a1", "d1_a2", "d1_a3"),
-    "d2": ("d2_a2a3", "d2_a1a2", "d2_a1a3"),
-    "d3": ("d3",),
-    "s": ("s_a2",),
-    "fidelity": ("fid_a2",),
-    "E": ("E_a2a3",),
-}
+# A sweep is evaluated as one batch of arrays, a few kilobytes per point
+# from evaluation to rendering; the cap keeps a typo from exhausting memory.
+MAX_GRID_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -68,8 +61,8 @@ class GridSpec:
     count: int
 
     def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError("grid count must be at least 1")
+        if not 1 <= self.count <= MAX_GRID_POINTS:
+            raise ValueError(f"grid count must be between 1 and {MAX_GRID_POINTS}, got {self.count:.6g}")
         for edge in (self.start, self.stop):
             if not 0.0 <= edge <= 2.0 * math.pi + 1e-12:
                 raise ValueError(f"grid edge {edge!r} outside [0, 2*pi]")
@@ -94,6 +87,12 @@ class SweepSpec:
         if unknown:
             raise ValueError(f"unknown metrics: {sorted(unknown)}")
         object.__setattr__(self, "metrics", frozenset(self.metrics))
+        points = self.theta_grid.count * self.phi_grid.count
+        if points > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid of {self.theta_grid.count} x {self.phi_grid.count} = {points} points "
+                f"exceeds the limit of {MAX_GRID_POINTS}"
+            )
 
 
 def sweep_rows(spec: SweepSpec) -> list[dict]:
@@ -102,31 +101,28 @@ def sweep_rows(spec: SweepSpec) -> list[dict]:
     Every CSV column is present in every row; deselected metrics and
     inapplicable values (duplicator d3, absent scaling fits) are None.
     """
-    rows = []
-    for theta in spec.theta_grid.values():
-        for phi in spec.phi_grid.values():
-            qubit = InputQubit(float(theta), float(phi))
-            report = run_copier(qubit, spec.variant)
-            row: dict = {column: None for column in CSV_COLUMNS}
-            row["theta"] = float(theta)
-            row["phi"] = float(phi)
-            row["variant"] = spec.variant.value
-            if "d1" in spec.metrics:
-                for label in ("a1", "a2", "a3"):
-                    row[f"d1_{label}"] = report.d1[label]
-            if "d2" in spec.metrics:
-                for label in ("a2a3", "a1a2", "a1a3"):
-                    row[f"d2_{label}"] = report.d2[label]
-            if "d3" in spec.metrics:
-                row["d3"] = report.d3
-            if "s" in spec.metrics:
-                row["s_a2"] = report.scaling["a2"]
-            if "fidelity" in spec.metrics:
-                row["fid_a2"] = report.fidelity["a2"][0]
-            if "E" in spec.metrics:
-                row["E_a2a3"] = ppt_verdict(report.pair_reductions["a2a3"]).min_eigenvalue
-            rows.append(row)
-    return rows
+    grid = evaluate_grid(spec.variant, spec.theta_grid.values(), spec.phi_grid.values(), spec.metrics)
+    count = grid.theta.size
+    columns = {
+        "theta": grid.theta.tolist(),
+        "phi": grid.phi.tolist(),
+        "variant": [spec.variant.value] * count,
+    }
+    if grid.d1 is not None:
+        columns.update({f"d1_{label}": grid.d1[label].tolist() for label in QUBIT_LABELS})
+    if grid.d2 is not None:
+        columns.update({f"d2_{label}": grid.d2[label].tolist() for label in PAIR_LABELS})
+    if grid.d3 is not None:
+        columns["d3"] = grid.d3.tolist()
+    if grid.scaling is not None:
+        columns["s_a2"] = [None if math.isnan(s) else s for s in grid.scaling["a2"].tolist()]
+    if grid.fidelity is not None:
+        columns["fid_a2"] = grid.fidelity["a2"][:, 0].tolist()
+    if grid.ppt_spectrum is not None:
+        columns["E_a2a3"] = grid.ppt_spectrum[:, 0].tolist()
+    blank = [None] * count
+    cells = zip(*(columns.get(column, blank) for column in CSV_COLUMNS))
+    return [dict(zip(CSV_COLUMNS, row)) for row in cells]
 
 
 def _grid_meta(grid: GridSpec) -> dict:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .copier import CopyVariant, InputQubit, run_copier
+from .copier import CopyVariant, InputQubit, evaluate_grid
 
 __all__ = [
     "INSEPARABILITY_TOL",
@@ -85,14 +85,10 @@ def negativity_bound_check(input_qubit: InputQubit) -> BoundCheck:
     """
     if abs(math.cos(input_qubit.phi)) > 1e-12:
         raise ValueError("the negativity bound applies at phi = pi/2 (mod pi)")
-    report = run_copier(input_qubit, CopyVariant.TRIPLICATOR)
-    verdict = ppt_verdict(
-        report.pair_reductions["a2a3"],
-        input_tag=f"triplicator pair a2a3, theta={input_qubit.theta!r}, phi={input_qubit.phi!r}",
-    )
+    grid = evaluate_grid(CopyVariant.TRIPLICATOR, [input_qubit.theta], [input_qubit.phi], {"E"})
     weight = abs(input_qubit.alpha) ** 2 * input_qubit.beta**2
     bound = -(1.0 + 4.0 * (_SQRT5 - 2.0) * weight) / 6.0
-    e = verdict.min_eigenvalue
+    e = float(grid.ppt_spectrum[0, 0])
     return BoundCheck(
         min_eigenvalue=e,
         bound=bound,
@@ -135,19 +131,13 @@ def entanglement_distance_correlation(theta_values, phi_values) -> CorrelationTa
     """
     theta_values = [float(t) for t in theta_values]
     phi_values = [float(p) for p in phi_values]
-    rows = []
-    for theta in theta_values:
-        for phi in phi_values:
-            report = run_copier(InputQubit(theta, phi), CopyVariant.TRIPLICATOR)
-            verdict = ppt_verdict(report.pair_reductions["a2a3"])
-            rows.append(
-                CorrelationRow(
-                    theta=theta,
-                    phi=phi,
-                    d1=report.d1["a2"],
-                    min_eigenvalue=verdict.min_eigenvalue,
-                )
-            )
+    grid = evaluate_grid(CopyVariant.TRIPLICATOR, theta_values, phi_values, {"d1", "E"})
+    rows = [
+        CorrelationRow(theta=theta, phi=phi, d1=d1, min_eigenvalue=e)
+        for theta, phi, d1, e in zip(
+            grid.theta.tolist(), grid.phi.tolist(), grid.d1["a2"].tolist(), grid.ppt_spectrum[:, 0].tolist()
+        )
+    ]
 
     def is_real_phase(phi: float) -> bool:
         return abs(math.sin(phi)) <= 1e-12

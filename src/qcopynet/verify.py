@@ -18,21 +18,28 @@ import numpy as np
 
 from . import __version__, linalg
 from .copier import (
+    PAIR_LABELS,
+    QUBIT_LABELS,
     AngleSolverError,
+    CopyGrid,
     CopyVariant,
     InputQubit,
     amplitudes_from_angles,
+    evaluate_grid,
     full_network,
-    original_transpose_check,
     preparation_amplitudes,
     preparation_angles,
     preparation_network,
-    run_copier,
     solve_preparation_angles,
 )
 from .gates import CNOT, PureState, Rotation, apply_cnot, apply_rotation, run_network
 from .report import SCHEMA_VERSION
-from .separability import entanglement_distance_correlation, negativity_bound_check, ppt_verdict
+from .separability import (
+    INSEPARABILITY_TOL,
+    entanglement_distance_correlation,
+    negativity_bound_check,
+    ppt_verdict,
+)
 
 __all__ = [
     "VerifyCheck",
@@ -117,39 +124,46 @@ def _check(check_id, group, description, expected, tolerance, error, observed=No
     )
 
 
-def _phase_weight(qubit: InputQubit) -> float:
-    return abs(qubit.alpha) ** 2 * qubit.beta**2 * math.sin(qubit.phi) ** 2
+def _phase_weight(grid: CopyGrid) -> np.ndarray:
+    return np.abs(grid.alpha) ** 2 * grid.beta**2 * np.sin(grid.phi) ** 2
 
 
-def _triplicator_single_expected(qubit: InputQubit) -> np.ndarray:
-    a, b = qubit.alpha, complex(qubit.beta)
+def _max_dev(a, b) -> float:
+    return float(np.max(np.abs(a - b)))
+
+
+def _triplicator_single_expected(grid: CopyGrid) -> np.ndarray:
+    a, b = grid.alpha, grid.beta.astype(complex)
     off_low = 3.0 * a * np.conj(b) + np.conj(a) * b
-    descending = np.array(
+    descending = np.stack(
         [
-            [4.0 * abs(b) ** 2 + 1.0, np.conj(off_low)],
-            [off_low, 4.0 * abs(a) ** 2 + 1.0],
-        ]
+            np.stack([4.0 * np.abs(b) ** 2 + 1.0, np.conj(off_low)], axis=-1),
+            np.stack([off_low, 4.0 * np.abs(a) ** 2 + 1.0], axis=-1),
+        ],
+        axis=-2,
     ) / 6.0
-    return linalg.reverse_basis(descending)
+    return descending[:, ::-1, ::-1]
 
 
-def _triplicator_pair_expected_real(qubit: InputQubit) -> np.ndarray:
-    a, b = qubit.alpha.real, qubit.beta
+def _triplicator_pair_expected_real(grid: CopyGrid) -> np.ndarray:
+    a, b = grid.alpha.real, grid.beta
     ab = 4.0 * a * b
-    descending = np.array(
+    one = np.ones_like(a)
+    descending = np.stack(
         [
-            [8.0 * b * b + 1.0, ab, ab, 3.0],
-            [ab, 1.0, 1.0, ab],
-            [ab, 1.0, 1.0, ab],
-            [3.0, ab, ab, 8.0 * a * a + 1.0],
-        ]
+            np.stack([8.0 * b * b + 1.0, ab, ab, 3.0 * one], axis=-1),
+            np.stack([ab, one, one, ab], axis=-1),
+            np.stack([ab, one, one, ab], axis=-1),
+            np.stack([3.0 * one, ab, ab, 8.0 * a * a + 1.0], axis=-1),
+        ],
+        axis=-2,
     ) / 12.0
-    return linalg.reverse_basis(descending)
+    return descending[:, ::-1, ::-1]
 
 
-def _triplicator_output_expected(qubit: InputQubit) -> np.ndarray:
-    a, b = qubit.alpha, complex(qubit.beta)
-    return np.array([3.0 * a, b, b, a, b, a, a, 3.0 * b]) / math.sqrt(12.0)
+def _triplicator_output_expected(grid: CopyGrid) -> np.ndarray:
+    a, b = grid.alpha, grid.beta
+    return np.stack([3.0 * a, b, b, a, b, a, a, 3.0 * b], axis=1) / math.sqrt(12.0)
 
 
 class _Suite:
@@ -158,32 +172,19 @@ class _Suite:
     def __init__(self) -> None:
         self._cache: dict = {}
 
-    def duplicator_grid(self):
-        if "dup" not in self._cache:
-            self._cache["dup"] = [
-                (InputQubit(float(t), float(p)), run_copier(InputQubit(float(t), float(p)), CopyVariant.DUPLICATOR))
-                for t in _THETAS
-                for p in _PHIS
-            ]
-        return self._cache["dup"]
+    def _grid(self, key: str, variant: CopyVariant, thetas, phis) -> CopyGrid:
+        if key not in self._cache:
+            self._cache[key] = evaluate_grid(variant, thetas, phis)
+        return self._cache[key]
 
-    def triplicator_grid(self):
-        if "trip" not in self._cache:
-            self._cache["trip"] = [
-                (InputQubit(float(t), float(p)), run_copier(InputQubit(float(t), float(p)), CopyVariant.TRIPLICATOR))
-                for t in _THETAS
-                for p in _PHIS
-            ]
-        return self._cache["trip"]
+    def duplicator_grid(self) -> CopyGrid:
+        return self._grid("dup", CopyVariant.DUPLICATOR, _THETAS, _PHIS)
 
-    def triplicator_real_grid(self):
-        if "trip-real" not in self._cache:
-            self._cache["trip-real"] = [
-                (InputQubit(float(t), p), run_copier(InputQubit(float(t), p), CopyVariant.TRIPLICATOR))
-                for t in _THETAS
-                for p in (0.0, math.pi)
-            ]
-        return self._cache["trip-real"]
+    def triplicator_grid(self) -> CopyGrid:
+        return self._grid("trip", CopyVariant.TRIPLICATOR, _THETAS, _PHIS)
+
+    def triplicator_real_grid(self) -> CopyGrid:
+        return self._grid("trip-real", CopyVariant.TRIPLICATOR, _THETAS, (0.0, math.pi))
 
 
 def _prep_checks(suite: _Suite) -> list[VerifyCheck]:
@@ -238,24 +239,17 @@ def _basis_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _fidelity_checks(suite: _Suite) -> list[VerifyCheck]:
-    err_ideal = 0.0
-    err_orth = 0.0
-    err_equal = 0.0
-    for _, report in suite.duplicator_grid():
-        for label in ("a2", "a3"):
-            p_ideal, p_orth = report.fidelity[label]
-            err_ideal = max(err_ideal, abs(p_ideal - 5.0 / 6.0))
-            err_orth = max(err_orth, abs(p_orth - 1.0 / 6.0))
-        err_equal = max(
-            err_equal,
-            float(np.max(np.abs(report.qubit_reductions["a2"] - report.qubit_reductions["a3"]))),
-        )
-    grid = f"{len(suite.duplicator_grid())} grid points"
+    grid = suite.duplicator_grid()
+    weights = np.stack([grid.fidelity["a2"], grid.fidelity["a3"]])
+    err_ideal = float(np.max(np.abs(weights[..., 0] - 5.0 / 6.0)))
+    err_orth = float(np.max(np.abs(weights[..., 1] - 1.0 / 6.0)))
+    err_equal = _max_dev(grid.qubit_reductions["a2"], grid.qubit_reductions["a3"])
+    points = f"{grid.theta.size} grid points"
     return [
         _check(
             "fidelity.copies-identical",
             "fidelity",
-            f"the two copies carry identical reduced states ({grid})",
+            f"the two copies carry identical reduced states ({points})",
             "entrywise equality",
             1e-12,
             err_equal,
@@ -263,7 +257,7 @@ def _fidelity_checks(suite: _Suite) -> list[VerifyCheck]:
         _check(
             "fidelity.ideal-weight",
             "fidelity",
-            f"each copy carries weight 5/6 on the input state ({grid})",
+            f"each copy carries weight 5/6 on the input state ({points})",
             "5/6",
             1e-10,
             err_ideal,
@@ -271,7 +265,7 @@ def _fidelity_checks(suite: _Suite) -> list[VerifyCheck]:
         _check(
             "fidelity.orthogonal-weight",
             "fidelity",
-            f"each copy carries weight 1/6 on the orthogonal state ({grid})",
+            f"each copy carries weight 1/6 on the orthogonal state ({points})",
             "1/6",
             1e-10,
             err_orth,
@@ -280,17 +274,10 @@ def _fidelity_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _scaling_checks(suite: _Suite) -> list[VerifyCheck]:
-    err = 0.0
-    missing = 0
-    for _, report in suite.duplicator_grid():
-        for label in ("a2", "a3"):
-            s = report.scaling[label]
-            if s is None:
-                missing += 1
-            else:
-                err = max(err, abs(s - 2.0 / 3.0))
-    if missing:
-        err = math.inf
+    grid = suite.duplicator_grid()
+    s = np.concatenate([grid.scaling["a2"], grid.scaling["a3"]])
+    missing = int(np.count_nonzero(np.isnan(s)))
+    err = math.inf if missing else float(np.max(np.abs(s - 2.0 / 3.0)))
     observed = f"max deviation {err:.3e}" if not missing else f"{missing} copies without a scaling fit"
     return [
         _check(
@@ -306,11 +293,9 @@ def _scaling_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _distance_checks(suite: _Suite) -> list[VerifyCheck]:
-    err_d1 = 0.0
-    err_d2 = 0.0
-    for _, report in suite.duplicator_grid():
-        err_d1 = max(err_d1, abs(report.d1["a2"] - 1.0 / 18.0), abs(report.d1["a3"] - 1.0 / 18.0))
-        err_d2 = max(err_d2, abs(report.d2["a2a3"] - 2.0 / 9.0))
+    grid = suite.duplicator_grid()
+    err_d1 = max(_max_dev(grid.d1["a2"], 1.0 / 18.0), _max_dev(grid.d1["a3"], 1.0 / 18.0))
+    err_d2 = _max_dev(grid.d2["a2a3"], 2.0 / 9.0)
     return [
         _check(
             "distance.single-copy",
@@ -332,13 +317,11 @@ def _distance_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _original_checks(suite: _Suite) -> list[VerifyCheck]:
-    err_law = 0.0
-    err_d1 = 0.0
-    for qubit, report in suite.duplicator_grid():
-        _, residual = original_transpose_check(report)
-        err_law = max(err_law, residual)
-        expected = (2.0 / 9.0) * (1.0 + 12.0 * _phase_weight(qubit))
-        err_d1 = max(err_d1, abs(report.d1["a1"] - expected))
+    grid = suite.duplicator_grid()
+    psi = np.stack([grid.alpha, grid.beta], axis=1)
+    rho_in = psi[:, :, None] * psi.conj()[:, None, :]
+    err_law = _max_dev(grid.qubit_reductions["a1"], np.swapaxes(rho_in, 1, 2) / 3.0 + np.eye(2) / 3.0)
+    err_d1 = _max_dev(grid.d1["a1"], (2.0 / 9.0) * (1.0 + 12.0 * _phase_weight(grid)))
     return [
         _check(
             "original.transpose-law",
@@ -360,14 +343,10 @@ def _original_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _ppt_checks(suite: _Suite) -> list[VerifyCheck]:
-    err_spec = 0.0
-    not_inseparable = 0
-    for _, report in suite.duplicator_grid():
-        verdict = ppt_verdict(report.pair_reductions["a2a3"])
-        err_spec = max(err_spec, float(np.max(np.abs(np.array(verdict.spectrum) - _DUP_PAIR_SPECTRUM))))
-        if not verdict.inseparable:
-            not_inseparable += 1
-    total = len(suite.duplicator_grid())
+    grid = suite.duplicator_grid()
+    err_spec = _max_dev(grid.ppt_spectrum, _DUP_PAIR_SPECTRUM)
+    not_inseparable = int(np.count_nonzero(grid.ppt_spectrum[:, 0] >= -INSEPARABILITY_TOL))
+    total = grid.theta.size
     return [
         _check(
             "ppt.duplicator-spectrum",
@@ -397,13 +376,8 @@ def _trip_prep_checks(suite: _Suite) -> list[VerifyCheck]:
     target = preparation_amplitudes(CopyVariant.TRIPLICATOR)
     err_prep = float(np.max(np.abs(state.amplitudes - target)))
 
-    err_out = 0.0
-    for theta in (0.0, math.pi / 8.0, math.pi / 4.0):
-        for phi in (0.0, math.pi / 2.0):
-            qubit = InputQubit(theta, phi)
-            report = run_copier(qubit, CopyVariant.TRIPLICATOR)
-            expected = _triplicator_output_expected(qubit)
-            err_out = max(err_out, float(np.max(np.abs(report.output_state.amplitudes - expected))))
+    spots = evaluate_grid(CopyVariant.TRIPLICATOR, (0.0, math.pi / 8.0, math.pi / 4.0), (0.0, math.pi / 2.0), ())
+    err_out = _max_dev(spots.states, _triplicator_output_expected(spots))
     return [
         _check(
             "trip-prep.blank-state",
@@ -425,30 +399,21 @@ def _trip_prep_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
-    err_equal = 0.0
-    err_s = 0.0
-    err_pair = 0.0
-    err_d1 = 0.0
-    err_d2 = 0.0
-    err_d3 = 0.0
-    err_spec = 0.0
-    for qubit, report in suite.triplicator_real_grid():
-        base = report.qubit_reductions["a1"]
-        for label in ("a2", "a3"):
-            err_equal = max(err_equal, float(np.max(np.abs(base - report.qubit_reductions[label]))))
-        for label in ("a1", "a2", "a3"):
-            s = report.scaling[label]
-            err_s = max(err_s, abs(s - 2.0 / 3.0) if s is not None else math.inf)
-            err_d1 = max(err_d1, abs(report.d1[label] - 1.0 / 18.0))
-        expected_pair = _triplicator_pair_expected_real(qubit)
-        for label in ("a2a3", "a1a2", "a1a3"):
-            err_pair = max(err_pair, float(np.max(np.abs(report.pair_reductions[label] - expected_pair))))
-            err_d2 = max(err_d2, abs(report.d2[label] - 2.0 / 9.0))
-            verdict = ppt_verdict(report.pair_reductions[label])
-            err_spec = max(
-                err_spec, float(np.max(np.abs(np.array(verdict.spectrum) - _TRIP_PAIR_SPECTRUM)))
-            )
-        err_d3 = max(err_d3, abs(report.d3 - 0.5))
+    grid = suite.triplicator_real_grid()
+    singles, pairs = grid.qubit_reductions, grid.pair_reductions
+    err_equal = max(_max_dev(singles["a1"], singles[label]) for label in ("a2", "a3"))
+    s = np.concatenate([grid.scaling[label] for label in QUBIT_LABELS])
+    err_s = math.inf if np.any(np.isnan(s)) else _max_dev(s, 2.0 / 3.0)
+    err_d1 = max(_max_dev(grid.d1[label], 1.0 / 18.0) for label in QUBIT_LABELS)
+    expected_pair = _triplicator_pair_expected_real(grid)
+    err_pair = max(_max_dev(pairs[label], expected_pair) for label in PAIR_LABELS)
+    err_d2 = max(_max_dev(grid.d2[label], 2.0 / 9.0) for label in PAIR_LABELS)
+    err_spec = max(
+        _max_dev(np.array(ppt_verdict(m).spectrum), _TRIP_PAIR_SPECTRUM)
+        for label in PAIR_LABELS
+        for m in pairs[label]
+    )
+    err_d3 = _max_dev(grid.d3, 0.5)
     return [
         _check(
             "trip-real.equal-reductions",
@@ -510,24 +475,14 @@ def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _trip_complex_checks(suite: _Suite) -> list[VerifyCheck]:
-    err_single = 0.0
-    err_d1 = 0.0
-    err_d2 = 0.0
-    err_d3 = 0.0
-    wrongly_scaled = 0
-    for qubit, report in suite.triplicator_grid():
-        weight = _phase_weight(qubit)
-        expected_single = _triplicator_single_expected(qubit)
-        for label in ("a1", "a2", "a3"):
-            err_single = max(
-                err_single, float(np.max(np.abs(report.qubit_reductions[label] - expected_single)))
-            )
-            err_d1 = max(err_d1, abs(report.d1[label] - (1.0 + 12.0 * weight) / 18.0))
-        for label in ("a2a3", "a1a2", "a1a3"):
-            err_d2 = max(err_d2, abs(report.d2[label] - (2.0 / 9.0) * (1.0 + 12.0 * weight)))
-        err_d3 = max(err_d3, abs(report.d3 - 0.5 * (1.0 + 12.0 * weight)))
-        if weight > 1e-6 and report.scaling["a2"] is not None:
-            wrongly_scaled += 1
+    grid = suite.triplicator_grid()
+    weight = _phase_weight(grid)
+    expected_single = _triplicator_single_expected(grid)
+    err_single = max(_max_dev(grid.qubit_reductions[label], expected_single) for label in QUBIT_LABELS)
+    err_d1 = max(_max_dev(grid.d1[label], (1.0 + 12.0 * weight) / 18.0) for label in QUBIT_LABELS)
+    err_d2 = max(_max_dev(grid.d2[label], (2.0 / 9.0) * (1.0 + 12.0 * weight)) for label in PAIR_LABELS)
+    err_d3 = _max_dev(grid.d3, 0.5 * (1.0 + 12.0 * weight))
+    wrongly_scaled = int(np.count_nonzero((weight > 1e-6) & ~np.isnan(grid.scaling["a2"])))
     return [
         _check(
             "trip-complex.single-matrix",
@@ -776,7 +731,7 @@ def _property_checks(suite: _Suite) -> list[VerifyCheck]:
         _check(
             "properties.eigenvalue-oracle",
             "properties",
-            "Jacobi eigenvalues match characteristic-polynomial bisection on 100 random matrices",
+            "LAPACK eigenvalues match characteristic-polynomial bisection on 100 random matrices",
             "route agreement",
             1e-9,
             err_eig,
@@ -955,7 +910,8 @@ def polynomial_real_roots(coeffs) -> list[float]:
 def eigenvalues_by_bisection(h) -> np.ndarray:
     """Eigenvalue oracle: roots of the characteristic polynomial, ascending.
 
-    Independent of the Jacobi eigensolver; used to cross-check it.
+    Independent of the LAPACK eigensolver (``np.linalg.eigvalsh``) behind
+    ``linalg.hermitian_eigenvalues``; used to cross-check it.
     """
     h = np.asarray(h, dtype=complex)
     return np.array(polynomial_real_roots(characteristic_polynomial(h)))

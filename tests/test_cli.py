@@ -8,7 +8,7 @@ import pytest
 
 from qcopynet import CopyVariant, InputQubit, run_copier
 from qcopynet.cli import main
-from qcopynet.report import CSV_COLUMNS, GridSpec, SweepSpec, format_float, render_csv, render_json, sweep_document, sweep_rows
+from qcopynet.report import CSV_COLUMNS, MAX_GRID_POINTS, GridSpec, SweepSpec, format_float, render_csv, render_json, sweep_document, sweep_rows
 
 
 def run_cli(capsys, *argv):
@@ -74,6 +74,27 @@ def test_copy_rejects_unnormalizable(capsys):
     code, _, err = run_cli(capsys, "copy", "--alpha", "1", "--beta", "1")
     assert code == 2
     assert "not normalizable" in err
+
+
+def test_copy_rejects_nan_theta(capsys):
+    code, out, err = run_cli(capsys, "copy", "--theta", "nan")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --theta and --phi must be finite\n"
+
+
+def test_copy_rejects_infinite_theta(capsys):
+    code, out, err = run_cli(capsys, "copy", "--theta", "inf")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --theta and --phi must be finite\n"
+
+
+def test_copy_rejects_nan_alpha(capsys):
+    code, out, err = run_cli(capsys, "copy", "--alpha", "nan", "--beta", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: amplitudes must be finite\n"
 
 
 def test_copy_rejects_mixed_input_styles(capsys):
@@ -208,6 +229,31 @@ def test_sweep_rejects_grid_outside_range(capsys):
     assert "outside" in err
 
 
+def test_sweep_rejects_grid_over_the_point_cap(capsys):
+    # rejected while the spec is built, before any grid is allocated
+    side = str(MAX_GRID_POINTS // 10)
+    code, out, err = run_cli(
+        capsys, "sweep", "--theta", "0", "1", side, "--phi", "0", "1", "11", "--out", "-"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"limit of {MAX_GRID_POINTS}" in err
+    code, _, err = run_cli(
+        capsys, "sweep", "--theta", "0", "1", "1e300", "--phi", "0", "1", "1", "--out", "-"
+    )
+    assert code == 2
+    assert err.startswith("error: grid count must be between 1 and")
+
+
+def test_sweep_rejects_infinite_grid_count(capsys):
+    code, out, err = run_cli(
+        capsys, "sweep", "--theta", "0", "1", "inf", "--phi", "0", "1", "2", "--out", "-"
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: theta grid count must be an integer, got inf\n"
+
+
 def test_sweep_rejects_unwritable_path(tmp_path, capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--theta", "0", "1", "2", "--phi", "0", "1", "2",
@@ -310,6 +356,13 @@ def test_angles_command_duplicator_target(capsys):
     assert abs(doc["angles"]["theta1"] - math.pi / 8.0) < 1e-9
     assert abs(doc["angles"]["theta2"] + math.asin(math.sqrt(0.5 - math.sqrt(2.0) / 3.0))) < 1e-9
     assert doc["residual"] < 1e-10
+
+
+def test_angles_command_rejects_nan_target(capsys):
+    code, out, err = run_cli(capsys, "angles", "nan", "0", "0", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: target amplitudes must be finite\n"
 
 
 def test_angles_command_rejects_unnormalized(capsys):

@@ -226,6 +226,13 @@ def test_parse_network_errors_carry_line_numbers(text, lineno):
     assert f"line {lineno}" in str(excinfo.value)
 
 
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_parse_network_rejects_non_finite_angles(angle):
+    with pytest.raises(NetworkParseError, match="not finite") as excinfo:
+        parse_network(f"CNOT 0 1\nR 1 {angle}\n")
+    assert excinfo.value.lineno == 2
+
+
 def test_max_qubit():
     assert GateNetwork().max_qubit() == -1
     assert parse_network("R 1 0.2\nCNOT 0 2\n").max_qubit() == 2
