@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__, linalg
 from .copier import (
-    AngleSolverError,
     CopyVariant,
     InputQubit,
     PAIR_LABELS,
@@ -36,7 +35,7 @@ from .report import (
     sweep_document,
     sweep_rows,
 )
-from .separability import ppt_verdict
+from .separability import PptReport, ppt_verdict
 from .verify import GROUP_ORDER, render_human, run_verification, verification_document
 
 EXIT_OK = 0
@@ -115,6 +114,21 @@ def _input_from_args(args) -> InputQubit:
     return InputQubit(theta=args.theta, phi=phi)
 
 
+def _print_reduction(label: str, reduced: np.ndarray) -> None:
+    """A reduced matrix in both basis orders (ascending, then descending)."""
+    asc, desc = _basis_labels(linalg.num_qubits_of(reduced))
+    print(f"{label} reduction ({asc}):")
+    print("\n".join(_matrix_lines(reduced)))
+    print(f"{label} reduction, reversed order ({desc}):")
+    print("\n".join(_matrix_lines(linalg.reverse_basis(reduced))))
+
+
+def _separability_word(verdict: PptReport) -> str:
+    if verdict.inseparable:
+        return "inseparable"
+    return "indeterminate" if verdict.indeterminate else "separable"
+
+
 def _print_state_analysis(state: PureState) -> None:
     n = state.num_qubits
     print(f"final state ({n} qubit{'s' if n > 1 else ''}):")
@@ -122,24 +136,12 @@ def _print_state_analysis(state: PureState) -> None:
         print(f"  |{format(i, f'0{n}b')}>  {_hc(amp)}")
     rho = density_of(state)
     for q in range(n):
-        reduced = linalg.partial_trace(rho, (q,)) if n > 1 else rho
-        asc, desc = _basis_labels(1)
-        print(f"qubit {q} reduction ({asc}):")
-        print("\n".join(_matrix_lines(reduced)))
-        print(f"qubit {q} reduction, reversed order ({desc}):")
-        print("\n".join(_matrix_lines(linalg.reverse_basis(reduced))))
-    if n >= 2:
-        for qa in range(n):
-            for qb in range(qa + 1, n):
-                pair = linalg.partial_trace(rho, (qa, qb))
-                verdict = ppt_verdict(pair)
-                state_word = (
-                    "inseparable" if verdict.inseparable
-                    else "indeterminate" if verdict.indeterminate
-                    else "separable"
-                )
-                spectrum = ", ".join(_h(x) for x in verdict.spectrum)
-                print(f"pair ({qa},{qb}) partial-transpose spectrum: [{spectrum}] -> {state_word}")
+        _print_reduction(f"qubit {q}", linalg.partial_trace(rho, (q,)) if n > 1 else rho)
+    for qa in range(n):
+        for qb in range(qa + 1, n):
+            verdict = ppt_verdict(linalg.partial_trace(rho, (qa, qb)))
+            spectrum = ", ".join(_h(x) for x in verdict.spectrum)
+            print(f"pair ({qa},{qb}) partial-transpose spectrum: [{spectrum}] -> {_separability_word(verdict)}")
 
 
 def cmd_copy(args) -> int:
@@ -194,18 +196,10 @@ def cmd_copy(args) -> int:
     print(f"variant: {variant.value}")
     print(f"input: theta={_h(qubit.theta)} phi={_h(qubit.phi)} "
           f"alpha={_hc(qubit.alpha)} beta={_h(qubit.beta)}")
-    asc1, desc1 = _basis_labels(1)
     for label in QUBIT_LABELS:
-        print(f"{label} reduction ({asc1}):")
-        print("\n".join(_matrix_lines(report.qubit_reductions[label])))
-        print(f"{label} reduction, reversed order ({desc1}):")
-        print("\n".join(_matrix_lines(linalg.reverse_basis(report.qubit_reductions[label]))))
-    asc2, desc2 = _basis_labels(2)
+        _print_reduction(label, report.qubit_reductions[label])
     for label in PAIR_LABELS:
-        print(f"{label} reduction ({asc2}):")
-        print("\n".join(_matrix_lines(report.pair_reductions[label])))
-        print(f"{label} reduction, reversed order ({desc2}):")
-        print("\n".join(_matrix_lines(linalg.reverse_basis(report.pair_reductions[label]))))
+        _print_reduction(label, report.pair_reductions[label])
     print("distances d1:", "  ".join(f"{k}={_h(v)}" for k, v in report.d1.items()))
     print("distances d2:", "  ".join(f"{k}={_h(v)}" for k, v in report.d2.items()))
     print(f"distance d3: {_h(report.d3) if report.d3 is not None else '-'}")
@@ -215,13 +209,8 @@ def cmd_copy(args) -> int:
         f"{k}=({_h(p)}, {_h(q)})" for k, (p, q) in report.fidelity.items()))
     for label in PAIR_LABELS:
         verdict = ppt_verdict(report.pair_reductions[label])
-        state_word = (
-            "inseparable" if verdict.inseparable
-            else "indeterminate" if verdict.indeterminate
-            else "separable"
-        )
         spectrum = ", ".join(_h(x) for x in verdict.spectrum)
-        print(f"PPT {label}: spectrum [{spectrum}] min={_h(verdict.min_eigenvalue)} -> {state_word}")
+        print(f"PPT {label}: spectrum [{spectrum}] min={_h(verdict.min_eigenvalue)} -> {_separability_word(verdict)}")
     return EXIT_OK
 
 
@@ -319,11 +308,7 @@ def cmd_network(args) -> int:
 def cmd_angles(args) -> int:
     c = np.array(args.amplitudes, dtype=float)
     c = _normalized(c, "target amplitudes")
-    try:
-        angles = solve_preparation_angles(c)
-    except AngleSolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    angles = solve_preparation_angles(c)
     reproduced = amplitudes_from_angles(angles)
     residual = float(np.max(np.abs(reproduced - c)))
     if args.format == "json":

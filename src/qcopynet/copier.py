@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -30,7 +29,6 @@ __all__ = [
     "PreparationAngles",
     "CopyReport",
     "CopyGrid",
-    "AngleSolverError",
     "QUBIT_LABELS",
     "PAIR_LABELS",
     "PAIR_QUBITS",
@@ -128,16 +126,6 @@ class PreparationAngles:
         return np.array([self.theta1, self.theta2, self.theta3])
 
 
-class AngleSolverError(ValueError):
-    """No preparation angles reproduced the target amplitudes; carries the best residual seen."""
-
-    def __init__(self, best_residual: float):
-        super().__init__(
-            f"no angle solution found within tolerance (best residual {best_residual:.3e})"
-        )
-        self.best_residual = best_residual
-
-
 _THETA2_MAGNITUDE = math.asin(math.sqrt(0.5 - math.sqrt(2.0) / 3.0))
 
 _DUPLICATOR_AMPLITUDES = np.array([2.0, 1.0, 1.0, 0.0]) / math.sqrt(6.0)
@@ -172,63 +160,47 @@ def amplitudes_from_angles(angles: PreparationAngles) -> np.ndarray:
     )
 
 
-def _angles_jacobian(theta: np.ndarray) -> np.ndarray:
-    c1, s1 = math.cos(theta[0]), math.sin(theta[0])
-    c2, s2 = math.cos(theta[1]), math.sin(theta[1])
-    c3, s3 = math.cos(theta[2]), math.sin(theta[2])
-    return np.array(
-        [
-            [
-                -s1 * c2 * c3 + c1 * s2 * s3,
-                -c1 * s2 * c3 + s1 * c2 * s3,
-                -c1 * c2 * s3 + s1 * s2 * c3,
-            ],
-            [
-                s1 * s2 * s3 + c1 * c2 * c3,
-                -c1 * c2 * s3 - s1 * s2 * c3,
-                -c1 * s2 * c3 - s1 * c2 * s3,
-            ],
-            [
-                -s1 * c2 * s3 - c1 * s2 * c3,
-                -c1 * s2 * s3 - s1 * c2 * c3,
-                c1 * c2 * c3 + s1 * s2 * s3,
-            ],
-            [
-                -s1 * s2 * c3 + c1 * c2 * s3,
-                c1 * c2 * c3 + s1 * s2 * s3,
-                -c1 * s2 * s3 + s1 * c2 * c3,
-            ],
-        ]
-    )
+# Singular-value gap below which a target counts as degenerate: the even
+# split below then reproduces it within half the gap, inside the 1e-10
+# residual contract.
+_DEGENERATE_GAP = 1e-11
+
+# Sign flips of the factorization: -I on either side of the diagonal factor
+# adds pi to that side's rotation and to theta2.
+_SIGN_FLIPS = ((0.0, 0.0, 0.0), (math.pi, math.pi, 0.0), (0.0, math.pi, math.pi), (math.pi, 0.0, math.pi))
 
 
 def _wrap_angle(x: float) -> float:
-    return math.remainder(x, 2.0 * math.pi)
+    """x shifted by a multiple of 2 pi into (-pi, pi], with +0.0 for -0.0."""
+    r = math.remainder(x, 2.0 * math.pi)
+    return (r + 2.0 * math.pi if r == -math.pi else r) + 0.0
 
 
-def _lattice_starts() -> list[np.ndarray]:
-    # 4 x 2 x 2 grid over [-pi, pi)^3, offset off the symmetry points where
-    # the amplitude map's Jacobian loses rank and local steps stall.
-    def axis(m: int) -> list[float]:
-        return [-math.pi + 2.0 * math.pi * (i + 0.37) / m for i in range(m)]
+def solve_preparation_angles(c) -> PreparationAngles:
+    """Closed-form rotation angles whose preparation-stage image is ``c``.
 
-    return [np.array(s) for s in itertools.product(axis(4), axis(2), axis(2))]
+    The amplitudes, read as the 2x2 matrix ``M = c.reshape(2, 2)``, factor
+    exactly as ``R(theta3) diag(cos theta2, sin theta2) R(theta1)^T`` with
+    ``R(t) = [[cos t, -sin t], [sin t, cos t]]``.  So one real SVD
+    ``M = U S V^T`` gives a solution: theta3 and theta1 are the angles of
+    the first columns of U and V, and theta2 carries the sign of
+    det(U) det(V) on the smaller singular value.  Every unit-norm target is
+    reachable.  The solutions form a finite family: sign flips (-I on either
+    side of the diagonal factor), the swap of the singular values (R(pi/2)
+    on both sides) and 2 pi wraps.  Each member is wrapped into (-pi, pi]
+    and the one with the smallest Euclidean norm is returned, ties broken
+    by the smaller angle tuple.
 
+    When the singular values are equal within ``_DEGENERATE_GAP``, M is a
+    multiple of a rotation (det >= 0) or of a reflection (det < 0), and the
+    family is continuous: with theta2 = pi/4 only theta3 - theta1 is fixed,
+    with theta2 = -pi/4 only theta3 + theta1 (the branch theta2 + pi shifts
+    either by pi).  The norm is smallest with the free part split evenly
+    between theta1 and theta3, so ``[1, 0, 0, 1]/sqrt(2)`` gives
+    (0, pi/4, 0).
 
-def solve_preparation_angles(
-    c,
-    *,
-    residual_tol: float = 1e-10,
-    max_iterations: int = 80,
-) -> PreparationAngles:
-    """Solve for rotation angles whose preparation-stage image matches ``c``.
-
-    Damped Gauss-Newton iteration (with a Levenberg-Marquardt fallback when
-    a plain step fails to improve) from 16 deterministic lattice starts over
-    [-pi, pi)^3.  Solutions come in symmetric families (for instance
-    (t1 + pi, t2, t3 + pi) maps to the same amplitudes); the representative
-    with the smallest Euclidean norm is returned.  Raises AngleSolverError
-    with the best residual seen if no start converges.
+    Raises ValueError unless ``c`` holds four amplitudes with unit sum of
+    squares.
     """
     c = np.asarray(c, dtype=float)
     if c.shape != (4,):
@@ -236,44 +208,28 @@ def solve_preparation_angles(
     if abs(float(np.sum(c * c)) - 1.0) > 1e-12:
         raise ValueError("target amplitudes must have unit sum of squares")
 
-    solutions: list[np.ndarray] = []
-    best_residual = math.inf
-    for start in _lattice_starts():
-        theta = start.copy()
-        residual = amplitudes_from_angles(PreparationAngles(*theta)) - c
-        # steps are accepted on the 2-norm (what Gauss-Newton descends);
-        # convergence and reporting use the max-norm contract
-        err = float(np.linalg.norm(residual))
-        for _ in range(max_iterations):
-            if float(np.max(np.abs(residual))) <= residual_tol * 0.01:
-                break
-            jac = _angles_jacobian(theta)
-            damping = 0.0
-            improved = False
-            for _ in range(25):
-                if damping == 0.0:
-                    step, *_ = np.linalg.lstsq(jac, -residual, rcond=None)
-                else:
-                    normal = jac.T @ jac + damping * np.eye(3)
-                    step = np.linalg.solve(normal, -jac.T @ residual)
-                trial = theta + step
-                trial_residual = amplitudes_from_angles(PreparationAngles(*trial)) - c
-                trial_err = float(np.linalg.norm(trial_residual))
-                if trial_err < err:
-                    theta, residual, err = trial, trial_residual, trial_err
-                    improved = True
-                    break
-                damping = 1e-4 if damping == 0.0 else damping * 8.0
-            if not improved:
-                break
-        max_residual = float(np.max(np.abs(residual)))
-        best_residual = min(best_residual, max_residual)
-        if max_residual <= residual_tol:
-            solutions.append(np.array([_wrap_angle(t) for t in theta]))
-    if not solutions:
-        raise AngleSolverError(best_residual)
-    solutions.sort(key=lambda t: (float(np.linalg.norm(t)), tuple(t)))
-    return PreparationAngles(*(float(t) for t in solutions[0]))
+    m = c.reshape(2, 2)
+    u, s, vt = np.linalg.svd(m)
+    if s[0] - s[1] <= _DEGENERATE_GAP:
+        sign = 1.0 if np.linalg.det(m) >= 0.0 else -1.0
+        fixed = math.atan2(m[1, 0] - sign * m[0, 1], m[0, 0] + sign * m[1, 1])
+        candidates = []
+        for theta2, shift in ((sign * math.pi / 4.0, 0.0), (-sign * 3.0 * math.pi / 4.0, math.pi)):
+            w = _wrap_angle(fixed + shift)
+            # w - 2 pi only matters at w = pi, where it ties in norm
+            candidates += [(-sign * f / 2.0, theta2, f / 2.0) for f in (w, w - 2.0 * math.pi)]
+    else:
+        theta1 = math.atan2(vt[0, 1], vt[0, 0])
+        theta2 = math.atan2(math.copysign(s[1], np.linalg.det(u) * np.linalg.det(vt)), s[0])
+        theta3 = math.atan2(u[1, 0], u[0, 0])
+        half = math.pi / 2.0
+        candidates = [
+            (t1 + f1, t2 + f2, t3 + f3)
+            for t1, t2, t3 in ((theta1, theta2, theta3), (theta1 + half, half - theta2, theta3 + half))
+            for f1, f2, f3 in _SIGN_FLIPS
+        ]
+    wrapped = (tuple(_wrap_angle(t) for t in member) for member in candidates)
+    return PreparationAngles(*min(wrapped, key=lambda t: (math.hypot(*t), t)))
 
 
 def preparation_network(angles: PreparationAngles, qubits: tuple[int, int] = (0, 1)) -> GateNetwork:

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcopynet
 from qcopynet import CopyVariant, InputQubit, run_copier
 from qcopynet.cli import main
 from qcopynet.report import CSV_COLUMNS, MAX_GRID_POINTS, GridSpec, SweepSpec, format_float, render_csv, render_json, sweep_document, sweep_rows
@@ -358,6 +361,18 @@ def test_angles_command_duplicator_target(capsys):
     assert doc["residual"] < 1e-10
 
 
+ANGLES_SEARCH_FAILURE = ["-0.6334260970058752", "0.22520128876980577", "0.2300465632607164", "0.7036578272855746"]
+
+
+def test_angles_command_solves_target_a_local_search_missed(capsys):
+    code, out, err = run_cli(capsys, "angles", "--format", "json", "--", *ANGLES_SEARCH_FAILURE)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["residual"] <= 1e-10
+    code, out, err = run_cli(capsys, "angles", "--", *ANGLES_SEARCH_FAILURE)
+    assert (code, err) == (0, "")
+    assert float(out.rsplit("max residual: ", 1)[1]) <= 1e-10
+
+
 def test_angles_command_rejects_nan_target(capsys):
     code, out, err = run_cli(capsys, "angles", "nan", "0", "0", "1")
     assert code == 2
@@ -373,19 +388,21 @@ def test_angles_command_rejects_unnormalized(capsys):
 
 # ------------------------------------------------------------- module runs
 
+def run_module(*argv):
+    # the child imports the same qcopynet as this process, installed or not
+    package_root = str(Path(qcopynet.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "qcopynet", *argv], capture_output=True, text=True, env=env)
+
+
 def test_module_entry_point_version():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qcopynet", "--version"], capture_output=True, text=True
-    )
+    proc = run_module("--version")
     assert proc.returncode == 0
     assert "qcopynet" in proc.stdout
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "qcopynet", "copy", "--variant", "bogus"],
-        capture_output=True, text=True,
-    )
+    proc = run_module("copy", "--variant", "bogus")
     assert proc.returncode == 2
 
 
