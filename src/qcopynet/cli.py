@@ -8,6 +8,7 @@ significant digits; machine formats carry 17.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -28,8 +29,8 @@ from .gates import MAX_QUBITS, NetworkParseError, PureState, density_of, parse_n
 from .report import (
     GridSpec,
     METRICS,
-    SCHEMA_VERSION,
     SweepSpec,
+    _document_meta,
     render_csv,
     render_json,
     sweep_document,
@@ -59,8 +60,8 @@ def _hc(z: complex) -> str:
     return f"{z.real:.6g}{z.imag:+.6g}j"
 
 
-def _matrix_lines(m: np.ndarray, indent: str = "    ") -> list[str]:
-    return [indent + "[ " + "  ".join(f"{_hc(z):>22}" for z in row) + " ]" for row in m]
+def _matrix_lines(m: np.ndarray) -> list[str]:
+    return ["    [ " + "  ".join(f"{_hc(z):>22}" for z in row) + " ]" for row in m]
 
 
 def _matrix_json(m: np.ndarray) -> dict:
@@ -148,15 +149,11 @@ def cmd_copy(args) -> int:
     qubit = _input_from_args(args)
     variant = CopyVariant(args.variant)
     report = run_copier(qubit, variant)
+    verdicts = {label: ppt_verdict(report.pair_reductions[label]) for label in PAIR_LABELS}
 
     if args.format == "json":
         doc = {
-            "meta": {
-                "schema_version": SCHEMA_VERSION,
-                "generator": f"qcopynet {__version__}",
-                "kind": "copy",
-                "variant": variant.value,
-            },
+            "meta": _document_meta("copy", variant=variant.value),
             "input": {
                 "theta": qubit.theta,
                 "phi": qubit.phi,
@@ -185,9 +182,7 @@ def cmd_copy(args) -> int:
                     "inseparable": verdict.inseparable,
                     "indeterminate": verdict.indeterminate,
                 }
-                for label, verdict in (
-                    (label, ppt_verdict(report.pair_reductions[label])) for label in PAIR_LABELS
-                )
+                for label, verdict in verdicts.items()
             },
         }
         print(render_json(doc), end="")
@@ -207,8 +202,7 @@ def cmd_copy(args) -> int:
         f"{k}={_h(v) if v is not None else '-'}" for k, v in report.scaling.items()))
     print("fidelity split (ideal, orthogonal):", "  ".join(
         f"{k}=({_h(p)}, {_h(q)})" for k, (p, q) in report.fidelity.items()))
-    for label in PAIR_LABELS:
-        verdict = ppt_verdict(report.pair_reductions[label])
+    for label, verdict in verdicts.items():
         spectrum = ", ".join(_h(x) for x in verdict.spectrum)
         print(f"PPT {label}: spectrum [{spectrum}] min={_h(verdict.min_eigenvalue)} -> {_separability_word(verdict)}")
     return EXIT_OK
@@ -313,8 +307,7 @@ def cmd_angles(args) -> int:
     residual = float(np.max(np.abs(reproduced - c)))
     if args.format == "json":
         doc = {
-            "meta": {"schema_version": SCHEMA_VERSION, "generator": f"qcopynet {__version__}",
-                     "kind": "angles"},
+            "meta": _document_meta("angles"),
             "target": [float(x) for x in c],
             "angles": {"theta1": angles.theta1, "theta2": angles.theta2, "theta3": angles.theta3},
             "reproduced": [float(x) for x in reproduced],
@@ -330,7 +323,9 @@ def cmd_angles(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="qcopynet",
         description="Simulate quantum copying networks and verify their closed-form laws.",
@@ -345,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_copy.add_argument("--beta", help="raw amplitude of |1> (complex)")
     p_copy.add_argument("--variant", choices=[v.value for v in CopyVariant], default="duplicator")
     p_copy.add_argument("--format", choices=["human", "json"], default="human")
-    p_copy.set_defaults(func=cmd_copy)
 
     p_sweep = sub.add_parser("sweep", help="evaluate metrics over a (theta, phi) grid")
     p_sweep.add_argument("--variant", choices=[v.value for v in CopyVariant], default="duplicator")
@@ -356,32 +350,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--metrics", help=f"comma list from {sorted(METRICS)} (default: all)")
     p_sweep.add_argument("--out", required=True, help="output path, or - for stdout")
     p_sweep.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the built-in verification suite")
     p_verify.add_argument("--tolerance", type=float, help="override every check's tolerance")
     p_verify.add_argument("--only", help=f"comma list of check groups from {list(GROUP_ORDER)}")
     p_verify.add_argument("--format", choices=["human", "json"], default="human")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_net = sub.add_parser("network", help="run a gate network from a text file")
     p_net.add_argument("file", help="network file: lines 'R <qubit> <theta>' or 'CNOT <c> <t>'")
     p_net.add_argument("--state", help="initial state: basis bits like '010', or comma-separated amplitudes")
-    p_net.set_defaults(func=cmd_network)
 
     p_angles = sub.add_parser("angles", help="solve preparation angles for target amplitudes")
     p_angles.add_argument("amplitudes", nargs=4, type=float, metavar="C",
                           help="four real target amplitudes (normalized)")
     p_angles.add_argument("--format", choices=["human", "json"], default="human")
-    p_angles.set_defaults(func=cmd_angles)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up per call, so a rebinding of a cmd_* function is seen.
+    handlers = {
+        "copy": cmd_copy, "sweep": cmd_sweep, "verify": cmd_verify, "network": cmd_network, "angles": cmd_angles,
+    }
     try:
-        return args.func(args)
+        return handlers[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

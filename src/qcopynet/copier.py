@@ -92,16 +92,16 @@ class InputQubit:
         return density_of(self.state())
 
     @classmethod
-    def from_amplitudes(cls, alpha: complex, beta: complex, *, norm_tol: float = 1e-9) -> "InputQubit":
+    def from_amplitudes(cls, alpha: complex, beta: complex) -> "InputQubit":
         """Build from raw amplitudes, factoring out the global phase.
 
-        The amplitudes must be normalized within norm_tol; the returned
+        The amplitudes must be normalized within 1e-9; the returned
         qubit describes the same physical state with beta real >= 0.
         """
         alpha = complex(alpha)
         beta = complex(beta)
         norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        if abs(norm - 1.0) > norm_tol:
+        if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"amplitudes are not normalized (norm {norm!r})")
         alpha /= norm
         beta /= norm
@@ -250,10 +250,9 @@ def preparation_network(angles: PreparationAngles, qubits: tuple[int, int] = (0,
     )
 
 
-def copy_stage_network(qubits: tuple[int, int, int] = (0, 1, 2)) -> GateNetwork:
-    """The four-CNOT copying stage on (a1, a2, a3), first gate applied first."""
-    a1, a2, a3 = qubits
-    return GateNetwork((CNOT(a1, a2), CNOT(a1, a3), CNOT(a2, a1), CNOT(a3, a1)))
+def copy_stage_network() -> GateNetwork:
+    """The four-CNOT copying stage on (a1, a2, a3) = qubits (0, 1, 2), first gate applied first."""
+    return GateNetwork((CNOT(0, 1), CNOT(0, 2), CNOT(1, 0), CNOT(2, 0)))
 
 
 def full_network(variant: CopyVariant) -> GateNetwork:
@@ -296,7 +295,7 @@ def ideal_density(input_qubit: InputQubit, n: int) -> np.ndarray:
     return out
 
 
-def _scaling_fit(rho_out: np.ndarray, rho_id: np.ndarray, residual_tol: float) -> np.ndarray:
+def _scaling_fit(rho_out: np.ndarray, rho_id: np.ndarray) -> np.ndarray:
     """Least-squares s per 2x2 matrix of a stack (..., 2, 2); NaN where the fit is not exact.
 
     ``rho_id`` broadcasts against ``rho_out``.
@@ -314,25 +313,20 @@ def _scaling_fit(rho_out: np.ndarray, rho_id: np.ndarray, residual_tol: float) -
     )
     fitted = s[..., None, None] * rho_id + ((1.0 - s) / 2.0)[..., None, None] * eye
     residual = linalg.hs_distance(rho_out, fitted)
-    return np.where(residual <= residual_tol, s, np.nan)
+    return np.where(residual <= SCALING_RESIDUAL_TOL, s, np.nan)
 
 
-def scaling_decompose(
-    rho_out,
-    rho_id,
-    *,
-    residual_tol: float = SCALING_RESIDUAL_TOL,
-) -> float | None:
+def scaling_decompose(rho_out, rho_id) -> float | None:
     """Fit rho_out = s * rho_id + (1 - s)/2 * I on one qubit.
 
-    Returns the least-squares s when the fit is exact within residual_tol,
-    None otherwise.  rho_id must be pure.
+    Returns the least-squares s when the fit is exact within
+    SCALING_RESIDUAL_TOL, None otherwise.  rho_id must be pure.
     """
     rho_out = np.asarray(rho_out, dtype=complex)
     rho_id = np.asarray(rho_id, dtype=complex)
     if rho_out.shape != (2, 2) or rho_id.shape != (2, 2):
         raise ValueError("scaling decomposition applies to single-qubit matrices")
-    s = float(_scaling_fit(rho_out[None], rho_id[None], residual_tol)[0])
+    s = float(_scaling_fit(rho_out[None], rho_id[None])[0])
     return None if math.isnan(s) else s
 
 
@@ -451,7 +445,7 @@ def evaluate_grid(variant: CopyVariant, thetas, phis, metrics=METRICS) -> CopyGr
         overlap = np.abs(np.sum(ideal3.conj() * states, axis=1)) ** 2
         results["d3"] = norm_s**2 + norm_v**2 - 2.0 * overlap
     if "s" in metrics:
-        fits = _scaling_fit(np.stack(list(singles.values())), ideal1, SCALING_RESIDUAL_TOL)
+        fits = _scaling_fit(np.stack(list(singles.values())), ideal1)
         results["scaling"] = dict(zip(singles, fits))
     if "fidelity" in metrics:
         perp = np.stack([psi[:, 1].conj(), -psi[:, 0].conj()], axis=1)
@@ -494,7 +488,7 @@ def run_copier(input_qubit: InputQubit, variant: CopyVariant) -> CopyReport:
     )
 
 
-def original_transpose_check(report: CopyReport, input_qubit: InputQubit | None = None) -> tuple[bool, float]:
+def original_transpose_check(report: CopyReport) -> tuple[bool, float]:
     """Check the duplicator law for the original qubit after copying.
 
     The original ends up in transpose(rho_in)/3 + I/3.  Returns (holds,
@@ -502,9 +496,7 @@ def original_transpose_check(report: CopyReport, input_qubit: InputQubit | None 
     """
     if report.variant is not CopyVariant.DUPLICATOR:
         raise ValueError("the transpose law applies to duplicator runs")
-    if input_qubit is None:
-        input_qubit = report.input
-    expected = input_qubit.density().T / 3.0 + np.eye(2) / 3.0
+    expected = report.input.density().T / 3.0 + np.eye(2) / 3.0
     residual = float(np.max(np.abs(report.qubit_reductions["a1"] - expected)))
     return residual <= 1e-10, residual
 

@@ -152,34 +152,28 @@ def hs_distance(rho1, rho2):
     return float(distance) if rho1.ndim == 2 else distance
 
 
-def validate_density(
-    rho,
-    *,
-    hermiticity_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-) -> np.ndarray:
+def validate_density(rho) -> np.ndarray:
     """Check the density-matrix invariants and return rho as a complex ndarray.
 
-    Raises ValueError if rho is not Hermitian, not unit trace, or not
-    positive semidefinite within the given tolerances, or if any entry is
-    non-finite.  A stack of matrices (shape (..., n, n)) passes only if
-    every matrix does; the error names the worst one.
+    Raises ValueError if rho is not Hermitian (within HERMITICITY_TOL), not
+    unit trace (TRACE_TOL), or not positive semidefinite (PSD_TOL), or if
+    any entry is non-finite.  A stack of matrices (shape (..., n, n))
+    passes only if every matrix does; the error names the worst one.
     """
     rho = _stack(rho)
     num_qubits_of(rho)
     if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
         raise ValueError("density matrix has non-finite entries")
     dev = float(np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())))
-    if dev > hermiticity_tol:
+    if dev > HERMITICITY_TOL:
         raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
     traces = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
     worst = int(np.argmax(np.abs(traces - 1.0)))
     tr = complex(traces[worst])
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1")
     low = float(np.min(hermitian_eigenvalues(rho)[..., 0]))
-    if low < -psd_tol:
+    if low < -PSD_TOL:
         raise ValueError(f"density matrix is not positive semidefinite (min eigenvalue {low:.3e})")
     return rho
 

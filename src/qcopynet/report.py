@@ -125,22 +125,25 @@ def sweep_rows(spec: SweepSpec) -> list[dict]:
     return [dict(zip(CSV_COLUMNS, row)) for row in cells]
 
 
+def _document_meta(kind: str, **fields) -> dict:
+    """The ``meta`` head of every JSON document: schema, generator, kind, then ``fields`` in order."""
+    return {"schema_version": SCHEMA_VERSION, "generator": f"qcopynet {__version__}", "kind": kind, **fields}
+
+
 def _grid_meta(grid: GridSpec) -> dict:
     return {"start": grid.start, "stop": grid.stop, "count": grid.count}
 
 
 def sweep_document(spec: SweepSpec, rows: list[dict]) -> dict:
     return {
-        "meta": {
-            "schema_version": SCHEMA_VERSION,
-            "generator": f"qcopynet {__version__}",
-            "kind": "sweep",
-            "variant": spec.variant.value,
-            "theta_grid": _grid_meta(spec.theta_grid),
-            "phi_grid": _grid_meta(spec.phi_grid),
-            "metrics": sorted(spec.metrics),
-            "columns": list(CSV_COLUMNS),
-        },
+        "meta": _document_meta(
+            "sweep",
+            variant=spec.variant.value,
+            theta_grid=_grid_meta(spec.theta_grid),
+            phi_grid=_grid_meta(spec.phi_grid),
+            metrics=sorted(spec.metrics),
+            columns=list(CSV_COLUMNS),
+        ),
         "rows": rows,
         "summary": {"row_count": len(rows)},
     }

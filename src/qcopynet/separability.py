@@ -43,26 +43,24 @@ class PptReport:
     min_eigenvalue: float
     inseparable: bool
     indeterminate: bool
-    input_tag: str = ""
 
 
-def ppt_verdict(rho, subsystem: int = 1, input_tag: str = "") -> PptReport:
+def ppt_verdict(rho) -> PptReport:
     """Partial-transpose spectrum and separability verdict for a two-qubit density matrix.
 
-    ``subsystem`` picks which qubit is transposed (default: the low-order
-    one); the spectrum does not depend on the choice.
+    The low-order qubit is transposed; the spectrum would be the same for
+    the high-order one.
     """
     rho = linalg.validate_density(rho)
     if rho.shape[0] != 4:
         raise ValueError("the separability verdict applies to two-qubit states")
-    spectrum = linalg.hermitian_eigenvalues(linalg.partial_transpose(rho, subsystem))
+    spectrum = linalg.hermitian_eigenvalues(linalg.partial_transpose(rho))
     low = float(spectrum[0])
     return PptReport(
         spectrum=tuple(float(x) for x in spectrum),
         min_eigenvalue=low,
         inseparable=low < -INSEPARABILITY_TOL,
         indeterminate=-INSEPARABILITY_TOL <= low < 0.0,
-        input_tag=input_tag,
     )
 
 

@@ -11,18 +11,18 @@ bracketing and bisection, so the two routes share no code.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import __version__, linalg
+from . import linalg
 from .copier import (
     PAIR_LABELS,
     QUBIT_LABELS,
     CopyGrid,
     CopyVariant,
-    InputQubit,
     amplitudes_from_angles,
     evaluate_grid,
     full_network,
@@ -32,18 +32,12 @@ from .copier import (
     solve_preparation_angles,
 )
 from .gates import CNOT, PureState, Rotation, apply_cnot, apply_rotation, run_network
-from .report import SCHEMA_VERSION
-from .separability import (
-    INSEPARABILITY_TOL,
-    entanglement_distance_correlation,
-    negativity_bound_check,
-    ppt_verdict,
-)
+from .report import _document_meta
+from .separability import INSEPARABILITY_TOL, entanglement_distance_correlation
 
 __all__ = [
     "VerifyCheck",
     "GROUP_ORDER",
-    "CRITERIA",
     "run_verification",
     "render_human",
     "verification_document",
@@ -51,39 +45,6 @@ __all__ = [
     "polynomial_real_roots",
     "eigenvalues_by_bisection",
 ]
-
-GROUP_ORDER = (
-    "prep",
-    "basis",
-    "fidelity",
-    "scaling",
-    "distance",
-    "original",
-    "ppt",
-    "trip-prep",
-    "trip-real",
-    "trip-complex",
-    "bound",
-    "angles",
-    "properties",
-)
-
-# (criterion number, group, title) for the acceptance suite and --only filter.
-CRITERIA = (
-    (1, "prep", "preparation stage produces the duplicator blank state"),
-    (2, "basis", "basis inputs copy to the pinned three-qubit outputs"),
-    (3, "fidelity", "copy fidelity split is (5/6, 1/6) across the input grid"),
-    (4, "scaling", "copies fit the scaled form with factor 2/3"),
-    (5, "distance", "copy distances are constant: d1 = 1/18, d2 = 2/9"),
-    (6, "original", "original qubit obeys the transpose law and its distance formula"),
-    (7, "ppt", "duplicator pair spectrum is fixed and always inseparable"),
-    (8, "trip-prep", "triplicator blank state and output amplitude pattern"),
-    (9, "trip-real", "triplicator with real amplitudes: equal copies, fixed distances and spectrum"),
-    (10, "trip-complex", "triplicator with complex amplitudes: closed-form reductions and distances"),
-    (11, "bound", "negative eigenvalue bound and distance correlation at quarter phase"),
-    (12, "angles", "preparation-angle solver recovers known and random targets"),
-    (13, "properties", "gate, transpose, trace, and eigenvalue-oracle properties"),
-)
 
 _THETAS = np.linspace(0.0, math.pi / 2.0, 20)
 _PHIS = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
@@ -110,10 +71,11 @@ class VerifyCheck:
     passed: bool
 
 
-def _check(check_id, group, description, expected, tolerance, error, observed=None):
+def _check(check_id, description, expected, tolerance, error, observed=None):
+    """A VerifyCheck whose group is the check-id prefix before the first dot."""
     return VerifyCheck(
         check_id=check_id,
-        group=group,
+        group=check_id.split(".", 1)[0],
         description=description,
         expected=expected,
         observed=observed if observed is not None else f"max deviation {error:.3e}",
@@ -166,24 +128,19 @@ def _triplicator_output_expected(grid: CopyGrid) -> np.ndarray:
 
 
 class _Suite:
-    """Lazily computed shared grids for the check builders."""
+    """Shared grids for the check builders, each evaluated on first use."""
 
-    def __init__(self) -> None:
-        self._cache: dict = {}
-
-    def _grid(self, key: str, variant: CopyVariant, thetas, phis) -> CopyGrid:
-        if key not in self._cache:
-            self._cache[key] = evaluate_grid(variant, thetas, phis)
-        return self._cache[key]
-
+    @functools.cached_property
     def duplicator_grid(self) -> CopyGrid:
-        return self._grid("dup", CopyVariant.DUPLICATOR, _THETAS, _PHIS)
+        return evaluate_grid(CopyVariant.DUPLICATOR, _THETAS, _PHIS)
 
+    @functools.cached_property
     def triplicator_grid(self) -> CopyGrid:
-        return self._grid("trip", CopyVariant.TRIPLICATOR, _THETAS, _PHIS)
+        return evaluate_grid(CopyVariant.TRIPLICATOR, _THETAS, _PHIS)
 
+    @functools.cached_property
     def triplicator_real_grid(self) -> CopyGrid:
-        return self._grid("trip-real", CopyVariant.TRIPLICATOR, _THETAS, (0.0, math.pi))
+        return evaluate_grid(CopyVariant.TRIPLICATOR, _THETAS, (0.0, math.pi))
 
 
 def _prep_checks(suite: _Suite) -> list[VerifyCheck]:
@@ -196,7 +153,6 @@ def _prep_checks(suite: _Suite) -> list[VerifyCheck]:
     return [
         _check(
             "prep.duplicator-state",
-            "prep",
             "preparation stage on |00> yields (2|00> + |01> + |10>)/sqrt(6)",
             "amplitudes (2, 1, 1, 0)/sqrt(6)",
             1e-12,
@@ -220,7 +176,6 @@ def _basis_checks(suite: _Suite) -> list[VerifyCheck]:
     return [
         _check(
             "basis.zero-input",
-            "basis",
             "|0> input maps to sqrt(2/3)|000> + (|101> + |110>)/sqrt(6)",
             "pinned amplitude pattern",
             1e-12,
@@ -228,7 +183,6 @@ def _basis_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "basis.one-input",
-            "basis",
             "|1> input maps to sqrt(2/3)|111> + (|001> + |010>)/sqrt(6)",
             "pinned amplitude pattern",
             1e-12,
@@ -238,7 +192,7 @@ def _basis_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _fidelity_checks(suite: _Suite) -> list[VerifyCheck]:
-    grid = suite.duplicator_grid()
+    grid = suite.duplicator_grid
     weights = np.stack([grid.fidelity["a2"], grid.fidelity["a3"]])
     err_ideal = float(np.max(np.abs(weights[..., 0] - 5.0 / 6.0)))
     err_orth = float(np.max(np.abs(weights[..., 1] - 1.0 / 6.0)))
@@ -247,7 +201,6 @@ def _fidelity_checks(suite: _Suite) -> list[VerifyCheck]:
     return [
         _check(
             "fidelity.copies-identical",
-            "fidelity",
             f"the two copies carry identical reduced states ({points})",
             "entrywise equality",
             1e-12,
@@ -255,7 +208,6 @@ def _fidelity_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "fidelity.ideal-weight",
-            "fidelity",
             f"each copy carries weight 5/6 on the input state ({points})",
             "5/6",
             1e-10,
@@ -263,7 +215,6 @@ def _fidelity_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "fidelity.orthogonal-weight",
-            "fidelity",
             f"each copy carries weight 1/6 on the orthogonal state ({points})",
             "1/6",
             1e-10,
@@ -273,7 +224,7 @@ def _fidelity_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _scaling_checks(suite: _Suite) -> list[VerifyCheck]:
-    grid = suite.duplicator_grid()
+    grid = suite.duplicator_grid
     s = np.concatenate([grid.scaling["a2"], grid.scaling["a3"]])
     missing = int(np.count_nonzero(np.isnan(s)))
     err = math.inf if missing else float(np.max(np.abs(s - 2.0 / 3.0)))
@@ -281,7 +232,6 @@ def _scaling_checks(suite: _Suite) -> list[VerifyCheck]:
     return [
         _check(
             "scaling.factor",
-            "scaling",
             "every copy fits s*ideal + (1-s)/2 * I with s = 2/3 (fit residual <= 1e-10)",
             "s = 2/3",
             1e-10,
@@ -292,13 +242,12 @@ def _scaling_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _distance_checks(suite: _Suite) -> list[VerifyCheck]:
-    grid = suite.duplicator_grid()
+    grid = suite.duplicator_grid
     err_d1 = max(_max_dev(grid.d1["a2"], 1.0 / 18.0), _max_dev(grid.d1["a3"], 1.0 / 18.0))
     err_d2 = _max_dev(grid.d2["a2a3"], 2.0 / 9.0)
     return [
         _check(
             "distance.single-copy",
-            "distance",
             "single-copy distance to the ideal state is 1/18 for every input",
             "1/18",
             1e-10,
@@ -306,7 +255,6 @@ def _distance_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "distance.copy-pair",
-            "distance",
             "copy-pair distance to the ideal two-qubit state is 2/9 for every input",
             "2/9",
             1e-10,
@@ -316,7 +264,7 @@ def _distance_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _original_checks(suite: _Suite) -> list[VerifyCheck]:
-    grid = suite.duplicator_grid()
+    grid = suite.duplicator_grid
     psi = np.stack([grid.alpha, grid.beta], axis=1)
     rho_in = psi[:, :, None] * psi.conj()[:, None, :]
     err_law = _max_dev(grid.qubit_reductions["a1"], np.swapaxes(rho_in, 1, 2) / 3.0 + np.eye(2) / 3.0)
@@ -324,7 +272,6 @@ def _original_checks(suite: _Suite) -> list[VerifyCheck]:
     return [
         _check(
             "original.transpose-law",
-            "original",
             "the original qubit ends in transpose(rho_in)/3 + I/3",
             "entrywise match",
             1e-10,
@@ -332,7 +279,6 @@ def _original_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "original.distance-formula",
-            "original",
             "d1(original) = (2/9)(1 + 12 |alpha|^2 |beta|^2 sin^2(phi))",
             "closed-form value per grid point",
             1e-10,
@@ -342,14 +288,13 @@ def _original_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _ppt_checks(suite: _Suite) -> list[VerifyCheck]:
-    grid = suite.duplicator_grid()
+    grid = suite.duplicator_grid
     err_spec = _max_dev(grid.ppt_spectrum, _DUP_PAIR_SPECTRUM)
     not_inseparable = int(np.count_nonzero(grid.ppt_spectrum[:, 0] >= -INSEPARABILITY_TOL))
     total = grid.theta.size
     return [
         _check(
             "ppt.duplicator-spectrum",
-            "ppt",
             "partial-transpose spectrum is {(2-sqrt(5))/6, 1/6, 1/6, (2+sqrt(5))/6} for every input",
             "input-independent spectrum",
             1e-10,
@@ -357,7 +302,6 @@ def _ppt_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "ppt.duplicator-verdict",
-            "ppt",
             "the copy pair is inseparable for every input",
             f"{total}/{total} grid points inseparable",
             0.5,
@@ -380,7 +324,6 @@ def _trip_prep_checks(suite: _Suite) -> list[VerifyCheck]:
     return [
         _check(
             "trip-prep.blank-state",
-            "trip-prep",
             "preparation stage on |00> yields (3|00> + |01> + |10> + |11>)/sqrt(12)",
             "amplitudes (3, 1, 1, 1)/sqrt(12)",
             1e-12,
@@ -388,7 +331,6 @@ def _trip_prep_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "trip-prep.output-pattern",
-            "trip-prep",
             "triplicator output is (3a|000> + a(|011>+|101>+|110>) + 3b|111> + b(|001>+|010>+|100>))/sqrt(12)",
             "coefficient pattern at spot-check inputs",
             1e-12,
@@ -398,7 +340,7 @@ def _trip_prep_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
-    grid = suite.triplicator_real_grid()
+    grid = suite.triplicator_real_grid
     singles, pairs = grid.qubit_reductions, grid.pair_reductions
     err_equal = max(_max_dev(singles["a1"], singles[label]) for label in ("a2", "a3"))
     s = np.concatenate([grid.scaling[label] for label in QUBIT_LABELS])
@@ -407,16 +349,12 @@ def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
     expected_pair = _triplicator_pair_expected_real(grid)
     err_pair = max(_max_dev(pairs[label], expected_pair) for label in PAIR_LABELS)
     err_d2 = max(_max_dev(grid.d2[label], 2.0 / 9.0) for label in PAIR_LABELS)
-    err_spec = max(
-        _max_dev(np.array(ppt_verdict(m).spectrum), _TRIP_PAIR_SPECTRUM)
-        for label in PAIR_LABELS
-        for m in pairs[label]
-    )
+    stacked = linalg.validate_density(np.stack([pairs[label] for label in PAIR_LABELS]))
+    err_spec = _max_dev(linalg.hermitian_eigenvalues(linalg.partial_transpose(stacked)), _TRIP_PAIR_SPECTRUM)
     err_d3 = _max_dev(grid.d3, 0.5)
     return [
         _check(
             "trip-real.equal-reductions",
-            "trip-real",
             "all three output qubits carry the same reduced state",
             "entrywise equality",
             1e-12,
@@ -424,7 +362,6 @@ def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "trip-real.scaling",
-            "trip-real",
             "every output qubit fits the scaled form with s = 2/3",
             "s = 2/3",
             1e-10,
@@ -432,7 +369,6 @@ def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "trip-real.pair-matrix",
-            "trip-real",
             "every pair reduction matches the closed-form matrix (descending-basis pattern)",
             "closed-form pair matrix",
             1e-10,
@@ -440,7 +376,6 @@ def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "trip-real.d1",
-            "trip-real",
             "single-copy distance is 1/18",
             "1/18",
             1e-10,
@@ -448,7 +383,6 @@ def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "trip-real.d2",
-            "trip-real",
             "pair distance is 2/9",
             "2/9",
             1e-10,
@@ -456,7 +390,6 @@ def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "trip-real.d3",
-            "trip-real",
             "three-qubit distance is 1/2",
             "1/2",
             1e-10,
@@ -464,7 +397,6 @@ def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "trip-real.pair-spectrum",
-            "trip-real",
             "pair partial-transpose spectrum is {-1/6, (5-sqrt(17))/12, 1/3, (5+sqrt(17))/12}",
             "input-independent spectrum",
             1e-10,
@@ -474,7 +406,7 @@ def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _trip_complex_checks(suite: _Suite) -> list[VerifyCheck]:
-    grid = suite.triplicator_grid()
+    grid = suite.triplicator_grid
     weight = _phase_weight(grid)
     expected_single = _triplicator_single_expected(grid)
     err_single = max(_max_dev(grid.qubit_reductions[label], expected_single) for label in QUBIT_LABELS)
@@ -485,7 +417,6 @@ def _trip_complex_checks(suite: _Suite) -> list[VerifyCheck]:
     return [
         _check(
             "trip-complex.single-matrix",
-            "trip-complex",
             "output qubits match the closed-form single-qubit matrix",
             "closed-form matrix per grid point",
             1e-10,
@@ -493,7 +424,6 @@ def _trip_complex_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "trip-complex.d1",
-            "trip-complex",
             "d1 = (1/18)(1 + 12 |alpha|^2 |beta|^2 sin^2(phi))",
             "closed-form value per grid point",
             1e-10,
@@ -501,7 +431,6 @@ def _trip_complex_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "trip-complex.d2",
-            "trip-complex",
             "d2 = (2/9)(1 + 12 |alpha|^2 |beta|^2 sin^2(phi))",
             "closed-form value per grid point",
             1e-10,
@@ -509,7 +438,6 @@ def _trip_complex_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "trip-complex.d3",
-            "trip-complex",
             "d3 = (1/2)(1 + 12 |alpha|^2 |beta|^2 sin^2(phi))",
             "closed-form value per grid point",
             1e-10,
@@ -517,7 +445,6 @@ def _trip_complex_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "trip-complex.no-scaled-form",
-            "trip-complex",
             "no scaling fit exists whenever |alpha|^2 |beta|^2 sin^2(phi) > 1e-6",
             "scaling absent on all such grid points",
             0.5,
@@ -530,11 +457,13 @@ def _trip_complex_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _bound_checks(suite: _Suite) -> list[VerifyCheck]:
-    excess = -math.inf
-    for theta in np.linspace(0.0, math.pi / 2.0, 50):
-        result = negativity_bound_check(InputQubit(float(theta), math.pi / 2.0))
-        excess = max(excess, result.min_eigenvalue - result.bound)
-    gap_small = abs(negativity_bound_check(InputQubit(0.0, math.pi / 2.0)).gap)
+    thetas = np.linspace(0.0, math.pi / 2.0, 50)
+    quarter = evaluate_grid(CopyVariant.TRIPLICATOR, thetas, (math.pi / 2.0,), {"E"})
+    weight = np.abs(quarter.alpha) ** 2 * quarter.beta**2
+    bound = -(1.0 + 4.0 * (_SQRT5 - 2.0) * weight) / 6.0
+    e = quarter.ppt_spectrum[:, 0]
+    excess = float(np.max(e - bound))
+    gap_small = abs(float(bound[0] - e[0]))  # theta = 0, where |alpha| = 0
 
     table = entanglement_distance_correlation(
         np.linspace(0.0, math.pi / 2.0, 10), [0.0, math.pi / 2.0, math.pi]
@@ -543,7 +472,6 @@ def _bound_checks(suite: _Suite) -> list[VerifyCheck]:
     return [
         _check(
             "bound.inequality",
-            "bound",
             "E <= -(1 + 4(sqrt(5)-2)|alpha|^2 |beta|^2)/6 over 50 inputs at quarter phase",
             "E - bound <= 0",
             1e-9,
@@ -552,7 +480,6 @@ def _bound_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "bound.tight-at-zero",
-            "bound",
             "the bound is attained as |alpha| -> 0",
             "gap 0 at alpha = 0",
             1e-9,
@@ -560,7 +487,6 @@ def _bound_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "bound.real-phase-eigenvalue",
-            "bound",
             "E = -1/6 at phi in {0, pi} independent of the input amplitude",
             "-1/6",
             1e-10,
@@ -568,7 +494,6 @@ def _bound_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "bound.minimum-at-quarter-phase",
-            "bound",
             "for fixed amplitude, E is lowest at phi = pi/2",
             "minimum at quarter phase for every amplitude",
             0.5,
@@ -589,7 +514,6 @@ def _angles_checks(suite: _Suite) -> list[VerifyCheck]:
         checks.append(
             _check(
                 f"angles.{variant.value}-recovery",
-                "angles",
                 f"solver recovers the closed-form {variant.value} angles",
                 "(pi/8, -+asin(sqrt(1/2 - sqrt(2)/3)), pi/8)",
                 1e-9,
@@ -608,7 +532,6 @@ def _angles_checks(suite: _Suite) -> list[VerifyCheck]:
     checks.append(
         _check(
             "angles.random-targets",
-            "angles",
             "solver reproduces 100 random normalized amplitude targets",
             "residual <= 1e-10 on every solve",
             1e-10,
@@ -686,7 +609,6 @@ def _property_checks(suite: _Suite) -> list[VerifyCheck]:
     return [
         _check(
             "properties.gate-involution",
-            "properties",
             "CNOT twice and rotation by +t then -t restore 100 random states",
             "identity",
             1e-12,
@@ -694,7 +616,6 @@ def _property_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "properties.gate-commutation",
-            "properties",
             "gates on disjoint qubits commute on 100 random states",
             "order independence",
             1e-12,
@@ -702,7 +623,6 @@ def _property_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "properties.transpose-involution",
-            "properties",
             "partial transpose applied twice restores random densities",
             "entrywise identity",
             1e-12,
@@ -710,7 +630,6 @@ def _property_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "properties.trace-preservation",
-            "properties",
             "partial-transpose spectra sum to 1; reductions keep unit trace",
             "unit trace",
             1e-10,
@@ -718,7 +637,6 @@ def _property_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "properties.eigenvalue-oracle",
-            "properties",
             "LAPACK eigenvalues match characteristic-polynomial bisection on 100 random matrices",
             "route agreement",
             1e-9,
@@ -727,7 +645,8 @@ def _property_checks(suite: _Suite) -> list[VerifyCheck]:
     ]
 
 
-_BUILDERS = {
+# Every check group, in canonical order, with the builder of its checks.
+_GROUPS = {
     "prep": _prep_checks,
     "basis": _basis_checks,
     "fidelity": _fidelity_checks,
@@ -742,6 +661,8 @@ _BUILDERS = {
     "angles": _angles_checks,
     "properties": _property_checks,
 }
+
+GROUP_ORDER = tuple(_GROUPS)
 
 
 def run_verification(groups=None, tolerance: float | None = None) -> list[VerifyCheck]:
@@ -761,7 +682,7 @@ def run_verification(groups=None, tolerance: float | None = None) -> list[Verify
     suite = _Suite()
     checks: list[VerifyCheck] = []
     for group in selected:
-        checks.extend(_BUILDERS[group](suite))
+        checks.extend(_GROUPS[group](suite))
     if tolerance is not None:
         checks = [replace(c, tolerance=tolerance, passed=c.error <= tolerance) for c in checks]
     return checks
@@ -797,13 +718,11 @@ def verification_document(checks, tolerance: float | None = None) -> dict:
     ]
     passed = sum(1 for c in checks if c.passed)
     return {
-        "meta": {
-            "schema_version": SCHEMA_VERSION,
-            "generator": f"qcopynet {__version__}",
-            "kind": "verification",
-            "tolerance_override": tolerance,
-            "groups": sorted({c.group for c in checks}, key=GROUP_ORDER.index),
-        },
+        "meta": _document_meta(
+            "verification",
+            tolerance_override=tolerance,
+            groups=sorted({c.group for c in checks}, key=GROUP_ORDER.index),
+        ),
         "rows": rows,
         "summary": {"total": len(checks), "passed": passed, "failed": len(checks) - passed},
     }

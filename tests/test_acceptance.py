@@ -129,8 +129,21 @@ def test_engine_is_not_vacuous(all_checks):
     # an over-tight tolerance must surface failures, proving checks can fail
     strict = verify.run_verification(groups=["prep", "fidelity"], tolerance=1e-18)
     assert any(not c.passed for c in strict)
-    # and the full default run covers every group exactly once each
+    # and the full default run covers every group exactly once each, in canonical order
     assert {c.group for c in all_checks} == set(verify.GROUP_ORDER)
+    ran = [c.group for c in all_checks]
+    assert ran == sorted(ran, key=verify.GROUP_ORDER.index)
+    assert all(c.check_id.startswith(c.group + ".") for c in all_checks)
+
+
+def test_grid_checks_take_batched_spectra(monkeypatch):
+    # trip-real and bound take their spectra from whole grids: per point, they made 346 calls
+    calls = []
+    original = verify.linalg.hermitian_eigenvalues
+    monkeypatch.setattr(verify.linalg, "hermitian_eigenvalues", lambda h: calls.append(1) or original(h))
+    checks = verify.run_verification(["trip-real", "bound"])
+    assert all(c.passed for c in checks)
+    assert len(calls) < 40
 
 
 def test_grid_shapes_match_stated_coverage(all_checks):

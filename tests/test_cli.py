@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qcopynet
-from qcopynet import CopyVariant, InputQubit, run_copier
+from qcopynet import CopyVariant, InputQubit, cli, run_copier
 from qcopynet.cli import main
 from qcopynet.report import CSV_COLUMNS, MAX_GRID_POINTS, GridSpec, SweepSpec, format_float, render_csv, render_json, sweep_document, sweep_rows
 
@@ -404,6 +404,20 @@ def test_module_entry_point_version():
 def test_usage_error_exit_code():
     proc = run_module("copy", "--variant", "bogus")
     assert proc.returncode == 2
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_main_calls_the_current_handler(monkeypatch, capsys):
+    # the cached parser must not pin the handler bound when it was built
+    target = ["0.8164965809277261", "0.4082482904638631", "0.4082482904638631", "0"]
+    assert run_cli(capsys, "angles", *target)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_angles", lambda args: seen.append(args.amplitudes) or 0)
+    assert run_cli(capsys, "angles", *target) == (0, "", "")
+    assert seen == [[float(x) for x in target]]
 
 
 # ----------------------------------------------------------- report layer

@@ -40,7 +40,7 @@ def test_random_product_states_are_separable(rng):
 def test_duplicator_pair_spectrum_input_independent():
     for theta, phi in [(0.0, 0.0), (0.5, 1.0), (math.pi / 4, math.pi / 2), (1.4, 5.9)]:
         report = run_copier(InputQubit(theta, phi), CopyVariant.DUPLICATOR)
-        verdict = ppt_verdict(report.pair_reductions["a2a3"], input_tag=f"{theta},{phi}")
+        verdict = ppt_verdict(report.pair_reductions["a2a3"])
         assert verdict.inseparable
         assert np.max(np.abs(np.array(verdict.spectrum) - DUP_SPECTRUM)) < 1e-12
 
@@ -59,14 +59,6 @@ def test_triplicator_pairs_inseparable_for_complex_inputs(rng):
         qubit = InputQubit(float(rng.uniform(0, math.pi / 2)), float(rng.uniform(0, 2 * math.pi)))
         report = run_copier(qubit, CopyVariant.TRIPLICATOR)
         assert ppt_verdict(report.pair_reductions["a2a3"]).inseparable
-
-
-def test_spectrum_invariant_under_transposed_subsystem(rng):
-    for _ in range(10):
-        rho = random_density(rng, 2)
-        s0 = np.array(ppt_verdict(rho, subsystem=0).spectrum)
-        s1 = np.array(ppt_verdict(rho, subsystem=1).spectrum)
-        assert np.max(np.abs(s0 - s1)) < 1e-10
 
 
 def test_spectrum_sums_to_one(rng):
