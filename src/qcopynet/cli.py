@@ -243,15 +243,11 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    groups = None
-    if args.only:
-        groups = [g.strip() for g in args.only.split(",")]
-        try:
-            checks = run_verification(groups, tolerance=args.tolerance)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-    else:
-        checks = run_verification(tolerance=args.tolerance)
+    groups = [g.strip() for g in args.only.split(",")] if args.only else None
+    try:
+        checks = run_verification(groups, tolerance=args.tolerance)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.format == "json":
         print(render_json(verification_document(checks, tolerance=args.tolerance)), end="")
     else:

@@ -7,7 +7,9 @@ sign of the middle preparation angle.  ``evaluate_grid`` runs the circuit
 once per variant on the two basis inputs |000> and |100>, then evaluates
 whole (theta, phi) grids as arrays: reduced states, scaling fits, fidelity
 splits, Hilbert-Schmidt distances and the a2a3 partial-transpose spectrum.
-``run_copier`` is its one-point case and returns a CopyReport.
+``run_copier`` is its one-point case and returns a CopyReport; the
+triplicator's negativity bound and its (d1, E) correlation table read the
+same kernel.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 
 from . import linalg
 from .gates import CNOT, GateNetwork, PureState, Rotation, _check_normalized, density_of, run_network
+from .separability import ppt_spectrum
 
 __all__ = [
     "CopyVariant",
@@ -42,6 +45,11 @@ __all__ = [
     "full_network",
     "run_copier",
     "evaluate_grid",
+    "BoundCheck",
+    "negativity_bound_check",
+    "CorrelationRow",
+    "CorrelationTable",
+    "entanglement_distance_correlation",
     "ideal_density",
     "scaling_decompose",
     "fidelity_split",
@@ -453,8 +461,7 @@ def evaluate_grid(variant: CopyVariant, thetas, phis, metrics=METRICS) -> CopyGr
             label: np.stack([_weight(m, psi), _weight(m, perp)], axis=1) for label, m in singles.items()
         }
     if "E" in metrics:
-        valid = linalg.validate_density(pairs["a2a3"])
-        results["ppt_spectrum"] = linalg.hermitian_eigenvalues(linalg.partial_transpose(valid))
+        results["ppt_spectrum"] = ppt_spectrum(pairs["a2a3"])
     return CopyGrid(
         variant=variant,
         theta=theta,
@@ -485,6 +492,94 @@ def run_copier(input_qubit: InputQubit, variant: CopyVariant) -> CopyReport:
         d1={label: float(d[0]) for label, d in grid.d1.items()},
         d2={label: float(d[0]) for label, d in grid.d2.items()},
         d3=None if grid.d3 is None else float(grid.d3[0]),
+    )
+
+
+@dataclass(frozen=True)
+class BoundCheck:
+    """Comparison of the measured minimum eigenvalue E against its closed-form bound."""
+
+    min_eigenvalue: float
+    bound: float
+    satisfied: bool
+    gap: float
+
+
+def negativity_bound_check(input_qubit: InputQubit) -> BoundCheck:
+    """Check E <= -(1 + 4(sqrt(5)-2)|alpha|^2 |beta|^2)/6 for a triplicator pair.
+
+    The bound describes the quarter-turn phase (phi = pi/2 mod pi), where
+    the negative eigenvalue is deepest; the input must carry such a phase.
+    The returned gap is bound - E, non-negative whenever the bound holds.
+    """
+    if abs(math.cos(input_qubit.phi)) > 1e-12:
+        raise ValueError("the negativity bound applies at phi = pi/2 (mod pi)")
+    grid = evaluate_grid(CopyVariant.TRIPLICATOR, [input_qubit.theta], [input_qubit.phi], {"E"})
+    weight = abs(input_qubit.alpha) ** 2 * input_qubit.beta**2
+    bound = -(1.0 + 4.0 * (math.sqrt(5.0) - 2.0) * weight) / 6.0
+    e = float(grid.ppt_spectrum[0, 0])
+    return BoundCheck(
+        min_eigenvalue=e,
+        bound=bound,
+        satisfied=e <= bound + 1e-9,
+        gap=bound - e,
+    )
+
+
+@dataclass(frozen=True)
+class CorrelationRow:
+    theta: float
+    phi: float
+    d1: float
+    min_eigenvalue: float
+
+
+@dataclass(frozen=True)
+class CorrelationTable:
+    """Copy-distance vs. negative-eigenvalue table for the triplicator.
+
+    ``real_phase_deviation`` is the worst |E + 1/6| over rows with
+    phi = 0 or pi (None when the grid has no such rows): at those phases
+    the eigenvalue is pinned at -1/6 whatever the input amplitude.
+    ``minimum_at_quarter_phase`` reports whether, for every theta, the
+    eigenvalue at phi = pi/2 undercuts (within tolerance) every other
+    sampled phase; None when pi/2 is not on the grid.
+    """
+
+    rows: tuple[CorrelationRow, ...]
+    real_phase_deviation: float | None
+    minimum_at_quarter_phase: bool | None
+
+
+def entanglement_distance_correlation(theta_values, phi_values) -> CorrelationTable:
+    """Tabulate (d1, E) for triplicator runs over a (theta, phi) grid.
+
+    Rows are ordered theta-major.  d1 is the copy-qubit distance to the
+    ideal state; E is the minimum eigenvalue of the a2a3 pair's partial
+    transpose.
+    """
+    thetas = np.asarray(theta_values, dtype=float).reshape(-1)
+    phis = np.asarray(phi_values, dtype=float).reshape(-1)
+    grid = evaluate_grid(CopyVariant.TRIPLICATOR, thetas, phis, {"d1", "E"})
+    e = grid.ppt_spectrum[:, 0]
+    rows = [
+        CorrelationRow(theta=theta, phi=phi, d1=d1, min_eigenvalue=low)
+        for theta, phi, d1, low in zip(grid.theta.tolist(), grid.phi.tolist(), grid.d1["a2"].tolist(), e.tolist())
+    ]
+
+    # E on the (theta, phi) grid; the summaries reduce over the phi axis
+    by_theta = e.reshape(thetas.size, phis.size)
+    real = np.abs(np.sin(phis)) <= 1e-12
+    real_dev = float(np.max(np.abs(by_theta[:, real] + 1.0 / 6.0))) if real.any() else None
+    quarter = np.abs(phis - math.pi / 2.0) <= 1e-9
+    minimum_at_quarter = None
+    if quarter.any():
+        minimum_at_quarter = bool(np.all(by_theta[:, quarter].min(axis=1) <= by_theta.min(axis=1) + 1e-12))
+
+    return CorrelationTable(
+        rows=tuple(rows),
+        real_phase_deviation=real_dev,
+        minimum_at_quarter_phase=minimum_at_quarter,
     )
 
 

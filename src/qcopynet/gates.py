@@ -142,63 +142,55 @@ class GateNetwork:
         return top
 
 
-def _mask(num_qubits: int, qubit: int) -> int:
-    return 1 << (num_qubits - 1 - qubit)
-
-
 def _check_index(num_qubits: int, qubit: int, role: str) -> None:
     if not 0 <= qubit < num_qubits:
         raise ValueError(f"{role} qubit {qubit} out of range for a {num_qubits}-qubit state")
 
 
+def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
+    """Fresh amplitudes after one gate; qubit q is bit num_qubits - 1 - q of the basis index."""
+    idx = np.arange(amps.size)
+    if isinstance(gate, Rotation):
+        _check_index(num_qubits, gate.target, "target")
+        mask = 1 << (num_qubits - 1 - gate.target)
+        lo = idx[(idx & mask) == 0]
+        hi = lo | mask
+        c, s = cos(gate.theta), sin(gate.theta)
+        out = np.empty_like(amps)
+        out[lo] = c * amps[lo] - s * amps[hi]
+        out[hi] = s * amps[lo] + c * amps[hi]
+        return out
+    if isinstance(gate, CNOT):
+        _check_index(num_qubits, gate.control, "control")
+        _check_index(num_qubits, gate.target, "target")
+        control_mask = 1 << (num_qubits - 1 - gate.control)
+        target_mask = 1 << (num_qubits - 1 - gate.target)
+        src = idx[(idx & control_mask) != 0]
+        out = amps.copy()
+        out[src ^ target_mask] = amps[src]
+        return out
+    raise TypeError(f"unknown gate type {type(gate).__name__}")
+
+
 def apply_rotation(state: PureState, target: int, theta: float) -> PureState:
     """Rotate one qubit; identity on the rest."""
-    n = state.num_qubits
-    _check_index(n, target, "target")
-    mask = _mask(n, target)
-    idx = np.arange(state.amplitudes.size)
-    lo = idx[(idx & mask) == 0]
-    hi = lo | mask
-    c, s = cos(theta), sin(theta)
-    amps = state.amplitudes
-    out = np.empty_like(amps)
-    out[lo] = c * amps[lo] - s * amps[hi]
-    out[hi] = s * amps[lo] + c * amps[hi]
-    return PureState(out)
+    return PureState(_apply_gate(state.amplitudes, state.num_qubits, Rotation(target, theta)))
 
 
 def apply_cnot(state: PureState, control: int, target: int) -> PureState:
     """Flip the target bit exactly on components where the control bit is 1."""
-    n = state.num_qubits
-    _check_index(n, control, "control")
-    _check_index(n, target, "target")
-    if control == target:
-        raise ValueError("control and target qubits must differ")
-    cm = _mask(n, control)
-    tm = _mask(n, target)
-    idx = np.arange(state.amplitudes.size)
-    src = idx[(idx & cm) != 0]
-    out = state.amplitudes.copy()
-    out[src ^ tm] = state.amplitudes[src]
-    return PureState(out)
-
-
-def _apply_gate(state: PureState, gate: Gate) -> PureState:
-    if isinstance(gate, Rotation):
-        return apply_rotation(state, gate.target, gate.theta)
-    if isinstance(gate, CNOT):
-        return apply_cnot(state, gate.control, gate.target)
-    raise TypeError(f"unknown gate type {type(gate).__name__}")
+    return PureState(_apply_gate(state.amplitudes, state.num_qubits, CNOT(control, target)))
 
 
 def run_network(state: PureState, net: GateNetwork | Iterable[Gate]) -> PureState:
-    """Left-fold the gates over the state, in listed order."""
+    """Left-fold the gates over the state, in listed order; the result is validated once."""
+    amps, n = state.amplitudes, state.num_qubits
     for pos, gate in enumerate(net):
         try:
-            state = _apply_gate(state, gate)
+            amps = _apply_gate(amps, n, gate)
         except ValueError as exc:
             raise ValueError(f"gate {pos + 1} ({gate!r}): {exc}") from None
-    return state
+    return PureState(amps)
 
 
 def density_of(state: PureState) -> np.ndarray:

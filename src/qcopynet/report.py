@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -183,13 +184,12 @@ def _json_value(value, indent: int) -> str:
     if isinstance(value, float):
         return format_float(value)
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return encode_basestring_ascii(value)
     if isinstance(value, dict):
         if not value:
             return "{}"
         inner = ",\n".join(
-            f'{pad}  "{key}": {_json_value(item, indent + 1)}' for key, item in value.items()
+            f"{pad}  {encode_basestring_ascii(key)}: {_json_value(item, indent + 1)}" for key, item in value.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(value, (list, tuple)):
@@ -201,5 +201,5 @@ def _json_value(value, indent: int) -> str:
 
 
 def render_json(document: dict) -> str:
-    """JSON text with floats rendered exactly as in the CSV output."""
+    """JSON text with floats rendered exactly as in the CSV output and strings escaped to ASCII."""
     return _json_value(document, 0) + "\n"

@@ -24,6 +24,7 @@ from .copier import (
     CopyGrid,
     CopyVariant,
     amplitudes_from_angles,
+    entanglement_distance_correlation,
     evaluate_grid,
     full_network,
     preparation_amplitudes,
@@ -33,7 +34,7 @@ from .copier import (
 )
 from .gates import CNOT, PureState, Rotation, apply_cnot, apply_rotation, run_network
 from .report import _document_meta
-from .separability import INSEPARABILITY_TOL, entanglement_distance_correlation
+from .separability import INSEPARABILITY_TOL, ppt_spectrum
 
 __all__ = [
     "VerifyCheck",
@@ -349,8 +350,7 @@ def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
     expected_pair = _triplicator_pair_expected_real(grid)
     err_pair = max(_max_dev(pairs[label], expected_pair) for label in PAIR_LABELS)
     err_d2 = max(_max_dev(grid.d2[label], 2.0 / 9.0) for label in PAIR_LABELS)
-    stacked = linalg.validate_density(np.stack([pairs[label] for label in PAIR_LABELS]))
-    err_spec = _max_dev(linalg.hermitian_eigenvalues(linalg.partial_transpose(stacked)), _TRIP_PAIR_SPECTRUM)
+    err_spec = _max_dev(ppt_spectrum(np.stack([pairs[label] for label in PAIR_LABELS])), _TRIP_PAIR_SPECTRUM)
     err_d3 = _max_dev(grid.d3, 0.5)
     return [
         _check(
@@ -669,8 +669,12 @@ def run_verification(groups=None, tolerance: float | None = None) -> list[Verify
     """Run the selected check groups (all by default) in canonical order.
 
     ``tolerance`` overrides every check's pinned tolerance, which is mainly
-    useful for demonstrating where the numerics saturate.
+    useful for demonstrating where the numerics saturate; it must be finite
+    and non-negative.  Raises ValueError for an unknown group or a bad
+    tolerance, before any check runs.
     """
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
     if groups is not None:
         requested = list(groups)
         unknown = set(requested) - set(GROUP_ORDER)

@@ -287,6 +287,15 @@ def test_verify_unknown_group(capsys):
     assert "unknown check groups" in err
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_verify_rejects_bad_tolerance(capsys, tolerance, fmt):
+    code, out, err = run_cli(capsys, "verify", "--tolerance", tolerance, "--format", fmt)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: tolerance must be finite and non-negative")
+
+
 def test_verify_json_deterministic(capsys):
     code1, out1, _ = run_cli(capsys, "verify", "--only", "prep,basis", "--format", "json")
     code2, out2, _ = run_cli(capsys, "verify", "--only", "prep,basis", "--format", "json")
@@ -461,3 +470,8 @@ def test_render_json_parses_and_matches_rows():
     assert len(parsed["rows"]) == 4
     csv_text = render_csv(doc)
     assert csv_text.startswith(",".join(CSV_COLUMNS))
+
+
+def test_render_json_escapes_every_string():
+    doc = {"line\nbreak": "x\ny", "tab\tkey": ["a\tb", 'quo"te'], 'q"k\\': {"back\\slash": "\\"}}
+    assert json.loads(render_json(doc)) == doc

@@ -115,6 +115,18 @@ def test_run_network_reports_gate_position_on_error():
         run_network(PureState.computational(2, 0), net)
 
 
+def test_run_network_validates_the_state_once(monkeypatch):
+    from qcopynet import CopyVariant, full_network, gates
+
+    start = PureState.computational(3, 0)
+    calls = []
+    check = gates._check_normalized
+    monkeypatch.setattr(gates, "_check_normalized", lambda amps: calls.append(1) or check(amps))
+    out = run_network(start, full_network(CopyVariant.DUPLICATOR))
+    assert len(calls) == 1
+    assert abs(out.amplitudes[0b000] - math.sqrt(2.0 / 3.0)) < 1e-12
+
+
 def test_network_concatenation_associative(rng):
     psi = PureState(random_pure(rng, 3))
     a = GateNetwork((Rotation(0, 0.4), CNOT(0, 1)))

@@ -19,6 +19,7 @@ from qcopynet.copier import (
 )
 from qcopynet.gates import PureState, density_of, run_network
 from qcopynet.report import GridSpec, SweepSpec, sweep_rows
+from qcopynet.separability import ppt_spectrum
 
 VARIANTS = (CopyVariant.DUPLICATOR, CopyVariant.TRIPLICATOR)
 # Batched and per-point arithmetic round differently; no sweep cell (all of
@@ -116,6 +117,12 @@ def test_deselected_metrics_stay_none():
     assert grid.fidelity is None and grid.ppt_spectrum is None
     full = evaluate_grid(CopyVariant.TRIPLICATOR, [0.3], [0.4], METRICS)
     assert all(x is not None for x in (full.d1, full.d2, full.d3, full.scaling, full.fidelity, full.ppt_spectrum))
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_kernel_spectrum_is_the_separability_routine(variant):
+    grid = evaluate_grid(variant, np.linspace(0.0, math.pi / 2.0, 5), np.linspace(0.0, math.pi, 4), {"E"})
+    assert np.array_equal(grid.ppt_spectrum, ppt_spectrum(grid.pair_reductions["a2a3"]))
 
 
 def test_kernel_rejects_unknown_metric_and_non_finite_angles():

@@ -12,6 +12,7 @@ from qcopynet import (
     ppt_verdict,
     run_copier,
 )
+from qcopynet.separability import ppt_spectrum
 
 from conftest import random_density
 
@@ -84,6 +85,21 @@ def test_ppt_verdict_rejects_invalid_density():
         ppt_verdict(np.eye(4))  # trace 4
     with pytest.raises(ValueError):
         ppt_verdict(np.eye(2) / 2.0)  # one qubit
+
+
+def test_ppt_spectrum_of_a_stack_matches_each_verdict(rng):
+    stack = np.array([random_density(rng, 2) for _ in range(12)])
+    spectra = ppt_spectrum(stack)
+    assert spectra.shape == (12, 4)
+    for rho, spectrum in zip(stack, spectra):
+        assert tuple(spectrum.tolist()) == ppt_verdict(rho).spectrum
+
+
+def test_ppt_spectrum_rejects_one_qubit_stack_and_verdict_rejects_a_stack(rng):
+    with pytest.raises(ValueError, match="two-qubit"):
+        ppt_spectrum(np.array([np.eye(2) / 2.0] * 3))
+    with pytest.raises(ValueError, match="one matrix"):
+        ppt_verdict(np.array([random_density(rng, 2) for _ in range(4)]))
 
 
 # ------------------------------------------------------------------ bound
