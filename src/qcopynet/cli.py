@@ -87,7 +87,11 @@ def _parse_complex(text: str, what: str) -> complex:
 def _normalized(values: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise UsageError(f"{what} must be finite")
-    norm = float(np.linalg.norm(values))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(values))
+    if math.isinf(norm):  # the squares overflowed: take the norm of the values scaled to at most 1
+        scale = float(np.max(np.abs(np.concatenate([values.real, values.imag]))))
+        norm = scale * float(np.linalg.norm(values / scale))
     if abs(norm - 1.0) > _NORMALIZATION_ERROR_TOL:
         raise UsageError(f"{what} are not normalizable: norm {norm!r} deviates by more than 1e-6")
     if abs(norm - 1.0) > _NORMALIZATION_WARN_TOL:

@@ -41,6 +41,8 @@ class Rotation:
 
     |0> -> cos(theta)|0> + sin(theta)|1>
     |1> -> -sin(theta)|0> + cos(theta)|1>
+
+    Applied to a stack of states, theta may be an array of one angle per state.
     """
 
     target: int
@@ -148,17 +150,25 @@ def _check_index(num_qubits: int, qubit: int, role: str) -> None:
 
 
 def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
-    """Fresh amplitudes after one gate; qubit q is bit num_qubits - 1 - q of the basis index."""
-    idx = np.arange(amps.size)
+    """Fresh amplitudes after one gate, for one state or a stack (shape (..., 2**num_qubits)).
+
+    Qubit q is bit num_qubits - 1 - q of the basis index.  A rotation angle
+    may be an array with one angle per state of the stack.
+    """
+    idx = np.arange(amps.shape[-1])
     if isinstance(gate, Rotation):
         _check_index(num_qubits, gate.target, "target")
         mask = 1 << (num_qubits - 1 - gate.target)
         lo = idx[(idx & mask) == 0]
         hi = lo | mask
-        c, s = cos(gate.theta), sin(gate.theta)
+        if np.ndim(gate.theta):
+            theta = np.asarray(gate.theta)[..., None]
+            c, s = np.cos(theta), np.sin(theta)
+        else:
+            c, s = cos(gate.theta), sin(gate.theta)
         out = np.empty_like(amps)
-        out[lo] = c * amps[lo] - s * amps[hi]
-        out[hi] = s * amps[lo] + c * amps[hi]
+        out[..., lo] = c * amps[..., lo] - s * amps[..., hi]
+        out[..., hi] = s * amps[..., lo] + c * amps[..., hi]
         return out
     if isinstance(gate, CNOT):
         _check_index(num_qubits, gate.control, "control")
@@ -167,7 +177,7 @@ def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
         target_mask = 1 << (num_qubits - 1 - gate.target)
         src = idx[(idx & control_mask) != 0]
         out = amps.copy()
-        out[src ^ target_mask] = amps[src]
+        out[..., src ^ target_mask] = amps[..., src]
         return out
     raise TypeError(f"unknown gate type {type(gate).__name__}")
 

@@ -4,9 +4,12 @@ Each check computes an observed worst-case deviation over a parameter grid
 and compares it against a pinned tolerance.  The suite is deterministic:
 grids are fixed and the randomized property checks run from fixed seeds.
 
-The eigenvalue cross-check deliberately avoids the production eigensolver:
-it locates the roots of the characteristic polynomial by recursive
-bracketing and bisection, so the two routes share no code.
+The randomized property checks run on stacks: the gate kernel takes each
+stack of states at once, one call per wiring, and the partial-transpose
+and eigenvalue checks take stacks of matrices.  The eigenvalue cross-check
+deliberately avoids the production eigensolver: it finds every eigenvalue
+by inertia bisection (``eigenvalues_by_bisection``), so the two routes
+share no code.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .copier import (
     preparation_network,
     solve_preparation_angles,
 )
-from .gates import CNOT, PureState, Rotation, apply_cnot, apply_rotation, run_network
+from .gates import CNOT, PureState, Rotation, _apply_gate, _check_normalized, run_network
 from .report import _document_meta
 from .separability import INSEPARABILITY_TOL, ppt_spectrum
 
@@ -42,13 +45,14 @@ __all__ = [
     "run_verification",
     "render_human",
     "verification_document",
-    "characteristic_polynomial",
-    "polynomial_real_roots",
     "eigenvalues_by_bisection",
 ]
 
 _THETAS = np.linspace(0.0, math.pi / 2.0, 20)
 _PHIS = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
+
+# Halvings of the bracket [-|H|_inf, |H|_inf]; 2**-64 of its width is below double precision.
+_BISECTION_STEPS = 64
 
 _SQRT5 = math.sqrt(5.0)
 _SQRT17 = math.sqrt(17.0)
@@ -542,9 +546,9 @@ def _angles_checks(suite: _Suite) -> list[VerifyCheck]:
     return checks
 
 
-def _random_state(rng, num_qubits: int) -> PureState:
+def _random_amplitudes(rng, num_qubits: int) -> np.ndarray:
     amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-    return PureState(amps / np.linalg.norm(amps))
+    return amps / np.linalg.norm(amps)
 
 
 def _random_density(rng, num_qubits: int) -> np.ndarray:
@@ -553,7 +557,7 @@ def _random_density(rng, num_qubits: int) -> np.ndarray:
     weights = rng.uniform(0.2, 1.0, size=3)
     weights /= weights.sum()
     for w in weights:
-        amps = _random_state(rng, num_qubits).amplitudes
+        amps = _random_amplitudes(rng, num_qubits)
         rho += w * np.outer(amps, amps.conj())
     return rho
 
@@ -566,45 +570,53 @@ def _random_hermitian(rng, dim: int) -> np.ndarray:
 def _property_checks(suite: _Suite) -> list[VerifyCheck]:
     rng = np.random.default_rng(1234)
 
-    err_involution = 0.0
+    states, pairs, qubits, thetas = [], [], [], []
     for _ in range(100):
-        state = _random_state(rng, 3)
-        control, target = rng.choice(3, size=2, replace=False)
-        twice = apply_cnot(apply_cnot(state, control, target), control, target)
-        err_involution = max(err_involution, float(np.max(np.abs(twice.amplitudes - state.amplitudes))))
-        theta = rng.uniform(-math.pi, math.pi)
-        qubit = int(rng.integers(3))
-        back = apply_rotation(apply_rotation(state, qubit, theta), qubit, -theta)
-        err_involution = max(err_involution, float(np.max(np.abs(back.amplitudes - state.amplitudes))))
+        states.append(_random_amplitudes(rng, 3))
+        pairs.append(tuple(int(q) for q in rng.choice(3, size=2, replace=False)))
+        thetas.append(rng.uniform(-math.pi, math.pi))
+        qubits.append(int(rng.integers(3)))
+    states, qubits, thetas = np.array(states), np.array(qubits), np.array(thetas)
+    twice, back = np.empty_like(states), np.empty_like(states)
+    for pair in set(pairs):
+        rows = np.array([p == pair for p in pairs])
+        twice[rows] = _apply_gate(_apply_gate(states[rows], 3, CNOT(*pair)), 3, CNOT(*pair))
+    for qubit in range(3):
+        rows = qubits == qubit
+        turned = _apply_gate(states[rows], 3, Rotation(qubit, thetas[rows]))
+        back[rows] = _apply_gate(turned, 3, Rotation(qubit, -thetas[rows]))
+    _check_normalized(np.stack([twice, back]))
+    err_involution = max(_max_dev(twice, states), _max_dev(back, states))
 
-    err_commute = 0.0
+    states, solos, thetas = [], [], []
     for _ in range(100):
-        state = _random_state(rng, 3)
-        solo = int(rng.integers(3))
-        others = [q for q in range(3) if q != solo]
-        gates = [Rotation(solo, rng.uniform(-math.pi, math.pi)), CNOT(others[0], others[1])]
-        forward = run_network(state, gates)
-        backward = run_network(state, list(reversed(gates)))
-        err_commute = max(err_commute, float(np.max(np.abs(forward.amplitudes - backward.amplitudes))))
+        states.append(_random_amplitudes(rng, 3))
+        solos.append(int(rng.integers(3)))
+        thetas.append(rng.uniform(-math.pi, math.pi))
+    states, solos, thetas = np.array(states), np.array(solos), np.array(thetas)
+    forward, backward = np.empty_like(states), np.empty_like(states)
+    for solo in range(3):
+        rows = solos == solo
+        rotation, cnot = Rotation(solo, thetas[rows]), CNOT(*(q for q in range(3) if q != solo))
+        forward[rows] = _apply_gate(_apply_gate(states[rows], 3, rotation), 3, cnot)
+        backward[rows] = _apply_gate(_apply_gate(states[rows], 3, cnot), 3, rotation)
+    _check_normalized(np.stack([forward, backward]))
+    err_commute = _max_dev(forward, backward)
 
-    err_pt_involution = 0.0
-    err_trace = 0.0
-    for _ in range(50):
-        rho = _random_density(rng, 2)
-        for subsystem in (0, 1):
-            pt = linalg.partial_transpose(rho, subsystem)
-            back = linalg.partial_transpose(pt, subsystem)
-            err_pt_involution = max(err_pt_involution, float(np.max(np.abs(back - rho))))
-            err_trace = max(err_trace, abs(float(np.sum(linalg.hermitian_eigenvalues(pt))) - 1.0))
-        reduced = linalg.partial_trace(rho, (0,))
-        err_trace = max(err_trace, abs(complex(np.trace(reduced)) - 1.0))
+    rhos = np.array([_random_density(rng, 2) for _ in range(50)])
+    transposed = [linalg.partial_transpose(rhos, subsystem) for subsystem in (0, 1)]
+    err_pt_involution = max(
+        _max_dev(linalg.partial_transpose(pt, subsystem), rhos) for subsystem, pt in enumerate(transposed)
+    )
+    spectra = linalg.hermitian_eigenvalues(np.stack(transposed))
+    reduced = np.array([linalg.partial_trace(rho, (0,)) for rho in rhos])
+    err_trace = max(
+        _max_dev(np.sum(spectra, axis=-1), 1.0),
+        _max_dev(np.trace(reduced, axis1=-2, axis2=-1), 1.0),
+    )
 
-    err_eig = 0.0
-    for _ in range(100):
-        h = _random_hermitian(rng, 4)
-        mine = linalg.hermitian_eigenvalues(h)
-        oracle = eigenvalues_by_bisection(h)
-        err_eig = max(err_eig, float(np.max(np.abs(mine - oracle))))
+    hermitians = np.array([_random_hermitian(rng, 4) for _ in range(100)])
+    err_eig = _max_dev(linalg.hermitian_eigenvalues(hermitians), eigenvalues_by_bisection(hermitians))
 
     return [
         _check(
@@ -637,7 +649,7 @@ def _property_checks(suite: _Suite) -> list[VerifyCheck]:
         ),
         _check(
             "properties.eigenvalue-oracle",
-            "LAPACK eigenvalues match characteristic-polynomial bisection on 100 random matrices",
+            "LAPACK eigenvalues match inertia bisection on 100 random matrices",
             "route agreement",
             1e-9,
             err_eig,
@@ -732,97 +744,48 @@ def verification_document(checks, tolerance: float | None = None) -> dict:
     }
 
 
-def characteristic_polynomial(h) -> list[float]:
-    """Coefficients [1, c1, ..., cn] of det(xI - H) via the trace recurrence."""
-    h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    m = np.eye(n, dtype=complex)
-    coeffs = [1.0]
-    for k in range(1, n + 1):
-        hm = h @ m
-        ck = -np.trace(hm) / k
-        if abs(ck.imag) > 1e-9 * max(1.0, abs(ck.real)):
-            raise ValueError("matrix does not have a real characteristic polynomial")
-        coeffs.append(ck.real)
-        m = hm + ck.real * np.eye(n)
-    return coeffs
-
-
-def _horner(coeffs, x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
-def _derivative(coeffs) -> list[float]:
-    n = len(coeffs) - 1
-    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
-
-
-def _bisect(coeffs, a: float, b: float, fa: float) -> float:
-    for _ in range(200):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        fm = _horner(coeffs, mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0.0) != (fm < 0.0):
-            b = mid
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
-
-
-def polynomial_real_roots(coeffs) -> list[float]:
-    """Ascending real roots of a polynomial all of whose roots are real.
-
-    Roots of the derivative (found recursively) bracket the roots of the
-    polynomial, so a sign-change scan plus bisection finds every simple
-    root.  Repeated roots are recovered from flat critical points on a
-    best-effort basis; the total count is checked and a ValueError raised
-    when it cannot be established.  Intended for characteristic polynomials
-    of Hermitian matrices with well-separated (or exactly repeated) roots.
-    """
-    coeffs = [float(c) for c in coeffs]
-    if not coeffs or coeffs[0] == 0.0:
-        raise ValueError("leading coefficient must be nonzero")
-    coeffs = [c / coeffs[0] for c in coeffs]
-    n = len(coeffs) - 1
-    if n == 0:
-        return []
-    if n == 1:
-        return [-coeffs[1]]
-    crit = polynomial_real_roots(_derivative(coeffs))
-    bound = 1.0 + max(abs(c) for c in coeffs[1:])
-    flat_tol = 1e-11 * max(abs(_horner(coeffs, -bound)), abs(_horner(coeffs, bound)), 1.0)
-
-    flat = [c for c in crit if abs(_horner(coeffs, c)) <= flat_tol]
-    roots = list(flat)
-    distinct_flat: list[float] = []
-    for c in flat:
-        if not distinct_flat or abs(c - distinct_flat[-1]) > 1e-8 * max(1.0, abs(c)):
-            distinct_flat.append(c)
-    roots.extend(distinct_flat)
-
-    points = [-bound] + sorted(crit) + [bound]
-    for a, b in zip(points[:-1], points[1:]):
-        fa, fb = _horner(coeffs, a), _horner(coeffs, b)
-        if abs(fa) <= flat_tol or abs(fb) <= flat_tol:
-            continue
-        if (fa < 0.0) != (fb < 0.0):
-            roots.append(_bisect(coeffs, a, b, fa))
-    if len(roots) != n:
-        raise ValueError(f"found {len(roots)} real roots for a degree-{n} polynomial")
-    return sorted(roots)
-
-
 def eigenvalues_by_bisection(h) -> np.ndarray:
-    """Eigenvalue oracle: roots of the characteristic polynomial, ascending.
+    """Eigenvalue oracle for a Hermitian matrix or a stack (..., n, n): ascending spectra (..., n).
 
-    Independent of the LAPACK eigensolver (``np.linalg.eigvalsh``) behind
-    ``linalg.hermitian_eigenvalues``; used to cross-check it.
+    Inertia bisection, the method of LAPACK ``dstebz`` (Demmel, *Applied
+    Numerical Linear Algebra*, section 5.3).  Householder reflections first
+    bring H to tridiagonal form T with the same spectrum.  By Sylvester's
+    law of inertia the LDL^T factorization of T - xI has as many negative
+    pivots as T has eigenvalues below x, so eigenvalue k is where that
+    count steps from k to k + 1.  Every matrix and every index k is bisected
+    at once inside [-|H|_inf, |H|_inf]; a pivot smaller than pivmin is
+    replaced by -pivmin, as in ``dstebz``.  Unpivoted LDL^H of the dense
+    H - xI is not used: a tiny leading pivot makes its count wrong.  No
+    LAPACK routine and no code from ``linalg`` is involved, so the oracle
+    cross-checks ``linalg.hermitian_eigenvalues`` independently.
     """
-    h = np.asarray(h, dtype=complex)
-    return np.array(polynomial_real_roots(characteristic_polynomial(h)))
+    a = np.array(h, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    n = a.shape[-1]
+    hi = np.max(np.sum(np.abs(a), axis=-1), axis=-1, keepdims=True) + np.zeros(n)
+    lo = -hi
+    for k in range(n - 2):
+        v = a[..., k + 1 :, k].copy()
+        v[..., 0] += np.exp(1j * np.angle(v[..., 0])) * np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))
+        length = np.sqrt(np.sum(np.abs(v) ** 2, axis=-1, keepdims=True))
+        w = np.zeros(a.shape[:-1], dtype=complex)
+        w[..., k + 1 :] = v / np.where(length > 0.0, length, 1.0)
+        # H <- (I - 2ww^H) H (I - 2ww^H) = H - wu^H - uw^H, with p = Hw and u = 2(p - (w^H p) w)
+        p = np.sum(a * w[..., None, :], axis=-1)
+        u = 2.0 * (p - np.sum(w.conj() * p, axis=-1, keepdims=True) * w)
+        a = a - w[..., :, None] * u.conj()[..., None, :] - u[..., :, None] * w.conj()[..., None, :]
+    d = np.diagonal(a, axis1=-2, axis2=-1).real
+    e2 = np.abs(np.diagonal(a, offset=-1, axis1=-2, axis2=-1))[..., None] ** 2
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(e2, axis=-2, initial=0.0))
+    for _ in range(_BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        below = np.zeros(mid.shape, dtype=int)
+        for i in range(n):
+            pivot = d[..., i, None] - mid - (e2[..., i - 1, :] / pivot if i else 0.0)
+            pivot = np.where(np.abs(pivot) < pivmin, -pivmin, pivot)
+            below += pivot < 0.0
+        lower = below > np.arange(n)
+        hi = np.where(lower, mid, hi)
+        lo = np.where(lower, lo, mid)
+    return 0.5 * (lo + hi)

@@ -100,6 +100,12 @@ def test_copy_rejects_nan_alpha(capsys):
     assert err == "error: amplitudes must be finite\n"
 
 
+def test_copy_rejects_huge_amplitudes_with_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "copy", "--alpha", "1e200", "--beta", "1e200")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: amplitudes are not normalizable")
+
+
 def test_copy_rejects_mixed_input_styles(capsys):
     code, _, err = run_cli(capsys, "copy", "--theta", "0.5", "--alpha", "1", "--beta", "0")
     assert code == 2
@@ -352,6 +358,14 @@ def test_network_index_error_reports_gate_position(tmp_path, capsys):
     assert "out of range" in err
 
 
+def test_network_rejects_huge_state_amplitudes_with_one_error_line(tmp_path, capsys):
+    net_file = tmp_path / "cnot.txt"
+    net_file.write_text("CNOT 0 1\n")
+    code, out, err = run_cli(capsys, "network", str(net_file), "--state", "1e200,1e200j,0,0")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: amplitudes are not normalizable")
+
+
 def test_network_missing_file(capsys):
     code, _, err = run_cli(capsys, "network", "/nonexistent/net.txt")
     assert code == 2
@@ -393,6 +407,12 @@ def test_angles_command_rejects_unnormalized(capsys):
     code, _, err = run_cli(capsys, "angles", "1", "1", "0", "0")
     assert code == 2
     assert "not normalizable" in err
+
+
+def test_angles_command_rejects_huge_target_with_one_error_line(capsys):
+    code, out, err = run_cli(capsys, "angles", "--", "1e200", "1e200", "0", "0")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: target amplitudes are not normalizable")
 
 
 # ------------------------------------------------------------- module runs

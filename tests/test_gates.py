@@ -127,6 +127,38 @@ def test_run_network_validates_the_state_once(monkeypatch):
     assert abs(out.amplitudes[0b000] - math.sqrt(2.0 / 3.0)) < 1e-12
 
 
+def test_stacked_gate_kernel_matches_each_row(rng):
+    from qcopynet.gates import _apply_gate
+
+    stack = np.array([random_pure(rng, 3) for _ in range(7)])
+    angles = rng.uniform(-math.pi, math.pi, size=len(stack))
+    gates = [Rotation(q, 0.37) for q in range(3)] + [CNOT(c, t) for c in range(3) for t in range(3) if c != t]
+    for gate in gates:
+        rows = np.array([_apply_gate(row, 3, gate) for row in stack])
+        assert np.array_equal(_apply_gate(stack, 3, gate), rows)
+    for q in range(3):
+        rows = np.array([_apply_gate(row, 3, Rotation(q, float(theta))) for row, theta in zip(stack, angles)])
+        assert np.array_equal(_apply_gate(stack, 3, Rotation(q, angles)), rows)
+
+
+def test_property_checks_validate_stacks_not_states(monkeypatch):
+    from qcopynet import gates, verify
+
+    calls = []
+    check = gates._check_normalized
+
+    def counted(amps):
+        calls.append(1)
+        check(amps)
+
+    # every norm check counts: PureState validations and the checks verify makes on whole stacks
+    monkeypatch.setattr(gates, "_check_normalized", counted)
+    monkeypatch.setattr(verify, "_check_normalized", counted, raising=False)
+    checks = verify.run_verification(["properties"])
+    assert all(c.passed for c in checks)
+    assert len(calls) <= 20
+
+
 def test_network_concatenation_associative(rng):
     psi = PureState(random_pure(rng, 3))
     a = GateNetwork((Rotation(0, 0.4), CNOT(0, 1)))

@@ -161,7 +161,7 @@ def test_eigenvalues_duplicator_pair_transpose_any_input():
         assert np.max(np.abs(eigs - expected)) < 1e-12
 
 
-def test_eigenvalues_match_characteristic_polynomial_oracle(rng):
+def test_eigenvalues_match_inertia_bisection_oracle(rng):
     worst = 0.0
     for _ in range(100):
         h = random_hermitian(rng, 4)
