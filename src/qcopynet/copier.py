@@ -8,8 +8,10 @@ once per variant on the two basis inputs |000> and |100>, then evaluates
 whole (theta, phi) grids as arrays: reduced states, scaling fits, fidelity
 splits, Hilbert-Schmidt distances and the a2a3 partial-transpose spectrum.
 ``run_copier`` is its one-point case and returns a CopyReport; the
-triplicator's negativity bound and its (d1, E) correlation table read the
-same kernel.
+triplicator's (d1, E) correlation table reads the same kernel.  The
+quarter-phase bound on the triplicator's negative eigenvalue E is stated
+once, as ``_negativity_bound`` next to the kernel; ``negativity_bound_check``
+and verify's ``bound`` group both read it.
 """
 
 from __future__ import annotations
@@ -50,11 +52,6 @@ __all__ = [
     "CorrelationRow",
     "CorrelationTable",
     "entanglement_distance_correlation",
-    "ideal_density",
-    "scaling_decompose",
-    "fidelity_split",
-    "original_transpose_check",
-    "transpose_expectation_residual",
 ]
 
 QUBIT_LABELS = ("a1", "a2", "a3")
@@ -91,10 +88,6 @@ class InputQubit:
 
     def state(self) -> PureState:
         return PureState(np.array([self.alpha, self.beta], dtype=complex))
-
-    def orthogonal_state(self) -> PureState:
-        """The state conj(beta)|0> - conj(alpha)|1>, orthogonal to state()."""
-        return PureState(np.array([np.conj(self.beta), -np.conj(self.alpha)], dtype=complex))
 
     def density(self) -> np.ndarray:
         return density_of(self.state())
@@ -292,17 +285,6 @@ class CopyReport:
     d3: float | None
 
 
-def ideal_density(input_qubit: InputQubit, n: int) -> np.ndarray:
-    """The would-be perfect output (|psi><psi|)^(tensor n) for n in {1, 2, 3}."""
-    if n not in (1, 2, 3):
-        raise ValueError("copy count must be 1, 2 or 3")
-    rho = input_qubit.density()
-    out = rho
-    for _ in range(n - 1):
-        out = linalg.kron(out, rho)
-    return out
-
-
 def _scaling_fit(rho_out: np.ndarray, rho_id: np.ndarray) -> np.ndarray:
     """Least-squares s per 2x2 matrix of a stack (..., 2, 2); NaN where the fit is not exact.
 
@@ -324,33 +306,9 @@ def _scaling_fit(rho_out: np.ndarray, rho_id: np.ndarray) -> np.ndarray:
     return np.where(residual <= SCALING_RESIDUAL_TOL, s, np.nan)
 
 
-def scaling_decompose(rho_out, rho_id) -> float | None:
-    """Fit rho_out = s * rho_id + (1 - s)/2 * I on one qubit.
-
-    Returns the least-squares s when the fit is exact within
-    SCALING_RESIDUAL_TOL, None otherwise.  rho_id must be pure.
-    """
-    rho_out = np.asarray(rho_out, dtype=complex)
-    rho_id = np.asarray(rho_id, dtype=complex)
-    if rho_out.shape != (2, 2) or rho_id.shape != (2, 2):
-        raise ValueError("scaling decomposition applies to single-qubit matrices")
-    s = float(_scaling_fit(rho_out[None], rho_id[None])[0])
-    return None if math.isnan(s) else s
-
-
 def _weight(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """<v|rho|v> per stacked matrix and vector, real part."""
     return np.einsum("ni,nij,nj->n", vectors.conj(), rho, vectors).real
-
-
-def fidelity_split(rho_out, input_qubit: InputQubit) -> tuple[float, float]:
-    """Weights of a single-qubit state on the input state and its orthogonal complement."""
-    rho_out = np.asarray(rho_out, dtype=complex)
-    if rho_out.shape != (2, 2):
-        raise ValueError("fidelity split applies to single-qubit matrices")
-    psi = input_qubit.state().amplitudes
-    perp = input_qubit.orthogonal_state().amplitudes
-    return float(_weight(rho_out[None], psi[None])[0]), float(_weight(rho_out[None], perp[None])[0])
 
 
 METRICS = frozenset({"d1", "d2", "d3", "s", "fidelity", "E"})
@@ -475,6 +433,16 @@ def evaluate_grid(variant: CopyVariant, thetas, phis, metrics=METRICS) -> CopyGr
     )
 
 
+def _negativity_bound(grid: CopyGrid) -> np.ndarray:
+    """The triplicator's quarter-phase bound -(1 + 4(sqrt(5)-2)|alpha|^2 |beta|^2)/6, per grid point.
+
+    At phi = pi/2 (mod pi) the a2a3 pair's minimum partial-transpose
+    eigenvalue E lies at or below it; the bound is attained at alpha = 0.
+    """
+    weight = np.abs(grid.alpha) ** 2 * grid.beta**2
+    return -(1.0 + 4.0 * (math.sqrt(5.0) - 2.0) * weight) / 6.0
+
+
 def run_copier(input_qubit: InputQubit, variant: CopyVariant) -> CopyReport:
     """Run the copying network on the input qubit and characterize the output.
 
@@ -506,7 +474,7 @@ class BoundCheck:
 
 
 def negativity_bound_check(input_qubit: InputQubit) -> BoundCheck:
-    """Check E <= -(1 + 4(sqrt(5)-2)|alpha|^2 |beta|^2)/6 for a triplicator pair.
+    """Check a triplicator pair's E against ``_negativity_bound`` at one input.
 
     The bound describes the quarter-turn phase (phi = pi/2 mod pi), where
     the negative eigenvalue is deepest; the input must carry such a phase.
@@ -515,8 +483,7 @@ def negativity_bound_check(input_qubit: InputQubit) -> BoundCheck:
     if abs(math.cos(input_qubit.phi)) > 1e-12:
         raise ValueError("the negativity bound applies at phi = pi/2 (mod pi)")
     grid = evaluate_grid(CopyVariant.TRIPLICATOR, [input_qubit.theta], [input_qubit.phi], {"E"})
-    weight = abs(input_qubit.alpha) ** 2 * input_qubit.beta**2
-    bound = -(1.0 + 4.0 * (math.sqrt(5.0) - 2.0) * weight) / 6.0
+    bound = float(_negativity_bound(grid)[0])
     e = float(grid.ppt_spectrum[0, 0])
     return BoundCheck(
         min_eigenvalue=e,
@@ -581,29 +548,3 @@ def entanglement_distance_correlation(theta_values, phi_values) -> CorrelationTa
         real_phase_deviation=real_dev,
         minimum_at_quarter_phase=minimum_at_quarter,
     )
-
-
-def original_transpose_check(report: CopyReport) -> tuple[bool, float]:
-    """Check the duplicator law for the original qubit after copying.
-
-    The original ends up in transpose(rho_in)/3 + I/3.  Returns (holds,
-    max entry deviation); the tolerance is 1e-10.
-    """
-    if report.variant is not CopyVariant.DUPLICATOR:
-        raise ValueError("the transpose law applies to duplicator runs")
-    expected = report.input.density().T / 3.0 + np.eye(2) / 3.0
-    residual = float(np.max(np.abs(report.qubit_reductions["a1"] - expected)))
-    return residual <= 1e-10, residual
-
-
-def transpose_expectation_residual(rho, observable) -> float:
-    """|Tr(rho A) - Tr(rho^T A^T)|, zero for any operators of equal shape.
-
-    This identity is what lets expectation values of the original qubit be
-    recovered after copying: measure the transposed observable instead.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    observable = np.asarray(observable, dtype=complex)
-    lhs = complex(np.trace(rho @ observable))
-    rhs = complex(np.trace(rho.T @ observable.T))
-    return abs(lhs - rhs)

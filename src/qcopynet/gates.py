@@ -27,7 +27,6 @@ __all__ = [
     "run_network",
     "density_of",
     "parse_network",
-    "format_network",
     "NetworkParseError",
 ]
 
@@ -235,16 +234,3 @@ def parse_network(text: str) -> GateNetwork:
         except ValueError as exc:
             raise NetworkParseError(lineno, str(exc)) from None
     return GateNetwork(tuple(gates))
-
-
-def format_network(net: GateNetwork | Iterable[Gate]) -> str:
-    """Render a network in the plain-text format accepted by parse_network."""
-    lines = []
-    for gate in net:
-        if isinstance(gate, Rotation):
-            lines.append(f"R {gate.target} {gate.theta!r}")
-        elif isinstance(gate, CNOT):
-            lines.append(f"CNOT {gate.control} {gate.target}")
-        else:
-            raise TypeError(f"unknown gate type {type(gate).__name__}")
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -5,9 +5,9 @@ qubit 0 as the most significant bit, so a two-qubit basis reads
 |00>, |01>, |10>, |11>.  ``reverse_basis`` flips a vector or matrix to the
 descending order (|11>, |10>, |01>, |00>) that some references prefer;
 eigenvalues and traces are unaffected by the choice.  Tensor products,
-eigenvalues, partial transposes, Hilbert-Schmidt distances and density
-checks also take stacks of matrices (leading batch axes), so a whole
-parameter grid is handled in one call.
+eigenvalues, partial traces and transposes, Hilbert-Schmidt distances and
+density checks also take stacks of matrices (leading batch axes), so a
+whole parameter grid is handled in one call.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 _EIG_HERMITICITY_TOL = 1e-10
-
-
-def _square(m) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    return m
 
 
 def _stack(m) -> np.ndarray:
@@ -79,9 +72,10 @@ def partial_trace(rho, keep) -> np.ndarray:
     """Reduced matrix on the kept qubits, ordered as listed in ``keep``.
 
     The first listed qubit becomes the high-order subsystem of the result.
-    Trace is preserved.
+    Trace is preserved.  A stack of matrices (shape (..., n, n)) is reduced
+    matrix by matrix.
     """
-    rho = _square(rho)
+    rho = _stack(rho)
     n = num_qubits_of(rho)
     keep = tuple(int(q) for q in keep)
     if not keep:
@@ -92,11 +86,13 @@ def partial_trace(rho, keep) -> np.ndarray:
         raise ValueError(f"keep {keep} out of range for a {n}-qubit matrix")
     drop = [q for q in range(n) if q not in keep]
     order = list(keep) + drop
-    r = rho.reshape((2,) * (2 * n))
-    r = r.transpose(order + [n + q for q in order])
+    batch = rho.shape[:-2]
+    k = len(batch)
+    r = rho.reshape(batch + (2,) * (2 * n))
+    r = r.transpose(list(range(k)) + [k + q for q in order] + [k + n + q for q in order])
     dk = 1 << len(keep)
     dd = 1 << len(drop)
-    return np.einsum("imjm->ij", r.reshape(dk, dd, dk, dd))
+    return np.einsum("...imjm->...ij", r.reshape(batch + (dk, dd, dk, dd)))
 
 
 def partial_transpose(rho, subsystem: int = 1) -> np.ndarray:

@@ -26,6 +26,7 @@ from .copier import (
     QUBIT_LABELS,
     CopyGrid,
     CopyVariant,
+    _negativity_bound,
     amplitudes_from_angles,
     entanglement_distance_correlation,
     evaluate_grid,
@@ -463,8 +464,7 @@ def _trip_complex_checks(suite: _Suite) -> list[VerifyCheck]:
 def _bound_checks(suite: _Suite) -> list[VerifyCheck]:
     thetas = np.linspace(0.0, math.pi / 2.0, 50)
     quarter = evaluate_grid(CopyVariant.TRIPLICATOR, thetas, (math.pi / 2.0,), {"E"})
-    weight = np.abs(quarter.alpha) ** 2 * quarter.beta**2
-    bound = -(1.0 + 4.0 * (_SQRT5 - 2.0) * weight) / 6.0
+    bound = _negativity_bound(quarter)
     e = quarter.ppt_spectrum[:, 0]
     excess = float(np.max(e - bound))
     gap_small = abs(float(bound[0] - e[0]))  # theta = 0, where |alpha| = 0
@@ -609,7 +609,7 @@ def _property_checks(suite: _Suite) -> list[VerifyCheck]:
         _max_dev(linalg.partial_transpose(pt, subsystem), rhos) for subsystem, pt in enumerate(transposed)
     )
     spectra = linalg.hermitian_eigenvalues(np.stack(transposed))
-    reduced = np.array([linalg.partial_trace(rho, (0,)) for rho in rhos])
+    reduced = linalg.partial_trace(rhos, (0,))
     err_trace = max(
         _max_dev(np.sum(spectra, axis=-1), 1.0),
         _max_dev(np.trace(reduced, axis1=-2, axis2=-1), 1.0),

@@ -20,6 +20,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Amplitudes whose squares overflow or underflow, and zero, with the norm the
+# error line must report for two of them; each case is asserted inside the one
+# test per command, so the test ids stay those of the overflow-only tests.
+EXTREME_AMPLITUDES = (
+    ("1e200", "1.414213562373095e+200"),
+    ("1e-200", "1.414213562373095e-200"),
+    ("1e-160", "1.4142135623730952e-160"),
+    ("0", "0.0"),
+)
+
+
+def not_normalizable(what: str, norm: str) -> str:
+    return f"error: {what} are not normalizable: norm {norm} deviates by more than 1e-6\n"
+
+
 # ------------------------------------------------------------------- copy
 
 def test_copy_human_output(capsys):
@@ -101,9 +116,9 @@ def test_copy_rejects_nan_alpha(capsys):
 
 
 def test_copy_rejects_huge_amplitudes_with_one_error_line(capsys):
-    code, out, err = run_cli(capsys, "copy", "--alpha", "1e200", "--beta", "1e200")
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: amplitudes are not normalizable")
+    for value, norm in EXTREME_AMPLITUDES:
+        result = run_cli(capsys, "copy", "--alpha", value, "--beta", value)
+        assert result == (2, "", not_normalizable("amplitudes", norm)), value
 
 
 def test_copy_rejects_mixed_input_styles(capsys):
@@ -361,9 +376,9 @@ def test_network_index_error_reports_gate_position(tmp_path, capsys):
 def test_network_rejects_huge_state_amplitudes_with_one_error_line(tmp_path, capsys):
     net_file = tmp_path / "cnot.txt"
     net_file.write_text("CNOT 0 1\n")
-    code, out, err = run_cli(capsys, "network", str(net_file), "--state", "1e200,1e200j,0,0")
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: amplitudes are not normalizable")
+    for value, norm in EXTREME_AMPLITUDES:
+        result = run_cli(capsys, "network", str(net_file), "--state", f"{value},{value}j,0,0")
+        assert result == (2, "", not_normalizable("amplitudes", norm)), value
 
 
 def test_network_missing_file(capsys):
@@ -410,9 +425,9 @@ def test_angles_command_rejects_unnormalized(capsys):
 
 
 def test_angles_command_rejects_huge_target_with_one_error_line(capsys):
-    code, out, err = run_cli(capsys, "angles", "--", "1e200", "1e200", "0", "0")
-    assert (code, out) == (2, "")
-    assert len(err.splitlines()) == 1 and err.startswith("error: target amplitudes are not normalizable")
+    for value, norm in EXTREME_AMPLITUDES:
+        result = run_cli(capsys, "angles", "--", value, value, "0", "0")
+        assert result == (2, "", not_normalizable("target amplitudes", norm)), value
 
 
 # ------------------------------------------------------------- module runs

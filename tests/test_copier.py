@@ -9,19 +9,14 @@ from qcopynet import (
     PreparationAngles,
     amplitudes_from_angles,
     copy_stage_network,
-    fidelity_split,
-    ideal_density,
-    original_transpose_check,
     preparation_amplitudes,
     preparation_angles,
     preparation_network,
     run_copier,
-    scaling_decompose,
     solve_preparation_angles,
-    transpose_expectation_residual,
 )
+from qcopynet.copier import _scaling_fit, _weight
 from qcopynet.gates import PureState, run_network as run
-from qcopynet.linalg import hermitian_eigenvalues
 
 THETA2 = math.asin(math.sqrt(0.5 - math.sqrt(2.0) / 3.0))
 
@@ -53,7 +48,8 @@ def test_input_qubit_amplitudes():
     q = InputQubit(math.pi / 3.0, math.pi / 2.0)
     assert abs(q.alpha - math.sin(math.pi / 3.0) * 1j) < 1e-15
     assert abs(q.beta - 0.5) < 1e-15
-    assert abs(np.vdot(q.state().amplitudes, q.orthogonal_state().amplitudes)) < 1e-15
+    perp = np.array([np.conj(q.beta), -np.conj(q.alpha)])
+    assert abs(np.vdot(q.state().amplitudes, perp)) < 1e-15
 
 
 def test_input_qubit_from_amplitudes_basis_case():
@@ -259,70 +255,47 @@ def test_triplicator_output_pure(trip_reports):
         assert abs(norm - 1.0) < 1e-12
 
 
-# ----------------------------------------------------------- ideal density
-
-def test_ideal_density_basis_input():
-    # theta = 0 is the |1> input, so the ideal single-qubit state is diag(0, 1)
-    rho = ideal_density(InputQubit(0.0, 0.0), 1)
-    assert np.max(np.abs(rho - np.diag([0.0, 1.0]))) < 1e-15
-
-
-def test_ideal_density_two_copies_uniform():
-    rho = ideal_density(InputQubit(math.pi / 4.0, 0.0), 2)
-    assert np.max(np.abs(rho - 0.25)) < 1e-14
-
-
-def test_ideal_density_three_copies_rank_one():
-    rho = ideal_density(InputQubit(0.9, 1.3), 3)
-    eigs = hermitian_eigenvalues(rho)
-    assert abs(eigs[-1] - 1.0) < 1e-12
-    assert np.max(np.abs(eigs[:-1])) < 1e-12
-
-
-def test_ideal_density_rejects_bad_count():
-    with pytest.raises(ValueError):
-        ideal_density(InputQubit(0.1), 4)
-
-
 # --------------------------------------------------------- scaling & split
 
 def test_scaling_decompose_identity_cases():
-    qubit = InputQubit(0.7, 1.1)
-    rho_id = qubit.density()
-    assert abs(scaling_decompose(rho_id, rho_id) - 1.0) < 1e-12
-    assert abs(scaling_decompose(np.eye(2) / 2.0, rho_id) - 0.0) < 1e-12
+    rho_id = InputQubit(0.7, 1.1).density()
+    s = _scaling_fit(np.array([rho_id, np.eye(2) / 2.0]), rho_id)
+    assert np.max(np.abs(s - [1.0, 0.0])) < 1e-12
 
 
 def test_scaling_decompose_duplicator_copy():
     report = run_copier(InputQubit(0.4, 5.0), CopyVariant.DUPLICATOR)
-    s = scaling_decompose(report.qubit_reductions["a2"], ideal_density(report.input, 1))
-    assert abs(s - 2.0 / 3.0) < 1e-10
+    s = _scaling_fit(report.qubit_reductions["a2"][None], report.input.density())
+    assert abs(s[0] - 2.0 / 3.0) < 1e-10
 
 
 def test_scaling_decompose_returns_none_off_form():
     # triplicator copy with a complex amplitude has no scaled form
     report = run_copier(InputQubit(0.8, 1.0), CopyVariant.TRIPLICATOR)
-    s = scaling_decompose(report.qubit_reductions["a2"], ideal_density(report.input, 1))
-    assert s is None
+    s = _scaling_fit(report.qubit_reductions["a2"][None], report.input.density())
+    assert np.isnan(s[0])
 
 
 def test_scaling_decompose_rejects_impure_reference():
     with pytest.raises(ValueError, match="pure"):
-        scaling_decompose(np.eye(2) / 2.0, np.eye(2) / 2.0)
+        _scaling_fit(np.eye(2)[None] / 2.0, np.eye(2) / 2.0)
 
 
 def test_fidelity_split_pure_and_mixed():
     qubit = InputQubit(1.1, 0.3)
-    assert np.allclose(fidelity_split(qubit.density(), qubit), (1.0, 0.0), atol=1e-12)
-    assert np.allclose(fidelity_split(np.eye(2) / 2.0, qubit), (0.5, 0.5), atol=1e-12)
+    vectors = np.array([qubit.state().amplitudes, [np.conj(qubit.beta), -np.conj(qubit.alpha)]])
+    for rho, expected in ((qubit.density(), (1.0, 0.0)), (np.eye(2) / 2.0, (0.5, 0.5))):
+        split = _weight(np.array([rho, rho], dtype=complex), vectors)
+        assert np.allclose(split, expected, atol=1e-12)
 
 
 # ------------------------------------------------------ original-qubit law
 
 def test_original_transpose_check_real_input(dup_reports):
     for qubit, report in dup_reports:
-        holds, residual = original_transpose_check(report)
-        assert holds, f"residual {residual} at theta={qubit.theta}, phi={qubit.phi}"
+        expected = qubit.density().T / 3.0 + np.eye(2) / 3.0
+        residual = float(np.max(np.abs(report.qubit_reductions["a1"] - expected)))
+        assert residual <= 1e-10, f"residual {residual} at theta={qubit.theta}, phi={qubit.phi}"
 
 
 def test_original_off_diagonal_conjugated_at_quarter_phase():
@@ -338,21 +311,6 @@ def test_original_off_diagonal_conjugated_at_quarter_phase():
 def test_original_reduction_unit_trace(dup_reports):
     for _, report in dup_reports:
         assert abs(complex(np.trace(report.qubit_reductions["a1"])) - 1.0) < 1e-12
-
-
-def test_original_transpose_check_rejects_triplicator():
-    report = run_copier(InputQubit(0.2), CopyVariant.TRIPLICATOR)
-    with pytest.raises(ValueError, match="duplicator"):
-        original_transpose_check(report)
-
-
-def test_transpose_expectation_identity(rng):
-    for _ in range(20):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        rho = (m + m.conj().T) / 2.0
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        obs = (a + a.conj().T) / 2.0
-        assert transpose_expectation_residual(rho, obs) < 1e-12
 
 
 # ------------------------------------------------------- scaled-form gates

@@ -14,7 +14,6 @@ from qcopynet.copier import (
     InputQubit,
     evaluate_grid,
     full_network,
-    ideal_density,
     run_copier,
 )
 from qcopynet.gates import PureState, density_of, run_network
@@ -77,7 +76,9 @@ def reference_row(theta: float, phi: float, variant: CopyVariant) -> dict:
     """One sweep row from a per-point network run, partial traces and eigvalsh."""
     qubit = InputQubit(theta, phi)
     rho = density_of(PureState(network_output(theta, phi, variant)))
-    ideal = [ideal_density(qubit, n) for n in (1, 2, 3)]
+    psi = qubit.state().amplitudes
+    ideal1 = np.outer(psi, psi.conj())
+    ideal = [ideal1, np.kron(ideal1, ideal1), np.kron(np.kron(ideal1, ideal1), ideal1)]
     row = {
         f"d1_{label}": linalg.hs_distance(linalg.partial_trace(rho, (q,)), ideal[0])
         for q, label in enumerate(QUBIT_LABELS)
@@ -90,7 +91,6 @@ def reference_row(theta: float, phi: float, variant: CopyVariant) -> dict:
     s = np.trace((copy - np.eye(2) / 2.0) @ direction).real / np.trace(direction @ direction).real
     fitted = s * ideal[0] + (1.0 - s) / 2.0 * np.eye(2)
     row["s_a2"] = s if linalg.hs_distance(copy, fitted) <= 1e-10 else None
-    psi = qubit.state().amplitudes
     row["fid_a2"] = float((psi.conj() @ copy @ psi).real)
     row["E_a2a3"] = float(np.linalg.eigvalsh(linalg.partial_transpose(pairs["a2a3"]))[0])
     return row

@@ -68,10 +68,18 @@ def test_partial_trace_duplicator_copy_scaled_form():
 
 
 def test_partial_trace_keep_order_swaps_subsystems():
-    rho = random_density(np.random.default_rng(3), 2)
+    rng = np.random.default_rng(3)
+    rho = random_density(rng, 2)
     swapped = linalg.partial_trace(rho, (1, 0))
     direct = rho.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
     assert np.max(np.abs(swapped - direct)) < 1e-15
+    # a stack (..., n, n) is reduced matrix by matrix, bit for bit
+    stack = np.array([random_density(rng, 3) for _ in range(6)]).reshape(2, 3, 8, 8)
+    for keep in ((0,), (2, 0), (1, 2, 0)):
+        reduced = linalg.partial_trace(stack, keep)
+        assert reduced.shape == (2, 3) + (1 << len(keep),) * 2
+        for index in np.ndindex(2, 3):
+            assert np.array_equal(reduced[index], linalg.partial_trace(stack[index], keep))
 
 
 def test_partial_trace_rejects_bad_keep():
@@ -193,11 +201,12 @@ def test_hs_distance_orthogonal_pure_states():
 
 
 def test_hs_distance_duplicator_copy():
-    from qcopynet import CopyVariant, InputQubit, ideal_density, run_copier
+    from qcopynet import CopyVariant, InputQubit, run_copier
 
     qubit = InputQubit(0.8, 2.1)
     report = run_copier(qubit, CopyVariant.DUPLICATOR)
-    d = linalg.hs_distance(report.qubit_reductions["a2"], ideal_density(qubit, 1))
+    psi = np.array([qubit.alpha, qubit.beta])
+    d = linalg.hs_distance(report.qubit_reductions["a2"], np.outer(psi, psi.conj()))
     assert abs(d - 1.0 / 18.0) < 1e-12
 
 
