@@ -45,8 +45,6 @@ EXIT_USAGE = 2
 
 _NORMALIZATION_ERROR_TOL = 1e-6
 _NORMALIZATION_WARN_TOL = 1e-12
-# Below this norm the squares that np.linalg.norm sums are subnormal or zero, so it loses precision.
-_UNDERFLOW_NORM = math.sqrt(np.finfo(float).tiny)
 
 
 class UsageError(Exception):
@@ -89,13 +87,7 @@ def _parse_complex(text: str, what: str) -> complex:
 def _normalized(values: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise UsageError(f"{what} must be finite")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(values))
-    if math.isinf(norm) or norm < _UNDERFLOW_NORM:
-        # the squares overflowed or underflowed: take the norm of the values scaled to at most 1
-        scale = float(np.max(np.abs(np.concatenate([values.real, values.imag]))))
-        if scale > 0.0:
-            norm = scale * float(np.linalg.norm(values / scale))
+    norm = linalg._scaled_norm(values, lambda v: float(np.linalg.norm(v)))
     if abs(norm - 1.0) > _NORMALIZATION_ERROR_TOL:
         raise UsageError(f"{what} are not normalizable: norm {norm!r} deviates by more than 1e-6")
     if abs(norm - 1.0) > _NORMALIZATION_WARN_TOL:

@@ -101,8 +101,8 @@ class InputQubit:
         """
         alpha = complex(alpha)
         beta = complex(beta)
-        norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        if abs(norm - 1.0) > 1e-9:
+        norm = linalg._scaled_norm(np.array([alpha, beta]), lambda v: math.sqrt(sum(abs(complex(z)) ** 2 for z in v)))
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"amplitudes are not normalized (norm {norm!r})")
         alpha /= norm
         beta /= norm

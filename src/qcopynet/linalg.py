@@ -12,6 +12,8 @@ whole parameter grid is handled in one call.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -33,6 +35,26 @@ TRACE_TOL = 1e-12
 PSD_TOL = 1e-10
 
 _EIG_HERMITICITY_TOL = 1e-10
+# Below this a 2-norm's squares are subnormal or zero, so the norm computed from them loses precision.
+_UNDERFLOW_NORM = math.sqrt(np.finfo(float).tiny)
+
+
+def _scaled_norm(values: np.ndarray, norm) -> float:
+    """``norm(values)``; where its squares overflow or underflow, ``norm`` of values scaled by their largest part.
+
+    Finite results of at least sqrt(tiny) are kept as they are, so ordinary
+    inputs keep every bit of ``norm``'s own formula.
+    """
+    try:
+        with np.errstate(over="ignore"):
+            result = norm(values)
+    except OverflowError:  # Python's float ** raises where numpy returns inf
+        result = math.inf
+    if math.isinf(result) or result < _UNDERFLOW_NORM:
+        scale = float(np.max(np.abs(np.concatenate([values.real, values.imag]))))
+        if 0.0 < scale < math.inf:
+            result = scale * norm(values / scale)
+    return result
 
 
 def _stack(m) -> np.ndarray:

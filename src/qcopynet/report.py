@@ -1,8 +1,8 @@
 """Parameter sweeps and their CSV/JSON serialization.
 
-Both output formats render every number through the same 17-significant-
-digit formatter, so the decimal strings in a CSV and a JSON emission of
-the same sweep are identical and round-trip to the same doubles.
+CSV and JSON read one column formatter, which renders each column's floats
+in one pass to 17 significant digits, so the decimal strings of a sweep are
+identical in both formats and round-trip to the same doubles.
 """
 
 from __future__ import annotations
@@ -150,27 +150,44 @@ def sweep_document(spec: SweepSpec, rows: list[dict]) -> dict:
     }
 
 
+def _float_texts(values: list) -> list[str]:
+    """Floats at 17 significant digits (lossless for doubles), after one finiteness pass."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"non-finite value {next(v for v in values if not math.isfinite(v))!r} in report")
+    return [f"{v:.17g}" for v in values]
+
+
 def format_float(x: float) -> str:
     """Render a float with 17 significant digits (lossless for doubles)."""
-    if not math.isfinite(x):
-        raise ValueError(f"non-finite value {x!r} in report")
-    return format(float(x), ".17g")
+    return _float_texts([x])[0]
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    return format_float(value)
+def _column_texts(values: list, other) -> list[str]:
+    """One column as text: its floats through ``_float_texts`` in one pass, every other cell through ``other``."""
+    floats = [v for v in values if type(v) is float]
+    if len(floats) == len(values):
+        return _float_texts(floats)
+    texts = iter(_float_texts(floats))
+    return [next(texts) if type(v) is float else other(v) for v in values]
+
+
+def _csv_other(value) -> str:
+    return "" if value is None else value if isinstance(value, str) else format_float(value)
 
 
 def render_csv(document: dict) -> str:
     """CSV body for a sweep document; header row first, empty cell for None."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in document["rows"]:
-        lines.append(",".join(_cell(row[column]) for column in CSV_COLUMNS))
-    return "\n".join(lines) + "\n"
+    rows = document["rows"]
+    cells = [_column_texts([row[column] for row in rows], _csv_other) for column in CSV_COLUMNS]
+    return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*cells))]) + "\n"
+
+
+def _json_objects(records: list, indent: int) -> list[str]:
+    """Non-empty dicts that share one key sequence as JSON objects: keys escaped once, values by column."""
+    pad, keys = "  " * indent, records[0]
+    fields = ",\n".join(f"{pad}  {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys)
+    cells = [_column_texts([item[key] for item in records], lambda v: _json_value(v, indent + 1)) for key in keys]
+    return list(map(f"{{\n{fields}\n{pad}}}".__mod__, zip(*cells)))
 
 
 def _json_value(value, indent: int) -> str:
@@ -186,17 +203,16 @@ def _json_value(value, indent: int) -> str:
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {encode_basestring_ascii(key)}: {_json_value(item, indent + 1)}" for key, item in value.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
+        return _json_objects([value], indent)[0] if value else "{}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        inner = ",\n".join(f"{pad}  {_json_value(item, indent + 1)}" for item in value)
-        return "[\n" + inner + "\n" + pad + "]"
+        keys = tuple(value[0]) if isinstance(value[0], dict) else ()
+        if keys and all(isinstance(item, dict) and tuple(item) == keys for item in value):
+            items = _json_objects(value, indent + 1)
+        else:
+            items = _column_texts(value, lambda v: _json_value(v, indent + 1))
+        return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

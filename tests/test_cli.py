@@ -12,6 +12,7 @@ import qcopynet
 from qcopynet import CopyVariant, InputQubit, cli, run_copier
 from qcopynet.cli import main
 from qcopynet.report import CSV_COLUMNS, MAX_GRID_POINTS, GridSpec, SweepSpec, format_float, render_csv, render_json, sweep_document, sweep_rows
+from qcopynet.verify import run_verification, verification_document
 
 
 def run_cli(capsys, *argv):
@@ -500,13 +501,129 @@ def test_render_json_parses_and_matches_rows():
     )
     rows = sweep_rows(spec)
     doc = sweep_document(spec, rows)
-    parsed = json.loads(render_json(doc))
-    assert parsed["rows"] == json.loads(render_json(doc))["rows"]
-    assert len(parsed["rows"]) == 4
-    csv_text = render_csv(doc)
-    assert csv_text.startswith(",".join(CSV_COLUMNS))
+    json_text = render_json(doc)
+    # floats compare by value, None as null
+    assert json.loads(json_text)["rows"] == rows
+    csv_lines = render_csv(doc).splitlines()
+    assert csv_lines[0] == ",".join(CSV_COLUMNS)
+    # every CSV cell is the JSON decimal string of the same value, or empty for null
+    decimals = json.loads(json_text, parse_float=str, parse_int=str)["rows"]
+    assert len(decimals) == len(csv_lines) - 1 == 4
+    for line, row in zip(csv_lines[1:], decimals):
+        assert line.split(",") == ["" if row[column] is None else row[column] for column in CSV_COLUMNS]
 
 
 def test_render_json_escapes_every_string():
-    doc = {"line\nbreak": "x\ny", "tab\tkey": ["a\tb", 'quo"te'], 'q"k\\': {"back\\slash": "\\"}}
+    doc = {
+        "line\nbreak": "x\ny",
+        "tab\tkey": ["a\tb", 'quo"te'],
+        'q"k\\': {"back\\slash": "\\", "100%": "%s"},
+        "records": [{"%s": 1.5, 'k"\n': None}, {"%s": "%d", 'k"\n': True}],
+    }
     assert json.loads(render_json(doc)) == doc
+    assert render_json(doc) == reference_render_json(doc)
+
+
+# The per-cell renderers that the column renderers replaced, kept here as the
+# reference the column renderers must match byte for byte.
+def reference_float(value) -> str:
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {value!r} in report")
+    return format(float(value), ".17g")
+
+
+def reference_csv(document: dict) -> str:
+    def cell(value):
+        if value is None:
+            return ""
+        return value if isinstance(value, str) else reference_float(value)
+
+    lines = [",".join(CSV_COLUMNS)]
+    for row in document["rows"]:
+        lines.append(",".join(cell(row[column]) for column in CSV_COLUMNS))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(value, indent: int = 0) -> str:
+    pad = "  " * indent
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return reference_float(value)
+    if isinstance(value, str):
+        return json.encoder.encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = ",\n".join(
+            f"{pad}  {json.encoder.encode_basestring_ascii(key)}: {reference_json(item, indent + 1)}"
+            for key, item in value.items()
+        )
+        return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = ",\n".join(f"{pad}  {reference_json(item, indent + 1)}" for item in value)
+        return "[\n" + inner + "\n" + pad + "]"
+    raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def reference_render_json(document: dict) -> str:
+    return reference_json(document) + "\n"
+
+
+def assert_same_text(got: str, expected: str) -> None:
+    """Equal texts, compared line by line: pytest's diff of two 500 kB strings would run for minutes."""
+    got_lines, expected_lines = got.split("\n"), expected.split("\n")
+    assert len(got_lines) == len(expected_lines)
+    for number, (line, expected_line) in enumerate(zip(got_lines, expected_lines), 1):
+        assert line == expected_line, f"line {number} differs"
+
+
+README_THETA = GridSpec(0.0, math.pi / 2.0, 20)
+README_PHI = GridSpec(0.0, 2.0 * math.pi, 40)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        SweepSpec(CopyVariant.TRIPLICATOR, README_THETA, README_PHI),
+        SweepSpec(CopyVariant.TRIPLICATOR, README_THETA, README_PHI, frozenset({"d1", "E"})),
+        SweepSpec(CopyVariant.DUPLICATOR, README_THETA, README_PHI),
+    ],
+    ids=["readme", "d1-E", "duplicator"],
+)
+def test_column_renderers_match_the_per_cell_reference(spec):
+    doc = sweep_document(spec, sweep_rows(spec))
+    assert_same_text(render_csv(doc), reference_csv(doc))
+    assert_same_text(render_json(doc), reference_render_json(doc))
+
+
+def test_column_renderers_match_the_reference_on_a_verification_document():
+    doc = verification_document(run_verification(["ppt", "bound"]))
+    assert render_json(doc) == reference_render_json(doc)
+
+
+def test_column_renderers_match_the_reference_on_a_copy_document(capsys):
+    # nested dicts and lists of floats; 17 significant digits round-trip, so
+    # re-rendering the parsed document must give back the same text
+    code, out, _ = run_cli(capsys, "copy", "--alpha", "0.6", "--beta", "0.8j", "--format", "json")
+    assert code == 0
+    assert reference_render_json(json.loads(out)) == out
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_column_renderers_reject_a_non_finite_cell_as_the_reference_does(bad):
+    spec = SweepSpec(CopyVariant.DUPLICATOR, GridSpec(0.0, 1.0, 2), GridSpec(0.0, 1.0, 2))
+    doc = sweep_document(spec, sweep_rows(spec))
+    doc["rows"][2]["d1_a2"] = bad
+    for render, reference in ((render_csv, reference_csv), (render_json, reference_render_json)):
+        with pytest.raises(ValueError) as expected:
+            reference(doc)
+        with pytest.raises(ValueError) as raised:
+            render(doc)
+        assert str(raised.value) == str(expected.value) == f"non-finite value {bad!r} in report"

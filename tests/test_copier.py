@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,23 @@ def test_input_qubit_from_amplitudes_strips_global_phase():
 def test_input_qubit_from_amplitudes_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         InputQubit.from_amplitudes(1.0, 1.0)
+
+
+@pytest.mark.parametrize("part", [1e200, 1e-200, 1e-160, 0.0])
+def test_input_qubit_from_amplitudes_names_the_true_norm_at_extreme_amplitudes(part):
+    # the squares of these parts overflow (1e200) or underflow (1e-200, 1e-160 to a subnormal)
+    with pytest.raises(ValueError, match="normalized") as excinfo:
+        InputQubit.from_amplitudes(part, part)
+    norm = float(re.search(r"norm (\S+)\)", str(excinfo.value)).group(1))
+    assert norm == pytest.approx(math.sqrt(2.0) * part, rel=1e-15, abs=0.0)
+    if part == 1e200:
+        assert "norm 1.414213562373095e+200" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("part", [float("nan"), float("inf")])
+def test_input_qubit_from_amplitudes_rejects_non_finite(part):
+    with pytest.raises(ValueError, match="normalized"):
+        InputQubit.from_amplitudes(part, 0.5)
 
 
 # ------------------------------------------------------------ angle solver
