@@ -146,11 +146,9 @@ def preparation_angles(variant: CopyVariant) -> PreparationAngles:
     return PreparationAngles(math.pi / 8.0, sign * _THETA2_MAGNITUDE, math.pi / 8.0)
 
 
-def amplitudes_from_angles(angles: PreparationAngles) -> np.ndarray:
-    """Amplitudes produced on |00> by the preparation stage with the given angles."""
-    c1, s1 = math.cos(angles.theta1), math.sin(angles.theta1)
-    c2, s2 = math.cos(angles.theta2), math.sin(angles.theta2)
-    c3, s3 = math.cos(angles.theta3), math.sin(angles.theta3)
+def _amplitudes_from_angles(angles: np.ndarray) -> np.ndarray:
+    """Amplitudes produced on |00> by the preparation stage: (3,) angles give (4,), (N, 3) give (N, 4)."""
+    (c1, c2, c3), (s1, s2, s3) = np.cos(angles).T, np.sin(angles).T
     return np.array(
         [
             c1 * c2 * c3 + s1 * s2 * s3,
@@ -158,7 +156,12 @@ def amplitudes_from_angles(angles: PreparationAngles) -> np.ndarray:
             c1 * c2 * s3 - s1 * s2 * c3,
             c1 * s2 * c3 + s1 * c2 * s3,
         ]
-    )
+    ).T
+
+
+def amplitudes_from_angles(angles: PreparationAngles) -> np.ndarray:
+    """Amplitudes produced on |00> by the preparation stage with the given angles."""
+    return _amplitudes_from_angles(angles.as_array())
 
 
 # Singular-value gap below which a target counts as degenerate: the even
@@ -166,15 +169,69 @@ def amplitudes_from_angles(angles: PreparationAngles) -> np.ndarray:
 # residual contract.
 _DEGENERATE_GAP = 1e-11
 
+_TWO_PI = 2.0 * math.pi
+
 # Sign flips of the factorization: -I on either side of the diagonal factor
 # adds pi to that side's rotation and to theta2.
-_SIGN_FLIPS = ((0.0, 0.0, 0.0), (math.pi, math.pi, 0.0), (0.0, math.pi, math.pi), (math.pi, 0.0, math.pi))
+_SIGN_FLIPS = np.array([(0.0, 0.0, 0.0), (math.pi, math.pi, 0.0), (0.0, math.pi, math.pi), (math.pi, 0.0, math.pi)])
 
 
-def _wrap_angle(x: float) -> float:
-    """x shifted by a multiple of 2 pi into (-pi, pi], with +0.0 for -0.0."""
-    r = math.remainder(x, 2.0 * math.pi)
-    return (r + 2.0 * math.pi if r == -math.pi else r) + 0.0
+def _wrap_angles(x: np.ndarray) -> np.ndarray:
+    """x shifted by a multiple of 2 pi into (-pi, pi], with +0.0 for -0.0, elementwise.
+
+    ``np.fmod`` is exact, and so is one step of 2 pi from its result, so
+    this equals ``math.remainder(x, 2 pi)`` with -pi taken to pi; where that
+    remainder ties at +-pi, either choice ends at pi.
+    """
+    r = np.fmod(x, _TWO_PI)
+    r = np.where(r > math.pi, r - _TWO_PI, r)
+    return np.where(r <= -math.pi, r + _TWO_PI, r) + 0.0
+
+
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``math.atan2`` elementwise; ``np.arctan2`` differs from it in the last bit on some inputs."""
+    return np.array([math.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())])
+
+
+def _solve_angles(c) -> np.ndarray:
+    """Closed-form preparation angles (N, 3) for a stack of targets (N, 4).
+
+    Each row is solved as ``solve_preparation_angles`` (the one-target view)
+    describes, taking its own branch, SVD or degenerate.  Raises ValueError
+    unless every target has unit sum of squares.
+    """
+    c = np.asarray(c, dtype=float)
+    if c.ndim != 2 or c.shape[1] != 4:
+        raise ValueError(f"expected a stack of four-amplitude targets, got shape {c.shape}")
+    if not (np.abs((c * c).sum(axis=1) - 1.0) <= 1e-12).all():
+        raise ValueError("target amplitudes must have unit sum of squares")
+
+    m = c.reshape(-1, 2, 2)
+    u, s, vt = np.linalg.svd(m)
+    theta1 = _atan2(vt[:, 0, 1], vt[:, 0, 0])
+    theta2 = _atan2(np.copysign(s[:, 1], np.linalg.det(u) * np.linalg.det(vt)), s[:, 0])
+    theta3 = _atan2(u[:, 1, 0], u[:, 0, 0])
+    half = math.pi / 2.0
+    # the SVD solution and its singular-value swap, each under the four sign flips
+    solutions = np.array([(theta1, theta2, theta3), (theta1 + half, half - theta2, theta3 + half)])
+    candidates = (solutions.transpose(2, 0, 1)[:, :, None, :] + _SIGN_FLIPS).reshape(-1, 8, 3)
+
+    degenerate = (s[:, 0] - s[:, 1] <= _DEGENERATE_GAP).nonzero()[0]
+    if degenerate.size:
+        md = m[degenerate]
+        sign = np.where(np.linalg.det(md) >= 0.0, 1.0, -1.0)
+        fixed = _atan2(md[:, 1, 0] - sign * md[:, 0, 1], md[:, 0, 0] + sign * md[:, 1, 1])
+        # axis 1: the branches theta2 = sign pi/4 and theta2 + pi, which shifts the fixed part by pi
+        sign = sign[:, None, None]
+        theta2 = np.concatenate([sign * math.pi / 4.0, -sign * 3.0 * math.pi / 4.0], axis=1)
+        w = _wrap_angles(fixed[:, None, None] + np.array([[0.0], [math.pi]]))
+        # axis 2: w and w - 2 pi, which only matters at w = pi, where the two tie in norm
+        f = np.concatenate([w, w - _TWO_PI], axis=2)
+        split = np.stack([-sign * f / 2.0, np.broadcast_to(theta2, f.shape), f / 2.0], axis=-1)
+        candidates[degenerate] = np.tile(split.reshape(-1, 4, 3), (1, 2, 1))
+
+    wrapped = _wrap_angles(candidates).tolist()
+    return np.array([min(members, key=lambda t: (math.hypot(*t), t)) for members in wrapped]).reshape(-1, 3)
 
 
 def solve_preparation_angles(c) -> PreparationAngles:
@@ -206,31 +263,7 @@ def solve_preparation_angles(c) -> PreparationAngles:
     c = np.asarray(c, dtype=float)
     if c.shape != (4,):
         raise ValueError("expected four target amplitudes")
-    if abs(float(np.sum(c * c)) - 1.0) > 1e-12:
-        raise ValueError("target amplitudes must have unit sum of squares")
-
-    m = c.reshape(2, 2)
-    u, s, vt = np.linalg.svd(m)
-    if s[0] - s[1] <= _DEGENERATE_GAP:
-        sign = 1.0 if np.linalg.det(m) >= 0.0 else -1.0
-        fixed = math.atan2(m[1, 0] - sign * m[0, 1], m[0, 0] + sign * m[1, 1])
-        candidates = []
-        for theta2, shift in ((sign * math.pi / 4.0, 0.0), (-sign * 3.0 * math.pi / 4.0, math.pi)):
-            w = _wrap_angle(fixed + shift)
-            # w - 2 pi only matters at w = pi, where it ties in norm
-            candidates += [(-sign * f / 2.0, theta2, f / 2.0) for f in (w, w - 2.0 * math.pi)]
-    else:
-        theta1 = math.atan2(vt[0, 1], vt[0, 0])
-        theta2 = math.atan2(math.copysign(s[1], np.linalg.det(u) * np.linalg.det(vt)), s[0])
-        theta3 = math.atan2(u[1, 0], u[0, 0])
-        half = math.pi / 2.0
-        candidates = [
-            (t1 + f1, t2 + f2, t3 + f3)
-            for t1, t2, t3 in ((theta1, theta2, theta3), (theta1 + half, half - theta2, theta3 + half))
-            for f1, f2, f3 in _SIGN_FLIPS
-        ]
-    wrapped = (tuple(_wrap_angle(t) for t in member) for member in candidates)
-    return PreparationAngles(*min(wrapped, key=lambda t: (math.hypot(*t), t)))
+    return PreparationAngles(*_solve_angles(c[None])[0].tolist())
 
 
 def preparation_network(angles: PreparationAngles, qubits: tuple[int, int] = (0, 1)) -> GateNetwork:

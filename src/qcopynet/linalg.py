@@ -143,14 +143,14 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     """All eigenvalues of a Hermitian matrix, ascending, repeats kept.
 
     Accepts one matrix or a stack of them (shape (..., n, n)), returning
-    spectra of shape (..., n).  Raises ValueError if any matrix deviates
-    from Hermitian by more than 1e-10; the spectrum is that of the
-    Hermitian part, taken with LAPACK (``np.linalg.eigvalsh``).
+    spectra of shape (..., n).  Raises ValueError unless every matrix is
+    Hermitian within 1e-10, so a NaN deviation fails too; the spectrum is
+    that of the Hermitian part, taken with LAPACK (``np.linalg.eigvalsh``).
     """
     h = _stack(h)
     hc = np.swapaxes(h, -1, -2).conj()
     deviation = float(np.max(np.abs(h - hc)))
-    if deviation > _EIG_HERMITICITY_TOL:
+    if not deviation <= _EIG_HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
     return np.linalg.eigvalsh((h + hc) / 2.0)
 

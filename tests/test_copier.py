@@ -16,7 +16,7 @@ from qcopynet import (
     run_copier,
     solve_preparation_angles,
 )
-from qcopynet.copier import _scaling_fit, _weight
+from qcopynet.copier import _DEGENERATE_GAP, _amplitudes_from_angles, _scaling_fit, _solve_angles, _weight
 from qcopynet.gates import PureState, run_network as run
 
 THETA2 = math.asin(math.sqrt(0.5 - math.sqrt(2.0) / 3.0))
@@ -161,6 +161,101 @@ def test_solver_degenerate_targets_split_evenly(target, expected):
     solved = solve_preparation_angles(np.array(target) / math.sqrt(2.0))
     assert (solved.theta1, solved.theta2, solved.theta3) == expected
     assert all(math.copysign(1.0, t) > 0 for t in solved.as_array() if t == 0.0)
+
+
+def test_solver_rejects_a_nan_target():
+    # NaN slipped past the unit-norm test and reached the SVD ("SVD did not converge")
+    with pytest.raises(ValueError, match="unit"):
+        solve_preparation_angles([math.nan, 0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="unit"):
+        _solve_angles([[1.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 1.0]])
+
+
+def test_stacked_solver_rejects_a_lone_target():
+    with pytest.raises(ValueError, match="stack"):
+        _solve_angles([1.0, 0.0, 0.0, 0.0])
+
+
+def scalar_solver(c) -> tuple[float, float, float]:
+    """The one-target solver as it stood before the stacked one, kept as the reference."""
+
+    def wrap(x):
+        r = math.remainder(x, 2.0 * math.pi)
+        return (r + 2.0 * math.pi if r == -math.pi else r) + 0.0
+
+    flips = ((0.0, 0.0, 0.0), (math.pi, math.pi, 0.0), (0.0, math.pi, math.pi), (math.pi, 0.0, math.pi))
+    m = np.asarray(c, dtype=float).reshape(2, 2)
+    u, s, vt = np.linalg.svd(m)
+    if s[0] - s[1] <= 1e-11:
+        sign = 1.0 if np.linalg.det(m) >= 0.0 else -1.0
+        fixed = math.atan2(m[1, 0] - sign * m[0, 1], m[0, 0] + sign * m[1, 1])
+        candidates = []
+        for theta2, shift in ((sign * math.pi / 4.0, 0.0), (-sign * 3.0 * math.pi / 4.0, math.pi)):
+            w = wrap(fixed + shift)
+            candidates += [(-sign * f / 2.0, theta2, f / 2.0) for f in (w, w - 2.0 * math.pi)]
+    else:
+        theta1 = math.atan2(vt[0, 1], vt[0, 0])
+        theta2 = math.atan2(math.copysign(s[1], np.linalg.det(u) * np.linalg.det(vt)), s[0])
+        theta3 = math.atan2(u[1, 0], u[0, 0])
+        half = math.pi / 2.0
+        candidates = [
+            (t1 + f1, t2 + f2, t3 + f3)
+            for t1, t2, t3 in ((theta1, theta2, theta3), (theta1 + half, half - theta2, theta3 + half))
+            for f1, f2, f3 in flips
+        ]
+    wrapped = (tuple(wrap(t) for t in member) for member in candidates)
+    return min(wrapped, key=lambda t: (math.hypot(*t), t))
+
+
+def rotation(t):
+    return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+
+
+def gap_targets(gap: float, count: int = 20) -> np.ndarray:
+    """Targets R(a) diag(s0, +-s1) R(b)^T whose singular values differ by about ``gap``."""
+    rng = np.random.default_rng(7)
+    s0, s1 = math.sqrt(0.5) + gap / 2.0, math.sqrt(0.5) - gap / 2.0
+    targets = []
+    for k in range(count):
+        a, b = rng.uniform(-math.pi, math.pi, size=2)
+        m = rotation(a) @ np.diag([s0, s1 if k % 2 else -s1]) @ rotation(b).T
+        targets.append(m.reshape(4))
+    return np.array(targets)
+
+
+SOLVER_TARGETS = {
+    "random": np.array([c / np.linalg.norm(c) for c in np.random.default_rng(20261019).normal(size=(1000, 4))]),
+    "search-failures": np.array(SEARCH_FAILURES),
+    "degenerate": np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 1.0, -1.0, 0.0], [-1.0, 0.0, 0.0, 1.0]]) / math.sqrt(2.0),
+    "gap-above": gap_targets(1.01 * _DEGENERATE_GAP),
+    "gap-below": gap_targets(0.99 * _DEGENERATE_GAP),
+}
+
+
+def test_gap_targets_straddle_the_degenerate_gap():
+    for name, degenerate in (("gap-above", False), ("gap-below", True)):
+        s = np.linalg.svd(SOLVER_TARGETS[name].reshape(-1, 2, 2), compute_uv=False)
+        assert np.all((s[:, 0] - s[:, 1] <= _DEGENERATE_GAP) == degenerate)
+
+
+def assert_same_angles(got, expected):
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("name", SOLVER_TARGETS)
+def test_stacked_solver_matches_the_scalar_reference(name):
+    targets = SOLVER_TARGETS[name]
+    expected = np.array([scalar_solver(c) for c in targets])
+    assert_same_angles(_solve_angles(targets), expected)
+    assert_same_angles(np.array([solve_preparation_angles(c).as_array() for c in targets]), expected)
+
+
+def test_stacked_amplitudes_match_the_one_point_view():
+    angles = np.random.default_rng(3).uniform(-math.pi, math.pi, size=(200, 3))
+    stacked = _amplitudes_from_angles(angles)
+    assert stacked.shape == (200, 4)
+    assert np.array_equal(stacked, [amplitudes_from_angles(PreparationAngles(*row)) for row in angles.tolist()])
 
 
 # ---------------------------------------------------------------- networks

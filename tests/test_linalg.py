@@ -189,6 +189,12 @@ def test_eigenvalues_reject_non_hermitian():
         linalg.hermitian_eigenvalues(m)
 
 
+def test_eigenvalues_reject_a_nan_matrix():
+    # the deviation test was NaN-blind: this input returned a NaN spectrum
+    with pytest.raises(ValueError, match="Hermitian"):
+        linalg.hermitian_eigenvalues(np.full((2, 2), np.nan))
+
+
 # -------------------------------------------------------------- distance
 
 def test_hs_distance_zero_on_equal():

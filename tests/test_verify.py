@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from qcopynet import verify
 from qcopynet.verify import eigenvalues_by_bisection
 
-from conftest import random_hermitian
+from conftest import random_density, random_hermitian
 
 DUPLICATOR_PAIR_SPECTRUM = np.array([(2 - math.sqrt(5)) / 6, 1 / 6, 1 / 6, (2 + math.sqrt(5)) / 6])
 
@@ -50,3 +51,35 @@ def test_oracle_needs_no_lapack_eigensolver(rng, monkeypatch):
 def test_oracle_rejects_non_square_input():
     with pytest.raises(ValueError, match="square"):
         eigenvalues_by_bisection(np.zeros((4, 3)))
+
+
+def test_each_group_alone_matches_its_rows_of_the_full_run():
+    # the shared grids are built lazily and evaluate only what their checks read
+    full = verify.run_verification()
+    for group in verify.GROUP_ORDER:
+        alone = verify.run_verification([group])
+        rows = [c for c in full if c.group == group]
+        assert alone == rows
+        assert [c.error.hex() for c in alone] == [c.error.hex() for c in rows]
+
+
+def test_random_targets_count_only_the_solved_rows(monkeypatch):
+    solve = verify._solve_angles
+
+    def one_row_off(targets):
+        angles = solve(targets)
+        angles[40] += 0.5  # row 40 is one of the 100 random targets
+        return angles
+
+    monkeypatch.setattr(verify, "_solve_angles", one_row_off)
+    check = next(c for c in verify.run_verification(["angles"]) if c.check_id == "angles.random-targets")
+    assert check.observed.startswith("99/100 solved, worst residual ")
+    assert not check.passed
+
+
+def test_stacked_densities_draw_the_per_density_stream():
+    stacked_rng, loop_rng = np.random.default_rng(1234), np.random.default_rng(1234)
+    stacked = verify._random_densities(stacked_rng, 50, 2)
+    looped = np.array([random_density(loop_rng, 2) for _ in range(50)])
+    assert np.array_equal(stacked, looped)
+    assert stacked_rng.normal() == loop_rng.normal()
