@@ -7,20 +7,15 @@ the positivity of partial transposes.
 """
 
 from .copier import (
-    BoundCheck,
     CopyGrid,
     CopyReport,
     CopyVariant,
-    CorrelationRow,
-    CorrelationTable,
     InputQubit,
     PreparationAngles,
     amplitudes_from_angles,
     copy_stage_network,
-    entanglement_distance_correlation,
     evaluate_grid,
     full_network,
-    negativity_bound_check,
     preparation_amplitudes,
     preparation_angles,
     preparation_network,
@@ -33,8 +28,6 @@ from .gates import (
     NetworkParseError,
     PureState,
     Rotation,
-    apply_cnot,
-    apply_rotation,
     density_of,
     parse_network,
     run_network,
@@ -53,13 +46,10 @@ from .separability import PptReport, ppt_verdict
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundCheck",
     "CNOT",
     "CopyGrid",
     "CopyReport",
     "CopyVariant",
-    "CorrelationRow",
-    "CorrelationTable",
     "GateNetwork",
     "InputQubit",
     "NetworkParseError",
@@ -68,17 +58,13 @@ __all__ = [
     "PureState",
     "Rotation",
     "amplitudes_from_angles",
-    "apply_cnot",
-    "apply_rotation",
     "copy_stage_network",
     "density_of",
-    "entanglement_distance_correlation",
     "evaluate_grid",
     "full_network",
     "hermitian_eigenvalues",
     "hs_distance",
     "kron",
-    "negativity_bound_check",
     "parse_network",
     "partial_trace",
     "partial_transpose",

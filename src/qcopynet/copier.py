@@ -7,11 +7,8 @@ sign of the middle preparation angle.  ``evaluate_grid`` runs the circuit
 once per variant on the two basis inputs |000> and |100>, then evaluates
 whole (theta, phi) grids as arrays: reduced states, scaling fits, fidelity
 splits, Hilbert-Schmidt distances and the a2a3 partial-transpose spectrum.
-``run_copier`` is its one-point case and returns a CopyReport; the
-triplicator's (d1, E) correlation table reads the same kernel.  The
-quarter-phase bound on the triplicator's negative eigenvalue E is stated
-once, as ``_negativity_bound`` next to the kernel; ``negativity_bound_check``
-and verify's ``bound`` group both read it.
+``run_copier`` is its one-point case and returns a CopyReport; sweeps and
+the verify grids read the same kernel.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ __all__ = [
     "CopyGrid",
     "QUBIT_LABELS",
     "PAIR_LABELS",
-    "PAIR_QUBITS",
     "METRICS",
     "preparation_amplitudes",
     "preparation_angles",
@@ -47,16 +43,10 @@ __all__ = [
     "full_network",
     "run_copier",
     "evaluate_grid",
-    "BoundCheck",
-    "negativity_bound_check",
-    "CorrelationRow",
-    "CorrelationTable",
-    "entanglement_distance_correlation",
 ]
 
 QUBIT_LABELS = ("a1", "a2", "a3")
 PAIR_LABELS = ("a2a3", "a1a2", "a1a3")
-PAIR_QUBITS = {"a2a3": (1, 2), "a1a2": (0, 1), "a1a3": (0, 2)}
 
 SCALING_RESIDUAL_TOL = 1e-10
 _PURITY_TOL = 1e-10
@@ -466,16 +456,6 @@ def evaluate_grid(variant: CopyVariant, thetas, phis, metrics=METRICS) -> CopyGr
     )
 
 
-def _negativity_bound(grid: CopyGrid) -> np.ndarray:
-    """The triplicator's quarter-phase bound -(1 + 4(sqrt(5)-2)|alpha|^2 |beta|^2)/6, per grid point.
-
-    At phi = pi/2 (mod pi) the a2a3 pair's minimum partial-transpose
-    eigenvalue E lies at or below it; the bound is attained at alpha = 0.
-    """
-    weight = np.abs(grid.alpha) ** 2 * grid.beta**2
-    return -(1.0 + 4.0 * (math.sqrt(5.0) - 2.0) * weight) / 6.0
-
-
 def run_copier(input_qubit: InputQubit, variant: CopyVariant) -> CopyReport:
     """Run the copying network on the input qubit and characterize the output.
 
@@ -493,91 +473,4 @@ def run_copier(input_qubit: InputQubit, variant: CopyVariant) -> CopyReport:
         d1={label: float(d[0]) for label, d in grid.d1.items()},
         d2={label: float(d[0]) for label, d in grid.d2.items()},
         d3=None if grid.d3 is None else float(grid.d3[0]),
-    )
-
-
-@dataclass(frozen=True)
-class BoundCheck:
-    """Comparison of the measured minimum eigenvalue E against its closed-form bound."""
-
-    min_eigenvalue: float
-    bound: float
-    satisfied: bool
-    gap: float
-
-
-def negativity_bound_check(input_qubit: InputQubit) -> BoundCheck:
-    """Check a triplicator pair's E against ``_negativity_bound`` at one input.
-
-    The bound describes the quarter-turn phase (phi = pi/2 mod pi), where
-    the negative eigenvalue is deepest; the input must carry such a phase.
-    The returned gap is bound - E, non-negative whenever the bound holds.
-    """
-    if abs(math.cos(input_qubit.phi)) > 1e-12:
-        raise ValueError("the negativity bound applies at phi = pi/2 (mod pi)")
-    grid = evaluate_grid(CopyVariant.TRIPLICATOR, [input_qubit.theta], [input_qubit.phi], {"E"})
-    bound = float(_negativity_bound(grid)[0])
-    e = float(grid.ppt_spectrum[0, 0])
-    return BoundCheck(
-        min_eigenvalue=e,
-        bound=bound,
-        satisfied=e <= bound + 1e-9,
-        gap=bound - e,
-    )
-
-
-@dataclass(frozen=True)
-class CorrelationRow:
-    theta: float
-    phi: float
-    d1: float
-    min_eigenvalue: float
-
-
-@dataclass(frozen=True)
-class CorrelationTable:
-    """Copy-distance vs. negative-eigenvalue table for the triplicator.
-
-    ``real_phase_deviation`` is the worst |E + 1/6| over rows with
-    phi = 0 or pi (None when the grid has no such rows): at those phases
-    the eigenvalue is pinned at -1/6 whatever the input amplitude.
-    ``minimum_at_quarter_phase`` reports whether, for every theta, the
-    eigenvalue at phi = pi/2 undercuts (within tolerance) every other
-    sampled phase; None when pi/2 is not on the grid.
-    """
-
-    rows: tuple[CorrelationRow, ...]
-    real_phase_deviation: float | None
-    minimum_at_quarter_phase: bool | None
-
-
-def entanglement_distance_correlation(theta_values, phi_values) -> CorrelationTable:
-    """Tabulate (d1, E) for triplicator runs over a (theta, phi) grid.
-
-    Rows are ordered theta-major.  d1 is the copy-qubit distance to the
-    ideal state; E is the minimum eigenvalue of the a2a3 pair's partial
-    transpose.
-    """
-    thetas = np.asarray(theta_values, dtype=float).reshape(-1)
-    phis = np.asarray(phi_values, dtype=float).reshape(-1)
-    grid = evaluate_grid(CopyVariant.TRIPLICATOR, thetas, phis, {"d1", "E"})
-    e = grid.ppt_spectrum[:, 0]
-    rows = [
-        CorrelationRow(theta=theta, phi=phi, d1=d1, min_eigenvalue=low)
-        for theta, phi, d1, low in zip(grid.theta.tolist(), grid.phi.tolist(), grid.d1["a2"].tolist(), e.tolist())
-    ]
-
-    # E on the (theta, phi) grid; the summaries reduce over the phi axis
-    by_theta = e.reshape(thetas.size, phis.size)
-    real = np.abs(np.sin(phis)) <= 1e-12
-    real_dev = float(np.max(np.abs(by_theta[:, real] + 1.0 / 6.0))) if real.any() else None
-    quarter = np.abs(phis - math.pi / 2.0) <= 1e-9
-    minimum_at_quarter = None
-    if quarter.any():
-        minimum_at_quarter = bool(np.all(by_theta[:, quarter].min(axis=1) <= by_theta.min(axis=1) + 1e-12))
-
-    return CorrelationTable(
-        rows=tuple(rows),
-        real_phase_deviation=real_dev,
-        minimum_at_quarter_phase=minimum_at_quarter,
     )

@@ -22,8 +22,6 @@ __all__ = [
     "CNOT",
     "Gate",
     "GateNetwork",
-    "apply_rotation",
-    "apply_cnot",
     "run_network",
     "density_of",
     "parse_network",
@@ -179,16 +177,6 @@ def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
         out[..., src ^ target_mask] = amps[..., src]
         return out
     raise TypeError(f"unknown gate type {type(gate).__name__}")
-
-
-def apply_rotation(state: PureState, target: int, theta: float) -> PureState:
-    """Rotate one qubit; identity on the rest."""
-    return PureState(_apply_gate(state.amplitudes, state.num_qubits, Rotation(target, theta)))
-
-
-def apply_cnot(state: PureState, control: int, target: int) -> PureState:
-    """Flip the target bit exactly on components where the control bit is 1."""
-    return PureState(_apply_gate(state.amplitudes, state.num_qubits, CNOT(control, target)))
 
 
 def run_network(state: PureState, net: GateNetwork | Iterable[Gate]) -> PureState:

@@ -8,6 +8,7 @@ identical in both formats and round-trip to the same doubles.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
@@ -62,6 +63,10 @@ class GridSpec:
     count: int
 
     def __post_init__(self) -> None:
+        try:
+            operator.index(self.count)
+        except TypeError:
+            raise ValueError(f"grid count must be an integer, got {self.count!r}") from None
         if not 1 <= self.count <= MAX_GRID_POINTS:
             raise ValueError(f"grid count must be between 1 and {MAX_GRID_POINTS}, got {self.count:.6g}")
         for edge in (self.start, self.stop):

@@ -30,11 +30,9 @@ from .copier import (
     CopyGrid,
     CopyVariant,
     _amplitudes_from_angles,
-    _negativity_bound,
+    _basis_outputs,
     _solve_angles,
-    entanglement_distance_correlation,
     evaluate_grid,
-    full_network,
     preparation_amplitudes,
     preparation_angles,
     preparation_network,
@@ -96,6 +94,16 @@ def _check(check_id, description, expected, tolerance, error, observed=None):
 
 def _phase_weight(grid: CopyGrid) -> np.ndarray:
     return np.abs(grid.alpha) ** 2 * grid.beta**2 * np.sin(grid.phi) ** 2
+
+
+def _negativity_bound(grid: CopyGrid) -> np.ndarray:
+    """The triplicator's quarter-phase bound -(1 + 4(sqrt(5)-2)|alpha|^2 |beta|^2)/6, per grid point.
+
+    At phi = pi/2 (mod pi) the a2a3 pair's minimum partial-transpose
+    eigenvalue E lies at or below it; the bound is attained at alpha = 0.
+    """
+    weight = np.abs(grid.alpha) ** 2 * grid.beta**2
+    return -(1.0 + 4.0 * (math.sqrt(5.0) - 2.0) * weight) / 6.0
 
 
 def _max_dev(a, b) -> float:
@@ -174,7 +182,7 @@ def _prep_checks(suite: _Suite) -> list[VerifyCheck]:
 
 
 def _basis_checks(suite: _Suite) -> list[VerifyCheck]:
-    net = full_network(CopyVariant.DUPLICATOR)
+    outputs = _basis_outputs(CopyVariant.DUPLICATOR)
     expected0 = np.zeros(8, dtype=complex)
     expected0[0b000] = math.sqrt(2.0 / 3.0)
     expected0[0b101] = 1.0 / math.sqrt(6.0)
@@ -183,8 +191,8 @@ def _basis_checks(suite: _Suite) -> list[VerifyCheck]:
     expected1[0b111] = math.sqrt(2.0 / 3.0)
     expected1[0b001] = 1.0 / math.sqrt(6.0)
     expected1[0b010] = 1.0 / math.sqrt(6.0)
-    err0 = float(np.max(np.abs(run_network(PureState.computational(3, 0b000), net).amplitudes - expected0)))
-    err1 = float(np.max(np.abs(run_network(PureState.computational(3, 0b100), net).amplitudes - expected1)))
+    err0 = float(np.max(np.abs(outputs[0] - expected0)))
+    err1 = float(np.max(np.abs(outputs[1] - expected1)))
     return [
         _check(
             "basis.zero-input",
@@ -475,10 +483,13 @@ def _bound_checks(suite: _Suite) -> list[VerifyCheck]:
     excess = float(np.max(e - bound))
     gap_small = abs(float(bound[0] - e[0]))  # theta = 0, where |alpha| = 0
 
-    table = entanglement_distance_correlation(
-        np.linspace(0.0, math.pi / 2.0, 10), [0.0, math.pi / 2.0, math.pi]
+    # E at phi = 0, pi/2, pi (columns) for 10 amplitudes (rows)
+    phases = evaluate_grid(
+        CopyVariant.TRIPLICATOR, np.linspace(0.0, math.pi / 2.0, 10), (0.0, math.pi / 2.0, math.pi), {"E"}
     )
-    minimal = table.minimum_at_quarter_phase
+    by_phase = phases.ppt_spectrum[:, 0].reshape(10, 3)
+    real_dev = float(np.max(np.abs(by_phase[:, [0, 2]] + 1.0 / 6.0)))
+    minimal = bool(np.all(by_phase[:, 1] <= by_phase.min(axis=1) + 1e-12))
     return [
         _check(
             "bound.inequality",
@@ -500,7 +511,7 @@ def _bound_checks(suite: _Suite) -> list[VerifyCheck]:
             "E = -1/6 at phi in {0, pi} independent of the input amplitude",
             "-1/6",
             1e-10,
-            table.real_phase_deviation if table.real_phase_deviation is not None else math.inf,
+            real_dev,
         ),
         _check(
             "bound.minimum-at-quarter-phase",

@@ -475,6 +475,12 @@ def test_gridspec_validation():
     assert list(GridSpec(0.5, 0.5, 1).values()) == [0.5]
 
 
+@pytest.mark.parametrize("count", [2.5, 3.0])
+def test_gridspec_rejects_a_non_integer_count(count):
+    with pytest.raises(ValueError, match="grid count must be an integer"):
+        GridSpec(0.0, 1.0, count)
+
+
 def test_sweepspec_rejects_unknown_metric():
     with pytest.raises(ValueError, match="unknown metrics"):
         SweepSpec(

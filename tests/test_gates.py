@@ -10,8 +10,6 @@ from qcopynet.gates import (
     NetworkParseError,
     PureState,
     Rotation,
-    apply_cnot,
-    apply_rotation,
     density_of,
     parse_network,
     run_network,
@@ -28,30 +26,30 @@ def state(*amps):
 
 def test_rotation_zero_angle_is_identity(rng):
     psi = PureState(random_pure(rng, 3))
-    out = apply_rotation(psi, 1, 0.0)
+    out = run_network(psi, [Rotation(1, 0.0)])
     assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-15
 
 
 def test_rotation_quarter_turn_maps_zero_to_one():
-    out = apply_rotation(state(1, 0), 0, math.pi / 2.0)
+    out = run_network(state(1, 0), [Rotation(0, math.pi / 2.0)])
     assert np.max(np.abs(out.amplitudes - np.array([0.0, 1.0]))) < 1e-15
 
 
 def test_rotation_eighth_turn_amplitudes():
-    out = apply_rotation(state(1, 0), 0, math.pi / 8.0)
+    out = run_network(state(1, 0), [Rotation(0, math.pi / 8.0)])
     expected = np.array([math.cos(math.pi / 8.0), math.sin(math.pi / 8.0)])
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-15
 
 
 def test_rotation_on_one_component():
-    out = apply_rotation(state(0, 1), 0, 0.3)
+    out = run_network(state(0, 1), [Rotation(0, 0.3)])
     expected = np.array([-math.sin(0.3), math.cos(0.3)])
     assert np.max(np.abs(out.amplitudes - expected)) < 1e-15
 
 
 def test_rotation_index_out_of_range():
     with pytest.raises(ValueError, match="out of range"):
-        apply_rotation(state(1, 0), 1, 0.1)
+        run_network(state(1, 0), [Rotation(1, 0.1)])
 
 
 # ------------------------------------------------------------------ cnot
@@ -61,7 +59,7 @@ def test_rotation_index_out_of_range():
     [(0b00, 0b00), (0b01, 0b01), (0b10, 0b11), (0b11, 0b10)],
 )
 def test_cnot_truth_table(basis_in, basis_out):
-    out = apply_cnot(PureState.computational(2, basis_in), 0, 1)
+    out = run_network(PureState.computational(2, basis_in), [CNOT(0, 1)])
     expected = PureState.computational(2, basis_out)
     assert np.array_equal(out.amplitudes, expected.amplitudes)
 
@@ -70,13 +68,11 @@ def test_cnot_involution_on_random_states(rng):
     for _ in range(100):
         psi = PureState(random_pure(rng, 3))
         control, target = rng.choice(3, size=2, replace=False)
-        back = apply_cnot(apply_cnot(psi, control, target), control, target)
+        back = run_network(run_network(psi, [CNOT(control, target)]), [CNOT(control, target)])
         assert np.max(np.abs(back.amplitudes - psi.amplitudes)) < 1e-15
 
 
 def test_cnot_rejects_equal_control_and_target():
-    with pytest.raises(ValueError, match="differ"):
-        apply_cnot(PureState.computational(2, 0), 1, 1)
     with pytest.raises(ValueError, match="differ"):
         CNOT(0, 0)
 
@@ -186,9 +182,9 @@ def test_random_networks_preserve_norm(seed, num_qubits):
     for _ in range(20):
         if num_qubits > 1 and rng.random() < 0.5:
             control, target = rng.choice(num_qubits, size=2, replace=False)
-            psi = apply_cnot(psi, int(control), int(target))
+            psi = run_network(psi, [CNOT(int(control), int(target))])
         else:
-            psi = apply_rotation(psi, int(rng.integers(num_qubits)), float(rng.uniform(-7, 7)))
+            psi = run_network(psi, [Rotation(int(rng.integers(num_qubits)), float(rng.uniform(-7, 7)))])
     assert abs(float(np.sum(np.abs(psi.amplitudes) ** 2)) - 1.0) < 1e-12
 
 

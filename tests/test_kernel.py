@@ -8,7 +8,6 @@ import pytest
 from qcopynet import linalg
 from qcopynet.copier import (
     METRICS,
-    PAIR_QUBITS,
     QUBIT_LABELS,
     CopyVariant,
     InputQubit,
@@ -20,6 +19,8 @@ from qcopynet.gates import PureState, density_of, run_network
 from qcopynet.report import GridSpec, SweepSpec, sweep_rows
 from qcopynet.separability import ppt_spectrum
 
+# register qubits of each output pair, keyed as in CopyReport
+PAIR_QUBITS = {"a2a3": (1, 2), "a1a2": (0, 1), "a1a3": (0, 2)}
 VARIANTS = (CopyVariant.DUPLICATOR, CopyVariant.TRIPLICATOR)
 # Batched and per-point arithmetic round differently; no sweep cell (all of
 # magnitude <= 2) may move by more than this.

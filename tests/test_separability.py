@@ -6,13 +6,13 @@ import pytest
 from qcopynet import (
     CopyVariant,
     InputQubit,
-    entanglement_distance_correlation,
+    evaluate_grid,
     kron,
-    negativity_bound_check,
     ppt_verdict,
     run_copier,
 )
 from qcopynet.separability import ppt_spectrum
+from qcopynet.verify import _negativity_bound
 
 from conftest import random_density
 
@@ -104,93 +104,79 @@ def test_ppt_spectrum_rejects_one_qubit_stack_and_verdict_rejects_a_stack(rng):
 
 # ------------------------------------------------------------------ bound
 
+def bound_and_eigenvalue(thetas, phi=math.pi / 2.0):
+    """The closed-form bound and the measured E of the triplicator's a2a3 pair, per theta."""
+    grid = evaluate_grid(CopyVariant.TRIPLICATOR, thetas, [phi], {"E"})
+    return _negativity_bound(grid), grid.ppt_spectrum[:, 0]
+
+
 def test_bound_at_basis_input():
-    result = negativity_bound_check(InputQubit(0.0, math.pi / 2.0))
-    assert abs(result.bound + 1.0 / 6.0) < 1e-15
-    assert abs(result.min_eigenvalue + 1.0 / 6.0) < 1e-12
-    assert abs(result.gap) < 1e-12
-    assert result.satisfied
+    (bound,), (e,) = bound_and_eigenvalue([0.0])
+    assert abs(bound + 1.0 / 6.0) < 1e-15
+    assert abs(e + 1.0 / 6.0) < 1e-12
+    assert abs(bound - e) < 1e-12
 
 
 def test_bound_value_at_balanced_input():
     # |alpha|^2 = 1/2: bound = -(1 + (sqrt(5) - 2))/6 = -(sqrt(5) - 1)/6
-    result = negativity_bound_check(InputQubit(math.pi / 4.0, math.pi / 2.0))
-    assert abs(result.bound + (SQRT5 - 1.0) / 6.0) < 1e-12
-    assert result.satisfied
+    (bound,), (e,) = bound_and_eigenvalue([math.pi / 4.0])
+    assert abs(bound + (SQRT5 - 1.0) / 6.0) < 1e-12
+    assert e <= bound + 1e-9
 
 
 def test_bound_holds_over_amplitude_grid():
-    for theta in np.linspace(0.0, math.pi / 2.0, 50):
-        result = negativity_bound_check(InputQubit(float(theta), math.pi / 2.0))
-        assert result.min_eigenvalue <= result.bound + 1e-9
-        assert result.gap >= -1e-9
+    bound, e = bound_and_eigenvalue(np.linspace(0.0, math.pi / 2.0, 50))
+    assert bound.shape == e.shape == (50,)
+    assert np.all(e <= bound + 1e-9)
 
 
-def test_bound_requires_quarter_phase():
-    with pytest.raises(ValueError, match="pi/2"):
-        negativity_bound_check(InputQubit(0.3, 0.0))
-    # 3*pi/2 has the same physics and is accepted
-    assert negativity_bound_check(InputQubit(0.3, 3.0 * math.pi / 2.0)).satisfied
+def test_bound_holds_at_three_quarter_phase():
+    # 3*pi/2 has the same physics as pi/2
+    bound, e = bound_and_eigenvalue([0.3], 3.0 * math.pi / 2.0)
+    assert e[0] <= bound[0] + 1e-9
 
 
 # ------------------------------------------------------------ correlation
 
+CORRELATION_PHIS = [0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi]
+
+
 @pytest.fixture(scope="module")
 def correlation():
-    thetas = np.linspace(0.0, math.pi / 2.0, 6)
-    phis = [0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math.pi]
-    return entanglement_distance_correlation(thetas, phis)
-
-
-def test_correlation_rows_ordered_theta_major(correlation):
-    thetas = [row.theta for row in correlation.rows]
-    assert thetas == sorted(thetas)
-    assert len(correlation.rows) == 30
+    """The triplicator's copy distance d1 and pair eigenvalue E on a (theta, phi) grid, shape (6, 5) each."""
+    grid = evaluate_grid(CopyVariant.TRIPLICATOR, np.linspace(0.0, math.pi / 2.0, 6), CORRELATION_PHIS, {"d1", "E"})
+    return grid.d1["a2"].reshape(6, 5), grid.ppt_spectrum[:, 0].reshape(6, 5)
 
 
 def test_correlation_real_phase_rows(correlation):
-    for row in correlation.rows:
-        if row.phi in (0.0, math.pi):
-            assert abs(row.min_eigenvalue + 1.0 / 6.0) < 1e-10
-            assert abs(row.d1 - 1.0 / 18.0) < 1e-10
-    assert correlation.real_phase_deviation is not None
-    assert correlation.real_phase_deviation < 1e-10
+    d1, e = correlation
+    real = [0, 4]  # phi = 0 and pi
+    assert np.max(np.abs(e[:, real] + 1.0 / 6.0)) < 1e-10
+    assert np.max(np.abs(d1[:, real] - 1.0 / 18.0)) < 1e-10
 
 
 def test_correlation_minimum_at_quarter_phase(correlation):
-    assert correlation.minimum_at_quarter_phase is True
-    for theta in {row.theta for row in correlation.rows}:
-        group = [row for row in correlation.rows if row.theta == theta]
-        at_quarter = next(r.min_eigenvalue for r in group if r.phi == math.pi / 2.0)
-        assert at_quarter <= min(r.min_eigenvalue for r in group) + 1e-12
+    _, e = correlation
+    assert np.all(e[:, 2] <= e.min(axis=1) + 1e-12)  # phi = pi/2
 
 
 def test_correlation_distance_tracks_eigenvalue(correlation):
-    # rows with a larger d1 never carry a higher (less negative) eigenvalue
-    for theta in {row.theta for row in correlation.rows}:
-        group = sorted((r for r in correlation.rows if r.theta == theta), key=lambda r: r.d1)
-        eigs = [r.min_eigenvalue for r in group]
-        for earlier, later in zip(eigs[:-1], eigs[1:]):
-            assert later <= earlier + 1e-10
-
-
-def test_correlation_without_quarter_phase_grid():
-    table = entanglement_distance_correlation([0.3], [0.0, math.pi])
-    assert table.minimum_at_quarter_phase is None
-    assert table.real_phase_deviation < 1e-10
+    # at fixed theta, a larger d1 never carries a higher (less negative) eigenvalue
+    for d1, e in zip(*correlation):
+        eigs = e[np.argsort(d1, kind="stable")]
+        assert np.all(eigs[1:] <= eigs[:-1] + 1e-10)
 
 
 def test_eigenvalue_phase_profile_dense_grid():
     # 100-point phase grid at fixed amplitude: maximum -1/6 at phi in {0, pi},
     # minimum at phi = pi/2 (and its mirror 3*pi/2)
     phis = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
-    table = entanglement_distance_correlation([0.6], phis)
-    eigs = {row.phi: row.min_eigenvalue for row in table.rows}
-    top = max(eigs.values())
+    eigs = evaluate_grid(CopyVariant.TRIPLICATOR, [0.6], phis, {"E"}).ppt_spectrum[:, 0]
+    top = eigs.max()
     assert abs(top + 1.0 / 6.0) < 1e-10
-    assert abs(eigs[0.0] - top) < 1e-12
-    assert abs(eigs[phis[50]] - top) < 1e-12  # phi = pi
-    bottom = min(eigs.values())
-    assert abs(eigs[phis[25]] - bottom) < 1e-12  # phi = pi/2
-    assert abs(eigs[phis[75]] - bottom) < 1e-12  # phi = 3*pi/2
+    assert abs(eigs[0] - top) < 1e-12
+    assert abs(eigs[50] - top) < 1e-12  # phi = pi
+    bottom = eigs.min()
+    assert abs(eigs[25] - bottom) < 1e-12  # phi = pi/2
+    assert abs(eigs[75] - bottom) < 1e-12  # phi = 3*pi/2
     assert bottom < top - 1e-3
