@@ -4,6 +4,17 @@ Each check computes an observed worst-case deviation over a parameter grid
 and compares it against a pinned tolerance.  The suite is deterministic:
 grids are fixed and the randomized property checks run from fixed seeds.
 
+The checks are one table, ``_LAWS``: a row per check holds its id,
+description, expected text and pinned tolerance, in canonical verify order.
+A check's group is its id prefix, and ``GROUP_ORDER`` is the order in which
+the groups first appear there.  Each group's function computes only its
+results, one per row of the group and in table order: a float error, shown
+as ``max deviation``, or an ``(error, observed)`` pair for a check with its
+own observed text.  ``run_verification`` pairs each group's rows with its
+results, and a count mismatch raises, so no result can land on the wrong row.
+The tolerance, pinned or overridden, is applied there too.  A new law is one
+table row plus its error in the group function.
+
 Checks run on stacks.  The angle solver takes all of its targets in one
 call, and the three shared copier grids evaluate only the metrics their
 checks read.  The randomized property checks draw their densities and
@@ -19,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,6 +63,7 @@ __all__ = [
 
 _THETAS = np.linspace(0.0, math.pi / 2.0, 20)
 _PHIS = np.linspace(0.0, 2.0 * math.pi, 20, endpoint=False)
+_GRID_SIZE = _THETAS.size * _PHIS.size
 
 # Halvings of the bracket [-|H|_inf, |H|_inf]; 2**-64 of its width is below double precision.
 _BISECTION_STEPS = 64
@@ -62,6 +74,88 @@ _DUP_PAIR_SPECTRUM = np.sort([(2.0 - _SQRT5) / 6.0, 1.0 / 6.0, 1.0 / 6.0, (2.0 +
 _TRIP_PAIR_SPECTRUM = np.sort(
     [-1.0 / 6.0, (5.0 - _SQRT17) / 12.0, 1.0 / 3.0, (5.0 + _SQRT17) / 12.0]
 )
+
+# Every check in canonical verify order: (check_id, description, expected, tolerance).
+_LAWS = (
+    ("prep.duplicator-state", "preparation stage on |00> yields (2|00> + |01> + |10>)/sqrt(6)",
+     "amplitudes (2, 1, 1, 0)/sqrt(6)", 1e-12),
+    ("basis.zero-input", "|0> input maps to sqrt(2/3)|000> + (|101> + |110>)/sqrt(6)",
+     "pinned amplitude pattern", 1e-12),
+    ("basis.one-input", "|1> input maps to sqrt(2/3)|111> + (|001> + |010>)/sqrt(6)",
+     "pinned amplitude pattern", 1e-12),
+    ("fidelity.copies-identical", f"the two copies carry identical reduced states ({_GRID_SIZE} grid points)",
+     "entrywise equality", 1e-12),
+    ("fidelity.ideal-weight", f"each copy carries weight 5/6 on the input state ({_GRID_SIZE} grid points)",
+     "5/6", 1e-10),
+    ("fidelity.orthogonal-weight", f"each copy carries weight 1/6 on the orthogonal state ({_GRID_SIZE} grid points)",
+     "1/6", 1e-10),
+    ("scaling.factor", "every copy fits s*ideal + (1-s)/2 * I with s = 2/3 (fit residual <= 1e-10)",
+     "s = 2/3", 1e-10),
+    ("distance.single-copy", "single-copy distance to the ideal state is 1/18 for every input",
+     "1/18", 1e-10),
+    ("distance.copy-pair", "copy-pair distance to the ideal two-qubit state is 2/9 for every input",
+     "2/9", 1e-10),
+    ("original.transpose-law", "the original qubit ends in transpose(rho_in)/3 + I/3",
+     "entrywise match", 1e-10),
+    ("original.distance-formula", "d1(original) = (2/9)(1 + 12 |alpha|^2 |beta|^2 sin^2(phi))",
+     "closed-form value per grid point", 1e-10),
+    ("ppt.duplicator-spectrum",
+     "partial-transpose spectrum is {(2-sqrt(5))/6, 1/6, 1/6, (2+sqrt(5))/6} for every input",
+     "input-independent spectrum", 1e-10),
+    ("ppt.duplicator-verdict", "the copy pair is inseparable for every input",
+     f"{_GRID_SIZE}/{_GRID_SIZE} grid points inseparable", 0.5),
+    ("trip-prep.blank-state", "preparation stage on |00> yields (3|00> + |01> + |10> + |11>)/sqrt(12)",
+     "amplitudes (3, 1, 1, 1)/sqrt(12)", 1e-12),
+    ("trip-prep.output-pattern",
+     "triplicator output is (3a|000> + a(|011>+|101>+|110>) + 3b|111> + b(|001>+|010>+|100>))/sqrt(12)",
+     "coefficient pattern at spot-check inputs", 1e-12),
+    ("trip-real.equal-reductions", "all three output qubits carry the same reduced state",
+     "entrywise equality", 1e-12),
+    ("trip-real.scaling", "every output qubit fits the scaled form with s = 2/3",
+     "s = 2/3", 1e-10),
+    ("trip-real.pair-matrix", "every pair reduction matches the closed-form matrix (descending-basis pattern)",
+     "closed-form pair matrix", 1e-10),
+    ("trip-real.d1", "single-copy distance is 1/18", "1/18", 1e-10),
+    ("trip-real.d2", "pair distance is 2/9", "2/9", 1e-10),
+    ("trip-real.d3", "three-qubit distance is 1/2", "1/2", 1e-10),
+    ("trip-real.pair-spectrum", "pair partial-transpose spectrum is {-1/6, (5-sqrt(17))/12, 1/3, (5+sqrt(17))/12}",
+     "input-independent spectrum", 1e-10),
+    ("trip-complex.single-matrix", "output qubits match the closed-form single-qubit matrix",
+     "closed-form matrix per grid point", 1e-10),
+    ("trip-complex.d1", "d1 = (1/18)(1 + 12 |alpha|^2 |beta|^2 sin^2(phi))",
+     "closed-form value per grid point", 1e-10),
+    ("trip-complex.d2", "d2 = (2/9)(1 + 12 |alpha|^2 |beta|^2 sin^2(phi))",
+     "closed-form value per grid point", 1e-10),
+    ("trip-complex.d3", "d3 = (1/2)(1 + 12 |alpha|^2 |beta|^2 sin^2(phi))",
+     "closed-form value per grid point", 1e-10),
+    ("trip-complex.no-scaled-form", "no scaling fit exists whenever |alpha|^2 |beta|^2 sin^2(phi) > 1e-6",
+     "scaling absent on all such grid points", 0.5),
+    ("bound.inequality", "E <= -(1 + 4(sqrt(5)-2)|alpha|^2 |beta|^2)/6 over 50 inputs at quarter phase",
+     "E - bound <= 0", 1e-9),
+    ("bound.tight-at-zero", "the bound is attained as |alpha| -> 0", "gap 0 at alpha = 0", 1e-9),
+    ("bound.real-phase-eigenvalue", "E = -1/6 at phi in {0, pi} independent of the input amplitude",
+     "-1/6", 1e-10),
+    ("bound.minimum-at-quarter-phase", "for fixed amplitude, E is lowest at phi = pi/2",
+     "minimum at quarter phase for every amplitude", 0.5),
+    ("angles.duplicator-recovery", "solver recovers the closed-form duplicator angles",
+     "(pi/8, -+asin(sqrt(1/2 - sqrt(2)/3)), pi/8)", 1e-9),
+    ("angles.triplicator-recovery", "solver recovers the closed-form triplicator angles",
+     "(pi/8, -+asin(sqrt(1/2 - sqrt(2)/3)), pi/8)", 1e-9),
+    ("angles.random-targets", "solver reproduces 100 random normalized amplitude targets",
+     "residual <= 1e-10 on every solve", 1e-10),
+    ("properties.gate-involution", "CNOT twice and rotation by +t then -t restore 100 random states",
+     "identity", 1e-12),
+    ("properties.gate-commutation", "gates on disjoint qubits commute on 100 random states",
+     "order independence", 1e-12),
+    ("properties.transpose-involution", "partial transpose applied twice restores random densities",
+     "entrywise identity", 1e-12),
+    ("properties.trace-preservation", "partial-transpose spectra sum to 1; reductions keep unit trace",
+     "unit trace", 1e-10),
+    ("properties.eigenvalue-oracle", "LAPACK eigenvalues match inertia bisection on 100 random matrices",
+     "route agreement", 1e-9),
+)
+
+GROUP_ORDER = tuple(dict.fromkeys(law[0].split(".", 1)[0] for law in _LAWS))
 
 
 @dataclass(frozen=True)
@@ -76,20 +170,6 @@ class VerifyCheck:
     tolerance: float
     error: float
     passed: bool
-
-
-def _check(check_id, description, expected, tolerance, error, observed=None):
-    """A VerifyCheck whose group is the check-id prefix before the first dot."""
-    return VerifyCheck(
-        check_id=check_id,
-        group=check_id.split(".", 1)[0],
-        description=description,
-        expected=expected,
-        observed=observed if observed is not None else f"max deviation {error:.3e}",
-        tolerance=tolerance,
-        error=float(error),
-        passed=float(error) <= tolerance,
-    )
 
 
 def _phase_weight(grid: CopyGrid) -> np.ndarray:
@@ -108,6 +188,22 @@ def _negativity_bound(grid: CopyGrid) -> np.ndarray:
 
 def _max_dev(a, b) -> float:
     return float(np.max(np.abs(a - b)))
+
+
+def _flag(holds: bool, observed: str) -> tuple[float, str]:
+    """A pass/fail law as an error: 0 when it holds and inf when not, pinned at tolerance 0.5."""
+    return (0.0 if holds else math.inf), observed
+
+
+def _prep_error(variant: CopyVariant) -> float:
+    state = run_network(PureState.computational(2, 0), preparation_network(preparation_angles(variant)))
+    return _max_dev(state.amplitudes, preparation_amplitudes(variant))
+
+
+def _scaling_error(s: np.ndarray) -> float | tuple[float, str]:
+    """Deviation of the fitted scaling factors from 2/3; with any fit missing, inf and a count."""
+    missing = int(np.count_nonzero(np.isnan(s)))
+    return (math.inf, f"{missing} copies without a scaling fit") if missing else _max_dev(s, 2.0 / 3.0)
 
 
 def _triplicator_single_expected(grid: CopyGrid) -> np.ndarray:
@@ -145,7 +241,7 @@ def _triplicator_output_expected(grid: CopyGrid) -> np.ndarray:
 
 
 class _Suite:
-    """Shared grids for the check builders, each evaluated on first use."""
+    """Shared grids for the group functions, each evaluated on first use."""
 
     @functools.cached_property
     def duplicator_grid(self) -> CopyGrid:
@@ -163,25 +259,11 @@ class _Suite:
         return evaluate_grid(CopyVariant.TRIPLICATOR, _THETAS, (0.0, math.pi), {"d1", "d2", "d3", "s"})
 
 
-def _prep_checks(suite: _Suite) -> list[VerifyCheck]:
-    state = run_network(
-        PureState.computational(2, 0),
-        preparation_network(preparation_angles(CopyVariant.DUPLICATOR)),
-    )
-    target = preparation_amplitudes(CopyVariant.DUPLICATOR)
-    err = float(np.max(np.abs(state.amplitudes - target)))
-    return [
-        _check(
-            "prep.duplicator-state",
-            "preparation stage on |00> yields (2|00> + |01> + |10>)/sqrt(6)",
-            "amplitudes (2, 1, 1, 0)/sqrt(6)",
-            1e-12,
-            err,
-        )
-    ]
+def _prep_results(suite: _Suite) -> list:
+    return [_prep_error(CopyVariant.DUPLICATOR)]
 
 
-def _basis_checks(suite: _Suite) -> list[VerifyCheck]:
+def _basis_results(suite: _Suite) -> list:
     outputs = _basis_outputs(CopyVariant.DUPLICATOR)
     expected0 = np.zeros(8, dtype=complex)
     expected0[0b000] = math.sqrt(2.0 / 3.0)
@@ -191,283 +273,84 @@ def _basis_checks(suite: _Suite) -> list[VerifyCheck]:
     expected1[0b111] = math.sqrt(2.0 / 3.0)
     expected1[0b001] = 1.0 / math.sqrt(6.0)
     expected1[0b010] = 1.0 / math.sqrt(6.0)
-    err0 = float(np.max(np.abs(outputs[0] - expected0)))
-    err1 = float(np.max(np.abs(outputs[1] - expected1)))
-    return [
-        _check(
-            "basis.zero-input",
-            "|0> input maps to sqrt(2/3)|000> + (|101> + |110>)/sqrt(6)",
-            "pinned amplitude pattern",
-            1e-12,
-            err0,
-        ),
-        _check(
-            "basis.one-input",
-            "|1> input maps to sqrt(2/3)|111> + (|001> + |010>)/sqrt(6)",
-            "pinned amplitude pattern",
-            1e-12,
-            err1,
-        ),
-    ]
+    return [_max_dev(outputs[0], expected0), _max_dev(outputs[1], expected1)]
 
 
-def _fidelity_checks(suite: _Suite) -> list[VerifyCheck]:
+def _fidelity_results(suite: _Suite) -> list:
     grid = suite.duplicator_grid
     weights = np.stack([grid.fidelity["a2"], grid.fidelity["a3"]])
-    err_ideal = float(np.max(np.abs(weights[..., 0] - 5.0 / 6.0)))
-    err_orth = float(np.max(np.abs(weights[..., 1] - 1.0 / 6.0)))
-    err_equal = _max_dev(grid.qubit_reductions["a2"], grid.qubit_reductions["a3"])
-    points = f"{grid.theta.size} grid points"
     return [
-        _check(
-            "fidelity.copies-identical",
-            f"the two copies carry identical reduced states ({points})",
-            "entrywise equality",
-            1e-12,
-            err_equal,
-        ),
-        _check(
-            "fidelity.ideal-weight",
-            f"each copy carries weight 5/6 on the input state ({points})",
-            "5/6",
-            1e-10,
-            err_ideal,
-        ),
-        _check(
-            "fidelity.orthogonal-weight",
-            f"each copy carries weight 1/6 on the orthogonal state ({points})",
-            "1/6",
-            1e-10,
-            err_orth,
-        ),
+        _max_dev(grid.qubit_reductions["a2"], grid.qubit_reductions["a3"]),
+        _max_dev(weights[..., 0], 5.0 / 6.0),
+        _max_dev(weights[..., 1], 1.0 / 6.0),
     ]
 
 
-def _scaling_checks(suite: _Suite) -> list[VerifyCheck]:
+def _scaling_results(suite: _Suite) -> list:
     grid = suite.duplicator_grid
-    s = np.concatenate([grid.scaling["a2"], grid.scaling["a3"]])
-    missing = int(np.count_nonzero(np.isnan(s)))
-    err = math.inf if missing else float(np.max(np.abs(s - 2.0 / 3.0)))
-    observed = f"max deviation {err:.3e}" if not missing else f"{missing} copies without a scaling fit"
-    return [
-        _check(
-            "scaling.factor",
-            "every copy fits s*ideal + (1-s)/2 * I with s = 2/3 (fit residual <= 1e-10)",
-            "s = 2/3",
-            1e-10,
-            err,
-            observed,
-        )
-    ]
+    return [_scaling_error(np.concatenate([grid.scaling["a2"], grid.scaling["a3"]]))]
 
 
-def _distance_checks(suite: _Suite) -> list[VerifyCheck]:
+def _distance_results(suite: _Suite) -> list:
     grid = suite.duplicator_grid
-    err_d1 = max(_max_dev(grid.d1["a2"], 1.0 / 18.0), _max_dev(grid.d1["a3"], 1.0 / 18.0))
-    err_d2 = _max_dev(grid.d2["a2a3"], 2.0 / 9.0)
     return [
-        _check(
-            "distance.single-copy",
-            "single-copy distance to the ideal state is 1/18 for every input",
-            "1/18",
-            1e-10,
-            err_d1,
-        ),
-        _check(
-            "distance.copy-pair",
-            "copy-pair distance to the ideal two-qubit state is 2/9 for every input",
-            "2/9",
-            1e-10,
-            err_d2,
-        ),
+        max(_max_dev(grid.d1["a2"], 1.0 / 18.0), _max_dev(grid.d1["a3"], 1.0 / 18.0)),
+        _max_dev(grid.d2["a2a3"], 2.0 / 9.0),
     ]
 
 
-def _original_checks(suite: _Suite) -> list[VerifyCheck]:
+def _original_results(suite: _Suite) -> list:
     grid = suite.duplicator_grid
     psi = np.stack([grid.alpha, grid.beta], axis=1)
     rho_in = psi[:, :, None] * psi.conj()[:, None, :]
-    err_law = _max_dev(grid.qubit_reductions["a1"], np.swapaxes(rho_in, 1, 2) / 3.0 + np.eye(2) / 3.0)
-    err_d1 = _max_dev(grid.d1["a1"], (2.0 / 9.0) * (1.0 + 12.0 * _phase_weight(grid)))
     return [
-        _check(
-            "original.transpose-law",
-            "the original qubit ends in transpose(rho_in)/3 + I/3",
-            "entrywise match",
-            1e-10,
-            err_law,
-        ),
-        _check(
-            "original.distance-formula",
-            "d1(original) = (2/9)(1 + 12 |alpha|^2 |beta|^2 sin^2(phi))",
-            "closed-form value per grid point",
-            1e-10,
-            err_d1,
-        ),
+        _max_dev(grid.qubit_reductions["a1"], np.swapaxes(rho_in, 1, 2) / 3.0 + np.eye(2) / 3.0),
+        _max_dev(grid.d1["a1"], (2.0 / 9.0) * (1.0 + 12.0 * _phase_weight(grid))),
     ]
 
 
-def _ppt_checks(suite: _Suite) -> list[VerifyCheck]:
+def _ppt_results(suite: _Suite) -> list:
     grid = suite.duplicator_grid
-    err_spec = _max_dev(grid.ppt_spectrum, _DUP_PAIR_SPECTRUM)
     not_inseparable = int(np.count_nonzero(grid.ppt_spectrum[:, 0] >= -INSEPARABILITY_TOL))
     total = grid.theta.size
     return [
-        _check(
-            "ppt.duplicator-spectrum",
-            "partial-transpose spectrum is {(2-sqrt(5))/6, 1/6, 1/6, (2+sqrt(5))/6} for every input",
-            "input-independent spectrum",
-            1e-10,
-            err_spec,
-        ),
-        _check(
-            "ppt.duplicator-verdict",
-            "the copy pair is inseparable for every input",
-            f"{total}/{total} grid points inseparable",
-            0.5,
-            0.0 if not_inseparable == 0 else math.inf,
-            f"{total - not_inseparable}/{total} grid points inseparable",
-        ),
+        _max_dev(grid.ppt_spectrum, _DUP_PAIR_SPECTRUM),
+        _flag(not_inseparable == 0, f"{total - not_inseparable}/{total} grid points inseparable"),
     ]
 
 
-def _trip_prep_checks(suite: _Suite) -> list[VerifyCheck]:
-    state = run_network(
-        PureState.computational(2, 0),
-        preparation_network(preparation_angles(CopyVariant.TRIPLICATOR)),
-    )
-    target = preparation_amplitudes(CopyVariant.TRIPLICATOR)
-    err_prep = float(np.max(np.abs(state.amplitudes - target)))
-
+def _trip_prep_results(suite: _Suite) -> list:
     spots = evaluate_grid(CopyVariant.TRIPLICATOR, (0.0, math.pi / 8.0, math.pi / 4.0), (0.0, math.pi / 2.0), ())
-    err_out = _max_dev(spots.states, _triplicator_output_expected(spots))
-    return [
-        _check(
-            "trip-prep.blank-state",
-            "preparation stage on |00> yields (3|00> + |01> + |10> + |11>)/sqrt(12)",
-            "amplitudes (3, 1, 1, 1)/sqrt(12)",
-            1e-12,
-            err_prep,
-        ),
-        _check(
-            "trip-prep.output-pattern",
-            "triplicator output is (3a|000> + a(|011>+|101>+|110>) + 3b|111> + b(|001>+|010>+|100>))/sqrt(12)",
-            "coefficient pattern at spot-check inputs",
-            1e-12,
-            err_out,
-        ),
-    ]
+    return [_prep_error(CopyVariant.TRIPLICATOR), _max_dev(spots.states, _triplicator_output_expected(spots))]
 
 
-def _trip_real_checks(suite: _Suite) -> list[VerifyCheck]:
+def _trip_real_results(suite: _Suite) -> list:
     grid = suite.triplicator_real_grid
     singles, pairs = grid.qubit_reductions, grid.pair_reductions
-    err_equal = max(_max_dev(singles["a1"], singles[label]) for label in ("a2", "a3"))
-    s = np.concatenate([grid.scaling[label] for label in QUBIT_LABELS])
-    err_s = math.inf if np.any(np.isnan(s)) else _max_dev(s, 2.0 / 3.0)
-    err_d1 = max(_max_dev(grid.d1[label], 1.0 / 18.0) for label in QUBIT_LABELS)
     expected_pair = _triplicator_pair_expected_real(grid)
-    err_pair = max(_max_dev(pairs[label], expected_pair) for label in PAIR_LABELS)
-    err_d2 = max(_max_dev(grid.d2[label], 2.0 / 9.0) for label in PAIR_LABELS)
-    err_spec = _max_dev(ppt_spectrum(np.stack([pairs[label] for label in PAIR_LABELS])), _TRIP_PAIR_SPECTRUM)
-    err_d3 = _max_dev(grid.d3, 0.5)
     return [
-        _check(
-            "trip-real.equal-reductions",
-            "all three output qubits carry the same reduced state",
-            "entrywise equality",
-            1e-12,
-            err_equal,
-        ),
-        _check(
-            "trip-real.scaling",
-            "every output qubit fits the scaled form with s = 2/3",
-            "s = 2/3",
-            1e-10,
-            err_s,
-        ),
-        _check(
-            "trip-real.pair-matrix",
-            "every pair reduction matches the closed-form matrix (descending-basis pattern)",
-            "closed-form pair matrix",
-            1e-10,
-            err_pair,
-        ),
-        _check(
-            "trip-real.d1",
-            "single-copy distance is 1/18",
-            "1/18",
-            1e-10,
-            err_d1,
-        ),
-        _check(
-            "trip-real.d2",
-            "pair distance is 2/9",
-            "2/9",
-            1e-10,
-            err_d2,
-        ),
-        _check(
-            "trip-real.d3",
-            "three-qubit distance is 1/2",
-            "1/2",
-            1e-10,
-            err_d3,
-        ),
-        _check(
-            "trip-real.pair-spectrum",
-            "pair partial-transpose spectrum is {-1/6, (5-sqrt(17))/12, 1/3, (5+sqrt(17))/12}",
-            "input-independent spectrum",
-            1e-10,
-            err_spec,
-        ),
+        max(_max_dev(singles["a1"], singles[label]) for label in ("a2", "a3")),
+        _scaling_error(np.concatenate([grid.scaling[label] for label in QUBIT_LABELS])),
+        max(_max_dev(pairs[label], expected_pair) for label in PAIR_LABELS),
+        max(_max_dev(grid.d1[label], 1.0 / 18.0) for label in QUBIT_LABELS),
+        max(_max_dev(grid.d2[label], 2.0 / 9.0) for label in PAIR_LABELS),
+        _max_dev(grid.d3, 0.5),
+        _max_dev(ppt_spectrum(np.stack([pairs[label] for label in PAIR_LABELS])), _TRIP_PAIR_SPECTRUM),
     ]
 
 
-def _trip_complex_checks(suite: _Suite) -> list[VerifyCheck]:
+def _trip_complex_results(suite: _Suite) -> list:
     grid = suite.triplicator_grid
     weight = _phase_weight(grid)
     expected_single = _triplicator_single_expected(grid)
-    err_single = max(_max_dev(grid.qubit_reductions[label], expected_single) for label in QUBIT_LABELS)
-    err_d1 = max(_max_dev(grid.d1[label], (1.0 + 12.0 * weight) / 18.0) for label in QUBIT_LABELS)
-    err_d2 = max(_max_dev(grid.d2[label], (2.0 / 9.0) * (1.0 + 12.0 * weight)) for label in PAIR_LABELS)
-    err_d3 = _max_dev(grid.d3, 0.5 * (1.0 + 12.0 * weight))
     wrongly_scaled = int(np.count_nonzero((weight > 1e-6) & ~np.isnan(grid.scaling["a2"])))
     return [
-        _check(
-            "trip-complex.single-matrix",
-            "output qubits match the closed-form single-qubit matrix",
-            "closed-form matrix per grid point",
-            1e-10,
-            err_single,
-        ),
-        _check(
-            "trip-complex.d1",
-            "d1 = (1/18)(1 + 12 |alpha|^2 |beta|^2 sin^2(phi))",
-            "closed-form value per grid point",
-            1e-10,
-            err_d1,
-        ),
-        _check(
-            "trip-complex.d2",
-            "d2 = (2/9)(1 + 12 |alpha|^2 |beta|^2 sin^2(phi))",
-            "closed-form value per grid point",
-            1e-10,
-            err_d2,
-        ),
-        _check(
-            "trip-complex.d3",
-            "d3 = (1/2)(1 + 12 |alpha|^2 |beta|^2 sin^2(phi))",
-            "closed-form value per grid point",
-            1e-10,
-            err_d3,
-        ),
-        _check(
-            "trip-complex.no-scaled-form",
-            "no scaling fit exists whenever |alpha|^2 |beta|^2 sin^2(phi) > 1e-6",
-            "scaling absent on all such grid points",
-            0.5,
-            0.0 if wrongly_scaled == 0 else math.inf,
+        max(_max_dev(grid.qubit_reductions[label], expected_single) for label in QUBIT_LABELS),
+        max(_max_dev(grid.d1[label], (1.0 + 12.0 * weight) / 18.0) for label in QUBIT_LABELS),
+        max(_max_dev(grid.d2[label], (2.0 / 9.0) * (1.0 + 12.0 * weight)) for label in PAIR_LABELS),
+        _max_dev(grid.d3, 0.5 * (1.0 + 12.0 * weight)),
+        _flag(
+            wrongly_scaled == 0,
             "scaling absent on all such grid points"
             if wrongly_scaled == 0
             else f"{wrongly_scaled} grid points wrongly admit a scaling fit",
@@ -475,56 +358,28 @@ def _trip_complex_checks(suite: _Suite) -> list[VerifyCheck]:
     ]
 
 
-def _bound_checks(suite: _Suite) -> list[VerifyCheck]:
+def _bound_results(suite: _Suite) -> list:
     thetas = np.linspace(0.0, math.pi / 2.0, 50)
     quarter = evaluate_grid(CopyVariant.TRIPLICATOR, thetas, (math.pi / 2.0,), {"E"})
     bound = _negativity_bound(quarter)
     e = quarter.ppt_spectrum[:, 0]
     excess = float(np.max(e - bound))
-    gap_small = abs(float(bound[0] - e[0]))  # theta = 0, where |alpha| = 0
 
     # E at phi = 0, pi/2, pi (columns) for 10 amplitudes (rows)
     phases = evaluate_grid(
         CopyVariant.TRIPLICATOR, np.linspace(0.0, math.pi / 2.0, 10), (0.0, math.pi / 2.0, math.pi), {"E"}
     )
     by_phase = phases.ppt_spectrum[:, 0].reshape(10, 3)
-    real_dev = float(np.max(np.abs(by_phase[:, [0, 2]] + 1.0 / 6.0)))
     minimal = bool(np.all(by_phase[:, 1] <= by_phase.min(axis=1) + 1e-12))
     return [
-        _check(
-            "bound.inequality",
-            "E <= -(1 + 4(sqrt(5)-2)|alpha|^2 |beta|^2)/6 over 50 inputs at quarter phase",
-            "E - bound <= 0",
-            1e-9,
-            excess,
-            f"max E - bound = {excess:.3e}",
-        ),
-        _check(
-            "bound.tight-at-zero",
-            "the bound is attained as |alpha| -> 0",
-            "gap 0 at alpha = 0",
-            1e-9,
-            gap_small,
-        ),
-        _check(
-            "bound.real-phase-eigenvalue",
-            "E = -1/6 at phi in {0, pi} independent of the input amplitude",
-            "-1/6",
-            1e-10,
-            real_dev,
-        ),
-        _check(
-            "bound.minimum-at-quarter-phase",
-            "for fixed amplitude, E is lowest at phi = pi/2",
-            "minimum at quarter phase for every amplitude",
-            0.5,
-            0.0 if minimal else math.inf,
-            "confirmed" if minimal else "violated",
-        ),
+        (excess, f"max E - bound = {excess:.3e}"),
+        abs(float(bound[0] - e[0])),  # theta = 0, where |alpha| = 0
+        _max_dev(by_phase[:, [0, 2]], -1.0 / 6.0),
+        _flag(minimal, "confirmed" if minimal else "violated"),
     ]
 
 
-def _angles_checks(suite: _Suite) -> list[VerifyCheck]:
+def _angles_results(suite: _Suite) -> list:
     variants = (CopyVariant.DUPLICATOR, CopyVariant.TRIPLICATOR)
     rng = np.random.default_rng(20260810)
     random = rng.normal(size=(100, 4))
@@ -533,33 +388,14 @@ def _angles_checks(suite: _Suite) -> list[VerifyCheck]:
     solved = _solve_angles(targets)
     residuals = np.max(np.abs(_amplitudes_from_angles(solved) - targets), axis=1)
 
-    checks = []
+    results = []
     for variant, angles, residual in zip(variants, solved, residuals.tolist()):
-        err_angles = float(np.max(np.abs(angles - preparation_angles(variant).as_array())))
-        checks.append(
-            _check(
-                f"angles.{variant.value}-recovery",
-                f"solver recovers the closed-form {variant.value} angles",
-                "(pi/8, -+asin(sqrt(1/2 - sqrt(2)/3)), pi/8)",
-                1e-9,
-                max(err_angles, residual),
-                f"angle deviation {err_angles:.3e}, residual {residual:.3e}",
-            )
-        )
+        err_angles = _max_dev(angles, preparation_angles(variant).as_array())
+        results.append((max(err_angles, residual), f"angle deviation {err_angles:.3e}, residual {residual:.3e}"))
 
     worst = float(np.max(residuals[2:]))
     solved_count = int(np.count_nonzero(residuals[2:] <= 1e-10))
-    checks.append(
-        _check(
-            "angles.random-targets",
-            "solver reproduces 100 random normalized amplitude targets",
-            "residual <= 1e-10 on every solve",
-            1e-10,
-            worst,
-            f"{solved_count}/100 solved, worst residual {worst:.3e}",
-        )
-    )
-    return checks
+    return [*results, (worst, f"{solved_count}/100 solved, worst residual {worst:.3e}")]
 
 
 def _random_amplitudes(rng, num_qubits: int) -> np.ndarray:
@@ -589,7 +425,7 @@ def _random_densities(rng, count: int, num_qubits: int) -> np.ndarray:
     return rhos
 
 
-def _property_checks(suite: _Suite) -> list[VerifyCheck]:
+def _property_results(suite: _Suite) -> list:
     rng = np.random.default_rng(1234)
 
     states, pairs, qubits, thetas = [], [], [], []
@@ -641,64 +477,25 @@ def _property_checks(suite: _Suite) -> list[VerifyCheck]:
     m = draws[:, 0] + 1j * draws[:, 1]
     hermitians = (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
     err_eig = _max_dev(linalg.hermitian_eigenvalues(hermitians), eigenvalues_by_bisection(hermitians))
-
-    return [
-        _check(
-            "properties.gate-involution",
-            "CNOT twice and rotation by +t then -t restore 100 random states",
-            "identity",
-            1e-12,
-            err_involution,
-        ),
-        _check(
-            "properties.gate-commutation",
-            "gates on disjoint qubits commute on 100 random states",
-            "order independence",
-            1e-12,
-            err_commute,
-        ),
-        _check(
-            "properties.transpose-involution",
-            "partial transpose applied twice restores random densities",
-            "entrywise identity",
-            1e-12,
-            err_pt_involution,
-        ),
-        _check(
-            "properties.trace-preservation",
-            "partial-transpose spectra sum to 1; reductions keep unit trace",
-            "unit trace",
-            1e-10,
-            err_trace,
-        ),
-        _check(
-            "properties.eigenvalue-oracle",
-            "LAPACK eigenvalues match inertia bisection on 100 random matrices",
-            "route agreement",
-            1e-9,
-            err_eig,
-        ),
-    ]
+    return [err_involution, err_commute, err_pt_involution, err_trace, err_eig]
 
 
-# Every check group, in canonical order, with the builder of its checks.
+# The function that computes each group's results; GROUP_ORDER, taken from _LAWS, sets the run order.
 _GROUPS = {
-    "prep": _prep_checks,
-    "basis": _basis_checks,
-    "fidelity": _fidelity_checks,
-    "scaling": _scaling_checks,
-    "distance": _distance_checks,
-    "original": _original_checks,
-    "ppt": _ppt_checks,
-    "trip-prep": _trip_prep_checks,
-    "trip-real": _trip_real_checks,
-    "trip-complex": _trip_complex_checks,
-    "bound": _bound_checks,
-    "angles": _angles_checks,
-    "properties": _property_checks,
+    "prep": _prep_results,
+    "basis": _basis_results,
+    "fidelity": _fidelity_results,
+    "scaling": _scaling_results,
+    "distance": _distance_results,
+    "original": _original_results,
+    "ppt": _ppt_results,
+    "trip-prep": _trip_prep_results,
+    "trip-real": _trip_real_results,
+    "trip-complex": _trip_complex_results,
+    "bound": _bound_results,
+    "angles": _angles_results,
+    "properties": _property_results,
 }
-
-GROUP_ORDER = tuple(_GROUPS)
 
 
 def run_verification(groups=None, tolerance: float | None = None) -> list[VerifyCheck]:
@@ -707,7 +504,8 @@ def run_verification(groups=None, tolerance: float | None = None) -> list[Verify
     ``tolerance`` overrides every check's pinned tolerance, which is mainly
     useful for demonstrating where the numerics saturate; it must be finite
     and non-negative.  Raises ValueError for an unknown group or a bad
-    tolerance, before any check runs.
+    tolerance, before any check runs, and when a group's results do not
+    match its rows of the table one for one.
     """
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
@@ -722,9 +520,22 @@ def run_verification(groups=None, tolerance: float | None = None) -> list[Verify
     suite = _Suite()
     checks: list[VerifyCheck] = []
     for group in selected:
-        checks.extend(_GROUPS[group](suite))
-    if tolerance is not None:
-        checks = [replace(c, tolerance=tolerance, passed=c.error <= tolerance) for c in checks]
+        laws = [law for law in _LAWS if law[0].startswith(group + ".")]
+        for (check_id, description, expected, pinned), result in zip(laws, _GROUPS[group](suite), strict=True):
+            error, observed = result if isinstance(result, tuple) else (result, f"max deviation {result:.3e}")
+            limit = pinned if tolerance is None else tolerance
+            checks.append(
+                VerifyCheck(
+                    check_id=check_id,
+                    group=group,
+                    description=description,
+                    expected=expected,
+                    observed=observed,
+                    tolerance=limit,
+                    error=float(error),
+                    passed=float(error) <= limit,
+                )
+            )
     return checks
 
 

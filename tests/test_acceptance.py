@@ -105,7 +105,7 @@ def test_criterion_10_triplicator_complex(all_checks):
 
 
 def test_criterion_11_negativity_bound(all_checks):
-    checks = report_criterion(all_checks, 11, "bound", "negative-eigenvalue bound and correlation")
+    checks = report_criterion(all_checks, 11, "bound", "quarter-phase bound, its tightness, and E across phase")
     inequality = next(c for c in checks if c.check_id == "bound.inequality")
     assert inequality.tolerance == 1e-9
     tight = next(c for c in checks if c.check_id == "bound.tight-at-zero")

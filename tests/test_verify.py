@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,3 +84,73 @@ def test_stacked_densities_draw_the_per_density_stream():
     looped = np.array([random_density(loop_rng, 2) for _ in range(50)])
     assert np.array_equal(stacked, looped)
     assert stacked_rng.normal() == loop_rng.normal()
+
+
+# The 39 checks and their pinned tolerances, in canonical verify order.
+PINNED = [
+    ("prep.duplicator-state", 1e-12),
+    ("basis.zero-input", 1e-12),
+    ("basis.one-input", 1e-12),
+    ("fidelity.copies-identical", 1e-12),
+    ("fidelity.ideal-weight", 1e-10),
+    ("fidelity.orthogonal-weight", 1e-10),
+    ("scaling.factor", 1e-10),
+    ("distance.single-copy", 1e-10),
+    ("distance.copy-pair", 1e-10),
+    ("original.transpose-law", 1e-10),
+    ("original.distance-formula", 1e-10),
+    ("ppt.duplicator-spectrum", 1e-10),
+    ("ppt.duplicator-verdict", 0.5),
+    ("trip-prep.blank-state", 1e-12),
+    ("trip-prep.output-pattern", 1e-12),
+    ("trip-real.equal-reductions", 1e-12),
+    ("trip-real.scaling", 1e-10),
+    ("trip-real.pair-matrix", 1e-10),
+    ("trip-real.d1", 1e-10),
+    ("trip-real.d2", 1e-10),
+    ("trip-real.d3", 1e-10),
+    ("trip-real.pair-spectrum", 1e-10),
+    ("trip-complex.single-matrix", 1e-10),
+    ("trip-complex.d1", 1e-10),
+    ("trip-complex.d2", 1e-10),
+    ("trip-complex.d3", 1e-10),
+    ("trip-complex.no-scaled-form", 0.5),
+    ("bound.inequality", 1e-9),
+    ("bound.tight-at-zero", 1e-9),
+    ("bound.real-phase-eigenvalue", 1e-10),
+    ("bound.minimum-at-quarter-phase", 0.5),
+    ("angles.duplicator-recovery", 1e-9),
+    ("angles.triplicator-recovery", 1e-9),
+    ("angles.random-targets", 1e-10),
+    ("properties.gate-involution", 1e-12),
+    ("properties.gate-commutation", 1e-12),
+    ("properties.transpose-involution", 1e-12),
+    ("properties.trace-preservation", 1e-10),
+    ("properties.eigenvalue-oracle", 1e-9),
+]
+
+
+def test_checks_keep_their_order_and_pinned_tolerances():
+    assert [(c.check_id, c.tolerance) for c in verify.run_verification()] == PINNED
+
+
+def test_a_group_short_of_one_result_raises(monkeypatch):
+    distance = verify._GROUPS["distance"]
+    monkeypatch.setitem(verify._GROUPS, "distance", lambda suite: distance(suite)[:-1])
+    with pytest.raises(ValueError, match="shorter"):
+        verify.run_verification(["distance"])
+
+
+@pytest.mark.parametrize(
+    "group, grid_name, check_id",
+    [("scaling", "duplicator_grid", "scaling.factor"), ("trip-real", "triplicator_real_grid", "trip-real.scaling")],
+)
+def test_a_copy_without_a_scaling_fit_is_counted(monkeypatch, group, grid_name, check_id):
+    grid = getattr(verify._Suite(), grid_name)
+    unfit = np.arange(grid.theta.size) == 7
+    scaling = dict(grid.scaling, a2=np.where(unfit, np.nan, grid.scaling["a2"]))
+    monkeypatch.setattr(verify._Suite, grid_name, dataclasses.replace(grid, scaling=scaling))
+    check = next(c for c in verify.run_verification([group]) if c.check_id == check_id)
+    assert check.observed == "1 copies without a scaling fit"
+    assert check.error == math.inf
+    assert not check.passed
