@@ -17,13 +17,14 @@ table row plus its error in the group function.
 
 Checks run on stacks.  The angle solver takes all of its targets in one
 call, and the three shared copier grids evaluate only the metrics their
-checks read.  The randomized property checks draw their densities and
-Hermitian matrices as stacks, on the same random stream as one-at-a-time
-draws; the gate kernel takes each stack of states at once, one call per
-wiring, and the partial-transpose and eigenvalue checks take stacks of
-matrices.  The eigenvalue cross-check deliberately avoids the production
-eigensolver: it finds every eigenvalue by inertia bisection
-(``eigenvalues_by_bisection``), so the two routes share no code.
+checks read.  The randomized property checks draw each random quantity
+once, as a stack: 100 states, 100 angles, the densities and the Hermitian
+matrices.  Every gate law runs on every drawn state, for all six CNOT
+wirings and a rotation of each qubit, and the partial-transpose and
+eigenvalue checks take stacks of matrices.  The eigenvalue cross-check
+deliberately avoids the production eigensolver: it finds every eigenvalue
+by inertia bisection (``eigenvalues_by_bisection``), so the two routes
+share no code.
 """
 
 from __future__ import annotations
@@ -383,7 +384,7 @@ def _angles_results(suite: _Suite) -> list:
     variants = (CopyVariant.DUPLICATOR, CopyVariant.TRIPLICATOR)
     rng = np.random.default_rng(20260810)
     random = rng.normal(size=(100, 4))
-    random /= np.array([np.linalg.norm(c) for c in random])[:, None]
+    random /= np.linalg.norm(random, axis=1, keepdims=True)
     targets = np.concatenate([[preparation_amplitudes(variant) for variant in variants], random])
     solved = _solve_angles(targets)
     residuals = np.max(np.abs(_amplitudes_from_angles(solved) - targets), axis=1)
@@ -398,68 +399,40 @@ def _angles_results(suite: _Suite) -> list:
     return [*results, (worst, f"{solved_count}/100 solved, worst residual {worst:.3e}")]
 
 
-def _random_amplitudes(rng, num_qubits: int) -> np.ndarray:
-    amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
-    return amps / np.linalg.norm(amps)
-
-
 def _random_densities(rng, count: int, num_qubits: int) -> np.ndarray:
     """``count`` random densities, each a mix of three random pure states with weights in [0.2, 1].
 
-    Each density draws its three weights, then the real and imaginary parts
-    of its three states in one call; the weighted projectors are summed in
-    state order, across the whole stack at once.
+    The weights are one draw of shape (count, 3); the states are one draw of
+    their real and imaginary parts, (count, 3, 2, 2**num_qubits).
     """
-    dim = 1 << num_qubits
-    weights, draws = [], []
-    for _ in range(count):
-        w = rng.uniform(0.2, 1.0, size=3)
-        weights.append(w / w.sum())
-        draws.append(rng.normal(size=(3, 2, dim)))
-    weights, draws = np.array(weights), np.array(draws)
+    weights = rng.uniform(0.2, 1.0, size=(count, 3))
+    weights /= weights.sum(axis=1, keepdims=True)
+    draws = rng.normal(size=(count, 3, 2, 1 << num_qubits))
     amps = draws[:, :, 0] + 1j * draws[:, :, 1]
-    amps /= np.array([np.linalg.norm(a) for a in amps.reshape(-1, dim)]).reshape(count, 3, 1)
-    rhos = np.zeros((count, dim, dim), dtype=complex)
-    for k in range(3):
-        rhos += weights[:, k, None, None] * (amps[:, k, :, None] * amps[:, k, None, :].conj())
-    return rhos
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    return np.sum(weights[:, :, None, None] * (amps[..., :, None] * amps[..., None, :].conj()), axis=1)
 
 
 def _property_results(suite: _Suite) -> list:
     rng = np.random.default_rng(1234)
+    draws = rng.normal(size=(100, 2, 8))
+    states = draws[:, 0] + 1j * draws[:, 1]
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    thetas = rng.uniform(-math.pi, math.pi, size=100)
 
-    states, pairs, qubits, thetas = [], [], [], []
-    for _ in range(100):
-        states.append(_random_amplitudes(rng, 3))
-        pairs.append(tuple(int(q) for q in rng.choice(3, size=2, replace=False)))
-        thetas.append(rng.uniform(-math.pi, math.pi))
-        qubits.append(int(rng.integers(3)))
-    states, qubits, thetas = np.array(states), np.array(qubits), np.array(thetas)
-    twice, back = np.empty_like(states), np.empty_like(states)
-    for pair in set(pairs):
-        rows = np.array([p == pair for p in pairs])
-        twice[rows] = _apply_gate(_apply_gate(states[rows], 3, CNOT(*pair)), 3, CNOT(*pair))
-    for qubit in range(3):
-        rows = qubits == qubit
-        turned = _apply_gate(states[rows], 3, Rotation(qubit, thetas[rows]))
-        back[rows] = _apply_gate(turned, 3, Rotation(qubit, -thetas[rows]))
-    _check_normalized(np.stack([twice, back]))
-    err_involution = max(_max_dev(twice, states), _max_dev(back, states))
+    def run(*gates):
+        return functools.reduce(lambda amps, gate: _apply_gate(amps, 3, gate), gates, states)
 
-    states, solos, thetas = [], [], []
-    for _ in range(100):
-        states.append(_random_amplitudes(rng, 3))
-        solos.append(int(rng.integers(3)))
-        thetas.append(rng.uniform(-math.pi, math.pi))
-    states, solos, thetas = np.array(states), np.array(solos), np.array(thetas)
-    forward, backward = np.empty_like(states), np.empty_like(states)
-    for solo in range(3):
-        rows = solos == solo
-        rotation, cnot = Rotation(solo, thetas[rows]), CNOT(*(q for q in range(3) if q != solo))
-        forward[rows] = _apply_gate(_apply_gate(states[rows], 3, rotation), 3, cnot)
-        backward[rows] = _apply_gate(_apply_gate(states[rows], 3, cnot), 3, rotation)
-    _check_normalized(np.stack([forward, backward]))
-    err_commute = _max_dev(forward, backward)
+    cnots = [CNOT(c, t) for c in range(3) for t in range(3) if c != t]
+    turns = [(Rotation(q, thetas), Rotation(q, -thetas)) for q in range(3)]
+    restored = np.stack([run(cnot, cnot) for cnot in cnots] + [run(*turn) for turn in turns])
+    # each CNOT against a rotation of the qubit it leaves alone, in both orders
+    solos = [Rotation(3 - cnot.control - cnot.target, thetas) for cnot in cnots]
+    commuted = np.stack([[run(solo, cnot), run(cnot, solo)] for cnot, solo in zip(cnots, solos)])
+    _check_normalized(restored)
+    _check_normalized(commuted)
+    err_involution = _max_dev(restored, states)
+    err_commute = _max_dev(commuted[:, 0], commuted[:, 1])
 
     rhos = _random_densities(rng, 50, 2)
     transposed = [linalg.partial_transpose(rhos, subsystem) for subsystem in (0, 1)]

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from qcopynet import verify
+from qcopynet import linalg, verify
+from qcopynet.gates import CNOT
 from qcopynet.verify import eigenvalues_by_bisection
 
-from conftest import random_density, random_hermitian
+from conftest import random_hermitian
 
 DUPLICATOR_PAIR_SPECTRUM = np.array([(2 - math.sqrt(5)) / 6, 1 / 6, 1 / 6, (2 + math.sqrt(5)) / 6])
 
@@ -78,12 +79,25 @@ def test_random_targets_count_only_the_solved_rows(monkeypatch):
     assert not check.passed
 
 
-def test_stacked_densities_draw_the_per_density_stream():
-    stacked_rng, loop_rng = np.random.default_rng(1234), np.random.default_rng(1234)
-    stacked = verify._random_densities(stacked_rng, 50, 2)
-    looped = np.array([random_density(loop_rng, 2) for _ in range(50)])
-    assert np.array_equal(stacked, looped)
-    assert stacked_rng.normal() == loop_rng.normal()
+def test_random_densities_are_a_stack_of_valid_densities():
+    rhos = verify._random_densities(np.random.default_rng(1234), 50, 2)
+    assert rhos.shape == (50, 4, 4)
+    linalg.validate_density(rhos)  # Hermitian, unit trace and positive semidefinite, every matrix
+
+
+def test_commutation_checks_every_cnot_orientation(monkeypatch):
+    # a CNOT(1, 0) that also applies Z to qubit 2 is still an involution, but fails to commute with R on qubit 2
+    apply_gate = verify._apply_gate
+    z2 = np.array([1, -1, 1, -1, 1, -1, 1, -1])
+
+    def signed_cnot(amps, num_qubits, gate):
+        out = apply_gate(amps, num_qubits, gate)
+        return out * z2 if gate == CNOT(1, 0) else out
+
+    monkeypatch.setattr(verify, "_apply_gate", signed_cnot)
+    checks = {c.check_id: c for c in verify.run_verification(["properties"])}
+    assert checks["properties.gate-involution"].passed
+    assert not checks["properties.gate-commutation"].passed
 
 
 # The 39 checks and their pinned tolerances, in canonical verify order.
