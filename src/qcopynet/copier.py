@@ -4,11 +4,12 @@ Both machines share one three-qubit circuit: a five-gate preparation stage
 acting on the two blank qubits (a2, a3), followed by four CNOTs that spread
 the original qubit (a1) over all three.  The two variants differ only in the
 sign of the middle preparation angle.  ``evaluate_grid`` runs the circuit
-once per variant on the two basis inputs |000> and |100>, then evaluates
-whole (theta, phi) grids as arrays: reduced states, scaling fits, fidelity
-splits, Hilbert-Schmidt distances and the a2a3 partial-transpose spectrum.
-``run_copier`` is its one-point case and returns a CopyReport; sweeps and
-the verify grids read the same kernel.
+once per variant on the two basis inputs |000> and |100>, then forms the
+outputs of whole (theta, phi) grids as arrays.  The CopyGrid it returns
+computes the reduced states, scaling fits, fidelity splits, Hilbert-Schmidt
+distances and a2a3 partial-transpose spectrum each on first read, so a
+caller pays only for what it reads.  ``run_copier`` is its one-point case
+and returns a CopyReport; sweeps and the verify grids read the same kernel.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import linalg
+from . import linalg, separability
 from .gates import CNOT, GateNetwork, PureState, Rotation, _check_normalized, density_of, run_network
-from .separability import ppt_spectrum
 
 __all__ = [
     "CopyVariant",
@@ -33,7 +33,6 @@ __all__ = [
     "CopyGrid",
     "QUBIT_LABELS",
     "PAIR_LABELS",
-    "METRICS",
     "preparation_amplitudes",
     "preparation_angles",
     "amplitudes_from_angles",
@@ -334,20 +333,20 @@ def _weight(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return np.einsum("ni,nij,nj->n", vectors.conj(), rho, vectors).real
 
 
-METRICS = frozenset({"d1", "d2", "d3", "s", "fidelity", "E"})
-
-
 @dataclass(frozen=True)
 class CopyGrid:
     """Copier outputs and metrics on N input points, every array indexed by point first.
 
-    ``states`` holds the (N, 8) output amplitudes; reductions are keyed as
-    in CopyReport, with shapes (N, 2, 2) and (N, 4, 4).  Metrics are None
-    unless requested, and ``d3`` is None for the duplicator.  ``scaling``
-    is NaN where a qubit has no scaled form; ``fidelity`` holds (N, 2)
-    weights on the input state and on its orthogonal complement;
-    ``ppt_spectrum`` (metric "E") is the ascending (N, 4) spectrum of the
-    partially transposed a2a3 pair.
+    ``states`` holds the (N, 8) output amplitudes.  Everything else is
+    computed from them on first read and cached: reductions keyed as in
+    CopyReport, with shapes (N, 2, 2) and (N, 4, 4), and the metrics.
+    ``d3`` is None for the duplicator.  ``scaling`` is NaN where a qubit has
+    no scaled form; ``fidelity`` holds (N, 2) weights on the input state and
+    on its orthogonal complement; ``ppt_spectrum`` is the ascending (N, 4)
+    spectrum of the partially transposed a2a3 pair.  Reading ``scaling``
+    raises ValueError if an input state is not pure, and reading
+    ``ppt_spectrum`` raises it if an a2a3 pair fails
+    ``linalg.validate_density``.
     """
 
     variant: CopyVariant
@@ -356,14 +355,73 @@ class CopyGrid:
     alpha: np.ndarray
     beta: np.ndarray
     states: np.ndarray
-    qubit_reductions: dict[str, np.ndarray]
-    pair_reductions: dict[str, np.ndarray]
-    d1: dict[str, np.ndarray] | None = None
-    d2: dict[str, np.ndarray] | None = None
-    d3: np.ndarray | None = None
-    scaling: dict[str, np.ndarray] | None = None
-    fidelity: dict[str, np.ndarray] | None = None
-    ppt_spectrum: np.ndarray | None = None
+
+    @functools.cached_property
+    def _psi(self) -> np.ndarray:
+        return np.stack([self.alpha, self.beta.astype(complex)], axis=1)
+
+    @functools.cached_property
+    def _ideal1(self) -> np.ndarray:
+        return self._psi[:, :, None] * self._psi.conj()[:, None, :]
+
+    @functools.cached_property
+    def qubit_reductions(self) -> dict[str, np.ndarray]:
+        t = self.states.reshape(-1, 2, 2, 2)
+        c = t.conj()
+        return {
+            "a1": np.einsum("nijk,nljk->nil", t, c),
+            "a2": np.einsum("nijk,nilk->njl", t, c),
+            "a3": np.einsum("nijk,nijl->nkl", t, c),
+        }
+
+    @functools.cached_property
+    def pair_reductions(self) -> dict[str, np.ndarray]:
+        t = self.states.reshape(-1, 2, 2, 2)
+        c = t.conj()
+        return {
+            "a2a3": np.einsum("nijk,nilm->njklm", t, c).reshape(-1, 4, 4),
+            "a1a2": np.einsum("nijk,nlmk->nijlm", t, c).reshape(-1, 4, 4),
+            "a1a3": np.einsum("nijk,nljm->niklm", t, c).reshape(-1, 4, 4),
+        }
+
+    @functools.cached_property
+    def d1(self) -> dict[str, np.ndarray]:
+        return {label: linalg.hs_distance(m, self._ideal1) for label, m in self.qubit_reductions.items()}
+
+    @functools.cached_property
+    def d2(self) -> dict[str, np.ndarray]:
+        ideal2 = linalg.kron(self._ideal1, self._ideal1)
+        return {label: linalg.hs_distance(m, ideal2) for label, m in self.pair_reductions.items()}
+
+    @functools.cached_property
+    def d3(self) -> np.ndarray | None:
+        if self.variant is not CopyVariant.TRIPLICATOR:
+            return None
+        # Tr[(rho - sigma)^2] for pure rho = |s><s|, sigma = |v><v|: |s|^4 + |v|^4 - 2|<v|s>|^2
+        psi, states = self._psi, self.states
+        ideal3 = np.einsum("ni,nj,nk->nijk", psi, psi, psi).reshape(-1, 8)
+        norm_s = np.sum(np.abs(states) ** 2, axis=1)
+        norm_v = np.sum(np.abs(ideal3) ** 2, axis=1)
+        overlap = np.abs(np.sum(ideal3.conj() * states, axis=1)) ** 2
+        return norm_s**2 + norm_v**2 - 2.0 * overlap
+
+    @functools.cached_property
+    def scaling(self) -> dict[str, np.ndarray]:
+        singles = self.qubit_reductions
+        return dict(zip(singles, _scaling_fit(np.stack(list(singles.values())), self._ideal1)))
+
+    @functools.cached_property
+    def fidelity(self) -> dict[str, np.ndarray]:
+        psi = self._psi
+        perp = np.stack([psi[:, 1].conj(), -psi[:, 0].conj()], axis=1)
+        return {
+            label: np.stack([_weight(m, psi), _weight(m, perp)], axis=1)
+            for label, m in self.qubit_reductions.items()
+        }
+
+    @functools.cached_property
+    def ppt_spectrum(self) -> np.ndarray:
+        return separability.ppt_spectrum(self.pair_reductions["a2a3"])
 
 
 @functools.cache
@@ -379,19 +437,14 @@ def _basis_outputs(variant: CopyVariant) -> np.ndarray:
     return rows
 
 
-def evaluate_grid(variant: CopyVariant, thetas, phis, metrics=METRICS) -> CopyGrid:
+def evaluate_grid(variant: CopyVariant, thetas, phis) -> CopyGrid:
     """Run the copier on the theta-major product grid thetas x phis, all points at once.
 
     Each point gets what ``run_copier`` computes for InputQubit(theta, phi),
-    plus the a2a3 partial-transpose spectrum; only the metrics named in
-    ``metrics`` (from METRICS) are evaluated.  The output states pass the
-    PureState norm check, and the pairs pass ``linalg.validate_density``
-    before their spectra are taken; either raises ValueError.
+    plus the a2a3 partial-transpose spectrum, each computed when first read.
+    Raises ValueError for an empty grid, a non-finite angle, or output
+    states that fail the PureState norm check.
     """
-    metrics = frozenset(metrics)
-    unknown = metrics - METRICS
-    if unknown:
-        raise ValueError(f"unknown metrics: {sorted(unknown)}")
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     phis = np.asarray(phis, dtype=float).reshape(-1)
     if not (thetas.size and phis.size):
@@ -405,55 +458,7 @@ def evaluate_grid(variant: CopyVariant, thetas, phis, metrics=METRICS) -> CopyGr
     outputs = _basis_outputs(variant)
     states = alpha[:, None] * outputs[0] + beta[:, None] * outputs[1]
     _check_normalized(states)
-
-    t = states.reshape(-1, 2, 2, 2)
-    c = t.conj()
-    singles = {
-        "a1": np.einsum("nijk,nljk->nil", t, c),
-        "a2": np.einsum("nijk,nilk->njl", t, c),
-        "a3": np.einsum("nijk,nijl->nkl", t, c),
-    }
-    pairs = {
-        "a2a3": np.einsum("nijk,nilm->njklm", t, c).reshape(-1, 4, 4),
-        "a1a2": np.einsum("nijk,nlmk->nijlm", t, c).reshape(-1, 4, 4),
-        "a1a3": np.einsum("nijk,nljm->niklm", t, c).reshape(-1, 4, 4),
-    }
-    psi = np.stack([alpha, beta.astype(complex)], axis=1)
-    ideal1 = psi[:, :, None] * psi.conj()[:, None, :]
-    results = {}
-    if "d1" in metrics:
-        results["d1"] = {label: linalg.hs_distance(m, ideal1) for label, m in singles.items()}
-    if "d2" in metrics:
-        ideal2 = linalg.kron(ideal1, ideal1)
-        results["d2"] = {label: linalg.hs_distance(m, ideal2) for label, m in pairs.items()}
-    if "d3" in metrics and variant is CopyVariant.TRIPLICATOR:
-        # Tr[(rho - sigma)^2] for pure rho = |s><s|, sigma = |v><v|: |s|^4 + |v|^4 - 2|<v|s>|^2
-        ideal3 = np.einsum("ni,nj,nk->nijk", psi, psi, psi).reshape(-1, 8)
-        norm_s = np.sum(np.abs(states) ** 2, axis=1)
-        norm_v = np.sum(np.abs(ideal3) ** 2, axis=1)
-        overlap = np.abs(np.sum(ideal3.conj() * states, axis=1)) ** 2
-        results["d3"] = norm_s**2 + norm_v**2 - 2.0 * overlap
-    if "s" in metrics:
-        fits = _scaling_fit(np.stack(list(singles.values())), ideal1)
-        results["scaling"] = dict(zip(singles, fits))
-    if "fidelity" in metrics:
-        perp = np.stack([psi[:, 1].conj(), -psi[:, 0].conj()], axis=1)
-        results["fidelity"] = {
-            label: np.stack([_weight(m, psi), _weight(m, perp)], axis=1) for label, m in singles.items()
-        }
-    if "E" in metrics:
-        results["ppt_spectrum"] = ppt_spectrum(pairs["a2a3"])
-    return CopyGrid(
-        variant=variant,
-        theta=theta,
-        phi=phi,
-        alpha=alpha,
-        beta=beta,
-        states=states,
-        qubit_reductions=singles,
-        pair_reductions=pairs,
-        **results,
-    )
+    return CopyGrid(variant=variant, theta=theta, phi=phi, alpha=alpha, beta=beta, states=states)
 
 
 def run_copier(input_qubit: InputQubit, variant: CopyVariant) -> CopyReport:
@@ -461,7 +466,7 @@ def run_copier(input_qubit: InputQubit, variant: CopyVariant) -> CopyReport:
 
     This is the one-point case of ``evaluate_grid``.
     """
-    grid = evaluate_grid(variant, [input_qubit.theta], [input_qubit.phi], METRICS - {"E"})
+    grid = evaluate_grid(variant, [input_qubit.theta], [input_qubit.phi])
     return CopyReport(
         variant=variant,
         input=input_qubit,

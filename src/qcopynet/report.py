@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .copier import METRICS, PAIR_LABELS, QUBIT_LABELS, CopyVariant, evaluate_grid
+from .copier import PAIR_LABELS, QUBIT_LABELS, CopyVariant, evaluate_grid
 
 __all__ = [
     "CSV_COLUMNS",
@@ -48,6 +48,9 @@ CSV_COLUMNS = [
     "fid_a2",
     "E_a2a3",
 ]
+
+# The metric names a sweep selects from; each fills its group of CSV columns.
+METRICS = frozenset({"d1", "d2", "d3", "s", "fidelity", "E"})
 
 # A sweep is evaluated as one batch of arrays, a few kilobytes per point
 # from evaluation to rendering; the cap keeps a typo from exhausting memory.
@@ -91,7 +94,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         unknown = set(self.metrics) - METRICS
         if unknown:
-            raise ValueError(f"unknown metrics: {sorted(unknown)}")
+            raise ValueError(f"unknown metrics {sorted(unknown)}; choose from {sorted(METRICS)}")
         object.__setattr__(self, "metrics", frozenset(self.metrics))
         points = self.theta_grid.count * self.phi_grid.count
         if points > MAX_GRID_POINTS:
@@ -107,24 +110,24 @@ def sweep_rows(spec: SweepSpec) -> list[dict]:
     Every CSV column is present in every row; deselected metrics and
     inapplicable values (duplicator d3, absent scaling fits) are None.
     """
-    grid = evaluate_grid(spec.variant, spec.theta_grid.values(), spec.phi_grid.values(), spec.metrics)
-    count = grid.theta.size
+    grid = evaluate_grid(spec.variant, spec.theta_grid.values(), spec.phi_grid.values())
+    metrics, count = spec.metrics, grid.theta.size
     columns = {
         "theta": grid.theta.tolist(),
         "phi": grid.phi.tolist(),
         "variant": [spec.variant.value] * count,
     }
-    if grid.d1 is not None:
+    if "d1" in metrics:
         columns.update({f"d1_{label}": grid.d1[label].tolist() for label in QUBIT_LABELS})
-    if grid.d2 is not None:
+    if "d2" in metrics:
         columns.update({f"d2_{label}": grid.d2[label].tolist() for label in PAIR_LABELS})
-    if grid.d3 is not None:
+    if "d3" in metrics and grid.d3 is not None:
         columns["d3"] = grid.d3.tolist()
-    if grid.scaling is not None:
+    if "s" in metrics:
         columns["s_a2"] = [None if math.isnan(s) else s for s in grid.scaling["a2"].tolist()]
-    if grid.fidelity is not None:
+    if "fidelity" in metrics:
         columns["fid_a2"] = grid.fidelity["a2"][:, 0].tolist()
-    if grid.ppt_spectrum is not None:
+    if "E" in metrics:
         columns["E_a2a3"] = grid.ppt_spectrum[:, 0].tolist()
     blank = [None] * count
     cells = zip(*(columns.get(column, blank) for column in CSV_COLUMNS))

@@ -16,8 +16,8 @@ The tolerance, pinned or overridden, is applied there too.  A new law is one
 table row plus its error in the group function.
 
 Checks run on stacks.  The angle solver takes all of its targets in one
-call, and the three shared copier grids evaluate only the metrics their
-checks read.  The randomized property checks draw each random quantity
+call, and the three shared copier grids compute each metric when a check
+first reads it.  The randomized property checks draw each random quantity
 once, as a stack: 100 states, 100 angles, the densities and the Hermitian
 matrices.  Every gate law runs on every drawn state, for all six CNOT
 wirings and a rotation of each qubit, and the partial-transpose and
@@ -246,18 +246,15 @@ class _Suite:
 
     @functools.cached_property
     def duplicator_grid(self) -> CopyGrid:
-        # read by fidelity, scaling, distance, original and ppt
-        return evaluate_grid(CopyVariant.DUPLICATOR, _THETAS, _PHIS, {"fidelity", "s", "d1", "d2", "E"})
+        return evaluate_grid(CopyVariant.DUPLICATOR, _THETAS, _PHIS)
 
     @functools.cached_property
     def triplicator_grid(self) -> CopyGrid:
-        # read by trip-complex
-        return evaluate_grid(CopyVariant.TRIPLICATOR, _THETAS, _PHIS, {"d1", "d2", "d3", "s"})
+        return evaluate_grid(CopyVariant.TRIPLICATOR, _THETAS, _PHIS)
 
     @functools.cached_property
     def triplicator_real_grid(self) -> CopyGrid:
-        # read by trip-real, which takes its pair spectra itself
-        return evaluate_grid(CopyVariant.TRIPLICATOR, _THETAS, (0.0, math.pi), {"d1", "d2", "d3", "s"})
+        return evaluate_grid(CopyVariant.TRIPLICATOR, _THETAS, (0.0, math.pi))
 
 
 def _prep_results(suite: _Suite) -> list:
@@ -321,7 +318,7 @@ def _ppt_results(suite: _Suite) -> list:
 
 
 def _trip_prep_results(suite: _Suite) -> list:
-    spots = evaluate_grid(CopyVariant.TRIPLICATOR, (0.0, math.pi / 8.0, math.pi / 4.0), (0.0, math.pi / 2.0), ())
+    spots = evaluate_grid(CopyVariant.TRIPLICATOR, (0.0, math.pi / 8.0, math.pi / 4.0), (0.0, math.pi / 2.0))
     return [_prep_error(CopyVariant.TRIPLICATOR), _max_dev(spots.states, _triplicator_output_expected(spots))]
 
 
@@ -361,14 +358,14 @@ def _trip_complex_results(suite: _Suite) -> list:
 
 def _bound_results(suite: _Suite) -> list:
     thetas = np.linspace(0.0, math.pi / 2.0, 50)
-    quarter = evaluate_grid(CopyVariant.TRIPLICATOR, thetas, (math.pi / 2.0,), {"E"})
+    quarter = evaluate_grid(CopyVariant.TRIPLICATOR, thetas, (math.pi / 2.0,))
     bound = _negativity_bound(quarter)
     e = quarter.ppt_spectrum[:, 0]
     excess = float(np.max(e - bound))
 
     # E at phi = 0, pi/2, pi (columns) for 10 amplitudes (rows)
     phases = evaluate_grid(
-        CopyVariant.TRIPLICATOR, np.linspace(0.0, math.pi / 2.0, 10), (0.0, math.pi / 2.0, math.pi), {"E"}
+        CopyVariant.TRIPLICATOR, np.linspace(0.0, math.pi / 2.0, 10), (0.0, math.pi / 2.0, math.pi)
     )
     by_phase = phases.ppt_spectrum[:, 0].reshape(10, 3)
     minimal = bool(np.all(by_phase[:, 1] <= by_phase.min(axis=1) + 1e-12))

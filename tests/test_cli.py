@@ -388,6 +388,15 @@ def test_network_missing_file(capsys):
     assert "cannot read" in err
 
 
+def test_network_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    net_file = tmp_path / "latin.txt"
+    net_file.write_bytes(b"R 0 1\xff\n")
+    code, out, err = run_cli(capsys, "network", str(net_file))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {net_file}: ")
+    assert err.count("\n") == 1
+
+
 # ----------------------------------------------------------------- angles
 
 def test_angles_command_duplicator_target(capsys):

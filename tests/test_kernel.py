@@ -7,7 +7,6 @@ import pytest
 
 from qcopynet import linalg
 from qcopynet.copier import (
-    METRICS,
     QUBIT_LABELS,
     CopyVariant,
     InputQubit,
@@ -39,14 +38,14 @@ def network_output(theta: float, phi: float, variant: CopyVariant) -> np.ndarray
 def test_batched_amplitudes_match_network_run(variant, rng):
     thetas = rng.uniform(0.0, math.pi / 2.0, size=7)
     phis = rng.uniform(0.0, 2.0 * math.pi, size=5)
-    grid = evaluate_grid(variant, thetas, phis, ())
+    grid = evaluate_grid(variant, thetas, phis)
     assert grid.states.shape == (35, 8)
     for i, (theta, phi) in enumerate(zip(grid.theta, grid.phi)):
         assert np.max(np.abs(grid.states[i] - network_output(theta, phi, variant))) <= 1e-15
 
 
 def test_grid_is_theta_major():
-    grid = evaluate_grid(CopyVariant.DUPLICATOR, [0.1, 0.2], [1.0, 2.0, 3.0], ())
+    grid = evaluate_grid(CopyVariant.DUPLICATOR, [0.1, 0.2], [1.0, 2.0, 3.0])
     assert grid.theta.tolist() == [0.1, 0.1, 0.1, 0.2, 0.2, 0.2]
     assert grid.phi.tolist() == [1.0, 2.0, 3.0, 1.0, 2.0, 3.0]
 
@@ -111,24 +110,37 @@ def test_sweep_rows_match_per_point_reference(variant):
                 assert abs(row[column] - value) <= SWEEP_BOUND, column
 
 
-def test_deselected_metrics_stay_none():
-    grid = evaluate_grid(CopyVariant.TRIPLICATOR, [0.3], [0.4], {"d2"})
-    assert grid.d2 is not None
-    assert grid.d1 is None and grid.d3 is None and grid.scaling is None
-    assert grid.fidelity is None and grid.ppt_spectrum is None
-    full = evaluate_grid(CopyVariant.TRIPLICATOR, [0.3], [0.4], METRICS)
-    assert all(x is not None for x in (full.d1, full.d2, full.d3, full.scaling, full.fidelity, full.ppt_spectrum))
+LAZY_FIELDS = ("qubit_reductions", "pair_reductions", "d1", "d2", "d3", "scaling", "fidelity", "ppt_spectrum")
+
+
+def same_field(a, b) -> bool:
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_field(a[key], b[key]) for key in a)
+    return (a is None and b is None) or np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_grid_fields_are_computed_on_first_read_in_any_order(variant):
+    thetas, phis = [0.0, 0.3, 1.1], [0.0, 0.4, 2.0]
+    grid = evaluate_grid(variant, thetas, phis)
+    grid.ppt_spectrum
+    assert "qubit_reductions" not in vars(grid)
+    for name in LAZY_FIELDS:
+        getattr(grid, name)
+    reversed_read = evaluate_grid(variant, thetas, phis)
+    for name in reversed(LAZY_FIELDS):
+        getattr(reversed_read, name)
+    for name in LAZY_FIELDS:
+        assert same_field(getattr(grid, name), getattr(reversed_read, name)), name
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_kernel_spectrum_is_the_separability_routine(variant):
-    grid = evaluate_grid(variant, np.linspace(0.0, math.pi / 2.0, 5), np.linspace(0.0, math.pi, 4), {"E"})
+    grid = evaluate_grid(variant, np.linspace(0.0, math.pi / 2.0, 5), np.linspace(0.0, math.pi, 4))
     assert np.array_equal(grid.ppt_spectrum, ppt_spectrum(grid.pair_reductions["a2a3"]))
 
 
-def test_kernel_rejects_unknown_metric_and_non_finite_angles():
-    with pytest.raises(ValueError, match="unknown metrics"):
-        evaluate_grid(CopyVariant.DUPLICATOR, [0.1], [0.2], {"d4"})
+def test_kernel_rejects_non_finite_angles():
     with pytest.raises(ValueError, match="finite"):
         evaluate_grid(CopyVariant.DUPLICATOR, [0.1, math.nan], [0.2])
     with pytest.raises(ValueError, match="finite"):

@@ -106,7 +106,7 @@ def test_ppt_spectrum_rejects_one_qubit_stack_and_verdict_rejects_a_stack(rng):
 
 def bound_and_eigenvalue(thetas, phi=math.pi / 2.0):
     """The closed-form bound and the measured E of the triplicator's a2a3 pair, per theta."""
-    grid = evaluate_grid(CopyVariant.TRIPLICATOR, thetas, [phi], {"E"})
+    grid = evaluate_grid(CopyVariant.TRIPLICATOR, thetas, [phi])
     return _negativity_bound(grid), grid.ppt_spectrum[:, 0]
 
 
@@ -144,7 +144,7 @@ CORRELATION_PHIS = [0.0, math.pi / 4.0, math.pi / 2.0, 3.0 * math.pi / 4.0, math
 @pytest.fixture(scope="module")
 def correlation():
     """The triplicator's copy distance d1 and pair eigenvalue E on a (theta, phi) grid, shape (6, 5) each."""
-    grid = evaluate_grid(CopyVariant.TRIPLICATOR, np.linspace(0.0, math.pi / 2.0, 6), CORRELATION_PHIS, {"d1", "E"})
+    grid = evaluate_grid(CopyVariant.TRIPLICATOR, np.linspace(0.0, math.pi / 2.0, 6), CORRELATION_PHIS)
     return grid.d1["a2"].reshape(6, 5), grid.ppt_spectrum[:, 0].reshape(6, 5)
 
 
@@ -171,7 +171,7 @@ def test_eigenvalue_phase_profile_dense_grid():
     # 100-point phase grid at fixed amplitude: maximum -1/6 at phi in {0, pi},
     # minimum at phi = pi/2 (and its mirror 3*pi/2)
     phis = np.linspace(0.0, 2.0 * math.pi, 100, endpoint=False)
-    eigs = evaluate_grid(CopyVariant.TRIPLICATOR, [0.6], phis, {"E"}).ppt_spectrum[:, 0]
+    eigs = evaluate_grid(CopyVariant.TRIPLICATOR, [0.6], phis).ppt_spectrum[:, 0]
     top = eigs.max()
     assert abs(top + 1.0 / 6.0) < 1e-10
     assert abs(eigs[0] - top) < 1e-12

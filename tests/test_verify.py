@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -162,8 +161,8 @@ def test_a_group_short_of_one_result_raises(monkeypatch):
 def test_a_copy_without_a_scaling_fit_is_counted(monkeypatch, group, grid_name, check_id):
     grid = getattr(verify._Suite(), grid_name)
     unfit = np.arange(grid.theta.size) == 7
-    scaling = dict(grid.scaling, a2=np.where(unfit, np.nan, grid.scaling["a2"]))
-    monkeypatch.setattr(verify._Suite, grid_name, dataclasses.replace(grid, scaling=scaling))
+    vars(grid)["scaling"] = dict(grid.scaling, a2=np.where(unfit, np.nan, grid.scaling["a2"]))
+    monkeypatch.setattr(verify._Suite, grid_name, grid)
     check = next(c for c in verify.run_verification([group]) if c.check_id == check_id)
     assert check.observed == "1 copies without a scaling fit"
     assert check.error == math.inf
