@@ -24,7 +24,6 @@ from .copier import (
 )
 from .gates import (
     CNOT,
-    GateNetwork,
     NetworkParseError,
     PureState,
     Rotation,
@@ -50,7 +49,6 @@ __all__ = [
     "CopyGrid",
     "CopyReport",
     "CopyVariant",
-    "GateNetwork",
     "InputQubit",
     "NetworkParseError",
     "PptReport",

@@ -25,7 +25,7 @@ from .copier import (
     run_copier,
     solve_preparation_angles,
 )
-from .gates import MAX_QUBITS, NetworkParseError, PureState, density_of, parse_network, run_network
+from .gates import MAX_QUBITS, NetworkParseError, PureState, density_of, max_qubit, parse_network, run_network
 from .report import (
     GridSpec,
     METRICS,
@@ -64,10 +64,10 @@ def _matrix_lines(m: np.ndarray) -> list[str]:
     return ["    [ " + "  ".join(f"{_hc(z):>22}" for z in row) + " ]" for row in m]
 
 
-def _matrix_json(m: np.ndarray) -> dict:
-    m = np.asarray(m, dtype=complex)
-    return {"re": [[float(z.real) for z in row] for row in m],
-            "im": [[float(z.imag) for z in row] for row in m]}
+def _complex_json(z) -> dict:
+    """A complex number or array as ``{"re": ..., "im": ...}``, each part a float or nested lists of floats."""
+    z = np.asarray(z, dtype=complex)
+    return {"re": z.real.tolist(), "im": z.imag.tolist()}
 
 
 def _basis_labels(n: int) -> tuple[str, str]:
@@ -157,16 +157,12 @@ def cmd_copy(args) -> int:
             "input": {
                 "theta": qubit.theta,
                 "phi": qubit.phi,
-                "alpha": {"re": qubit.alpha.real, "im": qubit.alpha.imag},
+                "alpha": _complex_json(qubit.alpha),
                 "beta": qubit.beta,
             },
-            "output_amplitudes": {
-                "re": [float(z.real) for z in report.output_state.amplitudes],
-                "im": [float(z.imag) for z in report.output_state.amplitudes],
-            },
+            "output_amplitudes": _complex_json(report.output_state.amplitudes),
             "reductions": {
-                **{label: _matrix_json(report.qubit_reductions[label]) for label in QUBIT_LABELS},
-                **{label: _matrix_json(report.pair_reductions[label]) for label in PAIR_LABELS},
+                label: _complex_json(m) for label, m in {**report.qubit_reductions, **report.pair_reductions}.items()
             },
             "metrics": {
                 "d1": dict(report.d1),
@@ -175,15 +171,7 @@ def cmd_copy(args) -> int:
                 "scaling": dict(report.scaling),
                 "fidelity": {k: list(v) for k, v in report.fidelity.items()},
             },
-            "ppt": {
-                label: {
-                    "spectrum": list(verdict.spectrum),
-                    "min_eigenvalue": verdict.min_eigenvalue,
-                    "inseparable": verdict.inseparable,
-                    "indeterminate": verdict.indeterminate,
-                }
-                for label, verdict in verdicts.items()
-            },
+            "ppt": {label: dict(vars(verdict)) for label, verdict in verdicts.items()},
         }
         print(render_json(doc), end="")
         return EXIT_OK
@@ -279,7 +267,7 @@ def cmd_network(args) -> int:
         net = parse_network(text)
     except NetworkParseError as exc:
         raise UsageError(f"{args.file}: {exc}") from None
-    needed = net.max_qubit() + 1
+    needed = max_qubit(net) + 1
     if needed > MAX_QUBITS:
         raise UsageError(f"{args.file}: network uses qubit {needed - 1}; at most {MAX_QUBITS} qubits are supported")
     state = _state_from_spec(args.state, needed)
@@ -302,7 +290,7 @@ def cmd_angles(args) -> int:
         doc = {
             "meta": _document_meta("angles"),
             "target": [float(x) for x in c],
-            "angles": {"theta1": angles.theta1, "theta2": angles.theta2, "theta3": angles.theta3},
+            "angles": dict(vars(angles)),
             "reproduced": [float(x) for x in reproduced],
             "residual": residual,
         }

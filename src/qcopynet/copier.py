@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg, separability
-from .gates import CNOT, GateNetwork, PureState, Rotation, _check_normalized, density_of, run_network
+from .gates import CNOT, Gate, PureState, Rotation, _check_normalized, density_of, run_network
 
 __all__ = [
     "CopyVariant",
@@ -255,30 +255,28 @@ def solve_preparation_angles(c) -> PreparationAngles:
     return PreparationAngles(*_solve_angles(c[None])[0].tolist())
 
 
-def preparation_network(angles: PreparationAngles, qubits: tuple[int, int] = (0, 1)) -> GateNetwork:
+def preparation_network(angles: PreparationAngles, qubits: tuple[int, int] = (0, 1)) -> tuple[Gate, ...]:
     """The five-gate preparation stage on the (a2, a3) qubit pair.
 
     ``qubits`` names the register indices playing the roles of a2 and a3;
     the default runs the stage on a bare two-qubit register.
     """
     q2, q3 = qubits
-    return GateNetwork(
-        (
-            Rotation(q2, angles.theta1),
-            CNOT(q2, q3),
-            Rotation(q3, angles.theta2),
-            CNOT(q3, q2),
-            Rotation(q2, angles.theta3),
-        )
+    return (
+        Rotation(q2, angles.theta1),
+        CNOT(q2, q3),
+        Rotation(q3, angles.theta2),
+        CNOT(q3, q2),
+        Rotation(q2, angles.theta3),
     )
 
 
-def copy_stage_network() -> GateNetwork:
+def copy_stage_network() -> tuple[Gate, ...]:
     """The four-CNOT copying stage on (a1, a2, a3) = qubits (0, 1, 2), first gate applied first."""
-    return GateNetwork((CNOT(0, 1), CNOT(0, 2), CNOT(1, 0), CNOT(2, 0)))
+    return (CNOT(0, 1), CNOT(0, 2), CNOT(1, 0), CNOT(2, 0))
 
 
-def full_network(variant: CopyVariant) -> GateNetwork:
+def full_network(variant: CopyVariant) -> tuple[Gate, ...]:
     """Preparation plus copying on the standard three-qubit register."""
     return preparation_network(preparation_angles(variant), qubits=(1, 2)) + copy_stage_network()
 

@@ -2,16 +2,17 @@
 
 Gates act by direct amplitude updates (bit masking), never by building
 full matrices, so unitarity properties like the CNOT involution hold
-structurally.  Qubit 0 occupies the most significant bit of the basis
-index; states are immutable values and every operation returns a fresh
-state.
+structurally.  A network is a tuple of gates, applied first to last, so
+networks join with ``+``.  Qubit 0 occupies the most significant bit of
+the basis index; states are immutable values and every operation returns
+a fresh state.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import cos, isfinite, sin
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -21,7 +22,7 @@ __all__ = [
     "Rotation",
     "CNOT",
     "Gate",
-    "GateNetwork",
+    "max_qubit",
     "run_network",
     "density_of",
     "parse_network",
@@ -111,34 +112,10 @@ class NetworkParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class GateNetwork:
-    """An ordered list of gates, applied first to last."""
-
-    gates: tuple[Gate, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gates", tuple(self.gates))
-
-    def __iter__(self) -> Iterator[Gate]:
-        return iter(self.gates)
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def __add__(self, other: "GateNetwork | Iterable[Gate]") -> "GateNetwork":
-        tail = other.gates if isinstance(other, GateNetwork) else tuple(other)
-        return GateNetwork(self.gates + tuple(tail))
-
-    def max_qubit(self) -> int:
-        """Largest qubit index used, or -1 for the empty network."""
-        top = -1
-        for gate in self.gates:
-            if isinstance(gate, Rotation):
-                top = max(top, gate.target)
-            else:
-                top = max(top, gate.control, gate.target)
-        return top
+def max_qubit(gates: Iterable[Gate]) -> int:
+    """Largest qubit index the gates use, or -1 for no gates."""
+    qubits = (max(gate.control, gate.target) if isinstance(gate, CNOT) else gate.target for gate in gates)
+    return max(qubits, default=-1)
 
 
 def _check_index(num_qubits: int, qubit: int, role: str) -> None:
@@ -179,7 +156,7 @@ def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
     raise TypeError(f"unknown gate type {type(gate).__name__}")
 
 
-def run_network(state: PureState, net: GateNetwork | Iterable[Gate]) -> PureState:
+def run_network(state: PureState, net: Iterable[Gate]) -> PureState:
     """Left-fold the gates over the state, in listed order; the result is validated once."""
     amps, n = state.amplitudes, state.num_qubits
     for pos, gate in enumerate(net):
@@ -196,7 +173,7 @@ def density_of(state: PureState) -> np.ndarray:
     return np.outer(amps, amps.conj())
 
 
-def parse_network(text: str) -> GateNetwork:
+def parse_network(text: str) -> tuple[Gate, ...]:
     """Parse the plain-text network format, one gate per line.
 
     Lines are ``R <qubit> <theta>`` (theta in radians) or
@@ -221,4 +198,4 @@ def parse_network(text: str) -> GateNetwork:
                 raise ValueError(f"expected 'R <qubit> <theta>' or 'CNOT <control> <target>', got {line!r}")
         except ValueError as exc:
             raise NetworkParseError(lineno, str(exc)) from None
-    return GateNetwork(tuple(gates))
+    return tuple(gates)

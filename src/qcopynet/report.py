@@ -139,17 +139,13 @@ def _document_meta(kind: str, **fields) -> dict:
     return {"schema_version": SCHEMA_VERSION, "generator": f"qcopynet {__version__}", "kind": kind, **fields}
 
 
-def _grid_meta(grid: GridSpec) -> dict:
-    return {"start": grid.start, "stop": grid.stop, "count": grid.count}
-
-
 def sweep_document(spec: SweepSpec, rows: list[dict]) -> dict:
     return {
         "meta": _document_meta(
             "sweep",
             variant=spec.variant.value,
-            theta_grid=_grid_meta(spec.theta_grid),
-            phi_grid=_grid_meta(spec.phi_grid),
+            theta_grid=dict(vars(spec.theta_grid)),
+            phi_grid=dict(vars(spec.phi_grid)),
             metrics=sorted(spec.metrics),
             columns=list(CSV_COLUMNS),
         ),

@@ -173,8 +173,12 @@ class VerifyCheck:
     passed: bool
 
 
+def _amplitude_weight(grid: CopyGrid) -> np.ndarray:
+    return np.abs(grid.alpha) ** 2 * grid.beta**2
+
+
 def _phase_weight(grid: CopyGrid) -> np.ndarray:
-    return np.abs(grid.alpha) ** 2 * grid.beta**2 * np.sin(grid.phi) ** 2
+    return _amplitude_weight(grid) * np.sin(grid.phi) ** 2
 
 
 def _negativity_bound(grid: CopyGrid) -> np.ndarray:
@@ -183,8 +187,7 @@ def _negativity_bound(grid: CopyGrid) -> np.ndarray:
     At phi = pi/2 (mod pi) the a2a3 pair's minimum partial-transpose
     eigenvalue E lies at or below it; the bound is attained at alpha = 0.
     """
-    weight = np.abs(grid.alpha) ** 2 * grid.beta**2
-    return -(1.0 + 4.0 * (math.sqrt(5.0) - 2.0) * weight) / 6.0
+    return -(1.0 + 4.0 * (math.sqrt(5.0) - 2.0) * _amplitude_weight(grid)) / 6.0
 
 
 def _max_dev(a, b) -> float:
@@ -299,10 +302,8 @@ def _distance_results(suite: _Suite) -> list:
 
 def _original_results(suite: _Suite) -> list:
     grid = suite.duplicator_grid
-    psi = np.stack([grid.alpha, grid.beta], axis=1)
-    rho_in = psi[:, :, None] * psi.conj()[:, None, :]
     return [
-        _max_dev(grid.qubit_reductions["a1"], np.swapaxes(rho_in, 1, 2) / 3.0 + np.eye(2) / 3.0),
+        _max_dev(grid.qubit_reductions["a1"], np.swapaxes(grid._ideal1, 1, 2) / 3.0 + np.eye(2) / 3.0),
         _max_dev(grid.d1["a1"], (2.0 / 9.0) * (1.0 + 12.0 * _phase_weight(grid))),
     ]
 
@@ -524,19 +525,7 @@ def render_human(checks) -> str:
 
 
 def verification_document(checks, tolerance: float | None = None) -> dict:
-    rows = [
-        {
-            "check_id": c.check_id,
-            "group": c.group,
-            "description": c.description,
-            "expected": c.expected,
-            "observed": c.observed,
-            "tolerance": c.tolerance,
-            "error": c.error if math.isfinite(c.error) else None,
-            "passed": c.passed,
-        }
-        for c in checks
-    ]
+    rows = [{**vars(c), "error": c.error if math.isfinite(c.error) else None} for c in checks]
     passed = sum(1 for c in checks if c.passed)
     return {
         "meta": _document_meta(

@@ -128,6 +128,19 @@ def test_copy_rejects_mixed_input_styles(capsys):
     assert "not both" in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--alpha", "1+", "--beta", "0"), "cannot parse --alpha '1+' as a complex number"),
+        (("--alpha", "0.6"), "--alpha and --beta must be given together"),
+        ((), "an input state is required: --theta [--phi] or --alpha --beta"),
+    ],
+    ids=["unparsable-alpha", "alpha-without-beta", "no-input"],
+)
+def test_copy_usage_error_is_one_line(capsys, argv, message):
+    assert run_cli(capsys, "copy", *argv) == (2, "", f"error: {message}\n")
+
+
 # ------------------------------------------------------------------ sweep
 
 def test_sweep_csv_header_and_row_order(tmp_path, capsys):
@@ -380,6 +393,24 @@ def test_network_rejects_huge_state_amplitudes_with_one_error_line(tmp_path, cap
     for value, norm in EXTREME_AMPLITUDES:
         result = run_cli(capsys, "network", str(net_file), "--state", f"{value},{value}j,0,0")
         assert result == (2, "", not_normalizable("amplitudes", norm)), value
+
+
+@pytest.mark.parametrize(
+    "state,message",
+    [("0000", "at most 3 qubits are supported"), ("1,0,0", "amplitude count 3 is not a power of two within 2..8")],
+    ids=["four-bits", "three-amplitudes"],
+)
+def test_network_rejects_a_state_beyond_the_register(tmp_path, capsys, state, message):
+    net_file = tmp_path / "cnot.txt"
+    net_file.write_text("CNOT 0 1\n")
+    assert run_cli(capsys, "network", str(net_file), "--state", state) == (2, "", f"error: {message}\n")
+
+
+def test_network_rejects_a_gate_beyond_the_register(tmp_path, capsys):
+    net_file = tmp_path / "wide.txt"
+    net_file.write_text("R 3 0.1\n")
+    expected = f"error: {net_file}: network uses qubit 3; at most 3 qubits are supported\n"
+    assert run_cli(capsys, "network", str(net_file)) == (2, "", expected)
 
 
 def test_network_missing_file(capsys):
@@ -642,3 +673,36 @@ def test_column_renderers_reject_a_non_finite_cell_as_the_reference_does(bad):
         with pytest.raises(ValueError) as raised:
             render(doc)
         assert str(raised.value) == str(expected.value) == f"non-finite value {bad!r} in report"
+
+
+# ---------------------------------------------------------- document keys
+
+def test_verification_rows_are_the_check_fields_copied():
+    checks = run_verification(["prep"])
+    row = verification_document(checks)["rows"][0]
+    assert list(row) == ["check_id", "group", "description", "expected", "observed", "tolerance", "error", "passed"]
+    row["observed"] = "edited"
+    assert checks[0].observed != "edited"
+
+
+def test_copy_ppt_entries_carry_the_report_fields(capsys):
+    code, out, _ = run_cli(capsys, "copy", "--theta", "0.6", "--format", "json")
+    assert code == 0
+    for entry in json.loads(out)["ppt"].values():
+        assert list(entry) == ["spectrum", "min_eigenvalue", "inseparable", "indeterminate"]
+
+
+def test_angles_document_carries_the_angle_fields(capsys):
+    target = ["0.8164965809277261", "0.4082482904638631", "0.4082482904638631", "0"]
+    code, out, _ = run_cli(capsys, "angles", *target, "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["angles"]) == ["theta1", "theta2", "theta3"]
+
+
+def test_sweep_grid_meta_is_the_grid_fields_copied():
+    spec = SweepSpec(CopyVariant.DUPLICATOR, GridSpec(0.0, 1.0, 2), GridSpec(0.0, 1.0, 3))
+    meta = sweep_document(spec, sweep_rows(spec))["meta"]
+    assert meta["theta_grid"] == {"start": 0.0, "stop": 1.0, "count": 2}
+    assert list(meta["theta_grid"]) == list(meta["phi_grid"]) == ["start", "stop", "count"]
+    meta["theta_grid"]["count"] = 99
+    assert spec.theta_grid.count == 2

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from qcopynet.gates import (
     CNOT,
-    GateNetwork,
     NetworkParseError,
     PureState,
     Rotation,
     density_of,
+    max_qubit,
     parse_network,
     run_network,
 )
@@ -81,7 +81,7 @@ def test_cnot_rejects_equal_control_and_target():
 
 def test_run_network_empty_is_identity(rng):
     psi = PureState(random_pure(rng, 2))
-    out = run_network(psi, GateNetwork())
+    out = run_network(psi, ())
     assert np.array_equal(out.amplitudes, psi.amplitudes)
 
 
@@ -105,7 +105,7 @@ def test_run_network_full_copier_on_zero():
 
 
 def test_run_network_reports_gate_position_on_error():
-    net = GateNetwork((Rotation(0, 0.1), CNOT(0, 2)))
+    net = (Rotation(0, 0.1), CNOT(0, 2))
     with pytest.raises(ValueError, match=r"gate 2"):
         run_network(PureState.computational(2, 0), net)
 
@@ -156,8 +156,8 @@ def test_property_checks_validate_stacks_not_states(monkeypatch):
 
 def test_network_concatenation_associative(rng):
     psi = PureState(random_pure(rng, 3))
-    a = GateNetwork((Rotation(0, 0.4), CNOT(0, 1)))
-    b = GateNetwork((CNOT(1, 2), Rotation(2, -0.7)))
+    a = (Rotation(0, 0.4), CNOT(0, 1))
+    b = (CNOT(1, 2), Rotation(2, -0.7))
     stepwise = run_network(run_network(psi, a), b)
     merged = run_network(psi, a + b)
     assert np.array_equal(stepwise.amplitudes, merged.amplitudes)
@@ -235,7 +235,7 @@ def test_density_of_copier_output_reduces_to_fidelity_split():
 def test_parse_network_round_trip():
     text = "R 0 0.39269908169872414\nCNOT 0 1\nR 1 -0.16991845472706082\n"
     net = parse_network(text)
-    assert net.gates == (
+    assert net == (
         Rotation(0, 0.39269908169872414),
         CNOT(0, 1),
         Rotation(1, -0.16991845472706082),
@@ -272,5 +272,5 @@ def test_parse_network_rejects_non_finite_angles(angle):
 
 
 def test_max_qubit():
-    assert GateNetwork().max_qubit() == -1
-    assert parse_network("R 1 0.2\nCNOT 0 2\n").max_qubit() == 2
+    assert max_qubit(()) == -1
+    assert max_qubit(parse_network("R 1 0.2\nCNOT 0 2\n")) == 2

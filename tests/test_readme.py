@@ -1,9 +1,13 @@
-"""README's Library code block, run as written, against the values its comments promise."""
+"""README's code blocks, run as written: the Library block against the values its
+comments promise, and every CLI example line against its documented exit code."""
 
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
+
+from qcopynet import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -25,3 +29,27 @@ def test_readme_library_block_runs_and_keeps_its_promises():
     assert ns["ppt_verdict"](report.pair_reductions["a2a3"]).inseparable is True
     assert grid.d1["a2"].shape == (4,)
     assert grid.ppt_spectrum[:, 0].shape == (4,)
+
+
+def readme_cli_lines() -> list[list[str]]:
+    """Every ``qcopynet ...`` line of README's sh blocks, continuations joined, as argv without the program."""
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.DOTALL):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["qcopynet"]:
+                lines.append(argv[1:])
+    return lines
+
+
+def test_readme_cli_examples_exit_as_documented(tmp_path, monkeypatch, capsys):
+    network = re.search(r"## Network file format\n.*?```\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    (tmp_path / "prep.txt").write_text(network.group(1))
+    monkeypatch.chdir(tmp_path)
+    examples = readme_cli_lines()
+    assert {argv[0] for argv in examples} == {"verify", "copy", "sweep", "network", "angles"}
+    for argv in examples:
+        # the override example tightens every tolerance past what the numerics reach
+        expected = 1 if argv == ["verify", "--tolerance", "1e-15"] else 0
+        assert (cli.main(argv), capsys.readouterr().err) == (expected, ""), argv
+    assert (tmp_path / "sweep.csv").read_text().count("\n") == 801
