@@ -3,7 +3,8 @@
 Both machines share one three-qubit circuit: a five-gate preparation stage
 acting on the two blank qubits (a2, a3), followed by four CNOTs that spread
 the original qubit (a1) over all three.  The two variants differ only in the
-sign of the middle preparation angle.  ``evaluate_grid`` runs the circuit
+sign of the middle preparation angle, so each is one row of a private table;
+a value that is not a CopyVariant member raises ValueError.  ``evaluate_grid`` runs the circuit
 once per variant on the two basis inputs |000> and |100>, then forms the
 outputs of whole (theta, phi) grids as arrays.  The CopyGrid it returns
 computes the reduced states, scaling fits, fidelity splits, Hilbert-Schmidt
@@ -23,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg, separability
-from .gates import CNOT, Gate, PureState, Rotation, _check_normalized, density_of, run_network
+from .gates import CNOT, Gate, PureState, Rotation, _check_normalized, run_network
 
 __all__ = [
     "CopyVariant",
@@ -75,12 +76,6 @@ class InputQubit:
     def beta(self) -> float:
         return math.cos(self.theta)
 
-    def state(self) -> PureState:
-        return PureState(np.array([self.alpha, self.beta], dtype=complex))
-
-    def density(self) -> np.ndarray:
-        return density_of(self.state())
-
     @classmethod
     def from_amplitudes(cls, alpha: complex, beta: complex) -> "InputQubit":
         """Build from raw amplitudes, factoring out the global phase.
@@ -118,20 +113,28 @@ class PreparationAngles:
 
 _THETA2_MAGNITUDE = math.asin(math.sqrt(0.5 - math.sqrt(2.0) / 3.0))
 
-_DUPLICATOR_AMPLITUDES = np.array([2.0, 1.0, 1.0, 0.0]) / math.sqrt(6.0)
-_TRIPLICATOR_AMPLITUDES = np.array([3.0, 1.0, 1.0, 1.0]) / math.sqrt(12.0)
+# One row per machine: the target blank-qubit amplitudes and the sign of theta2.
+_MACHINES = {
+    CopyVariant.DUPLICATOR: (np.array([2.0, 1.0, 1.0, 0.0]) / math.sqrt(6.0), -1.0),
+    CopyVariant.TRIPLICATOR: (np.array([3.0, 1.0, 1.0, 1.0]) / math.sqrt(12.0), 1.0),
+}
+
+
+def _machine(variant: CopyVariant) -> tuple[np.ndarray, float]:
+    """The variant's row of ``_MACHINES``; ValueError for anything that is not a CopyVariant member."""
+    if not isinstance(variant, CopyVariant):
+        raise ValueError(f"variant must be a CopyVariant member, got {variant!r}")
+    return _MACHINES[variant]
 
 
 def preparation_amplitudes(variant: CopyVariant) -> np.ndarray:
     """Target blank-qubit amplitudes (|00>, |01>, |10>, |11>) for a variant."""
-    if variant is CopyVariant.DUPLICATOR:
-        return _DUPLICATOR_AMPLITUDES.copy()
-    return _TRIPLICATOR_AMPLITUDES.copy()
+    return _machine(variant)[0].copy()
 
 
 def preparation_angles(variant: CopyVariant) -> PreparationAngles:
     """Closed-form preparation angles; the variants differ only in the sign of theta2."""
-    sign = -1.0 if variant is CopyVariant.DUPLICATOR else 1.0
+    sign = _machine(variant)[1]
     return PreparationAngles(math.pi / 8.0, sign * _THETA2_MAGNITUDE, math.pi / 8.0)
 
 
@@ -440,9 +443,11 @@ def evaluate_grid(variant: CopyVariant, thetas, phis) -> CopyGrid:
 
     Each point gets what ``run_copier`` computes for InputQubit(theta, phi),
     plus the a2a3 partial-transpose spectrum, each computed when first read.
-    Raises ValueError for an empty grid, a non-finite angle, or output
-    states that fail the PureState norm check.
+    Raises ValueError for a variant that is not a CopyVariant member, an
+    empty grid, a non-finite angle, or output states that fail the
+    PureState norm check.
     """
+    _machine(variant)  # before the basis outputs' cache, which cannot hash every value
     thetas = np.asarray(thetas, dtype=float).reshape(-1)
     phis = np.asarray(phis, dtype=float).reshape(-1)
     if not (thetas.size and phis.size):

@@ -2,7 +2,7 @@
 
 Matrices are plain complex ndarrays indexed in ascending binary order with
 qubit 0 as the most significant bit, so a two-qubit basis reads
-|00>, |01>, |10>, |11>.  ``reverse_basis`` flips a vector or matrix to the
+|00>, |01>, |10>, |11>.  ``reverse_basis`` flips a matrix to the
 descending order (|11>, |10>, |01>, |00>) that some references prefer;
 eigenvalues and traces are unaffected by the choice.  Tensor products,
 eigenvalues, partial traces and transposes, Hilbert-Schmidt distances and
@@ -13,6 +13,7 @@ whole parameter grid is handled in one call.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -95,11 +96,15 @@ def partial_trace(rho, keep) -> np.ndarray:
 
     The first listed qubit becomes the high-order subsystem of the result.
     Trace is preserved.  A stack of matrices (shape (..., n, n)) is reduced
-    matrix by matrix.
+    matrix by matrix.  Raises ValueError unless ``keep`` holds distinct
+    integer qubit indices in range; a float such as 1.9 is not truncated.
     """
     rho = _stack(rho)
     n = num_qubits_of(rho)
-    keep = tuple(int(q) for q in keep)
+    try:
+        keep = tuple(map(operator.index, keep))
+    except TypeError:
+        raise ValueError(f"keep must hold integer qubit indices, got {keep!r}") from None
     if not keep:
         raise ValueError("keep must name at least one qubit")
     if len(set(keep)) != len(keep):
@@ -197,14 +202,12 @@ def validate_density(rho) -> np.ndarray:
 
 
 def reverse_basis(m) -> np.ndarray:
-    """Reindex a vector or square matrix between ascending and descending basis order.
+    """Reindex a square matrix between ascending and descending basis order.
 
     For two qubits this swaps |00> <-> |11> and |01> <-> |10>.  The map is
     its own inverse.
     """
     m = np.asarray(m, dtype=complex)
-    if m.ndim == 1:
-        return m[::-1].copy()
-    if m.ndim == 2:
-        return m[::-1, ::-1].copy()
-    raise ValueError("expected a vector or a matrix")
+    if m.ndim != 2:
+        raise ValueError(f"expected a matrix, got shape {m.shape}")
+    return m[::-1, ::-1].copy()

@@ -1,21 +1,22 @@
 """Parameter sweeps and their CSV/JSON serialization.
 
 CSV and JSON read one column formatter, which renders each column's floats
-in one pass to 17 significant digits, so the decimal strings of a sweep are
-identical in both formats and round-trip to the same doubles.
+(``float`` and its subclasses such as ``np.float64``) in one pass to 17
+significant digits, so the decimal strings of a sweep are identical in both
+formats and round-trip to the same doubles.
 """
 
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
-from .copier import PAIR_LABELS, QUBIT_LABELS, CopyVariant, evaluate_grid
+from .copier import PAIR_LABELS, QUBIT_LABELS, CopyVariant, _machine, evaluate_grid
 
 __all__ = [
     "CSV_COLUMNS",
@@ -28,7 +29,6 @@ __all__ = [
     "sweep_document",
     "render_csv",
     "render_json",
-    "format_float",
 ]
 
 SCHEMA_VERSION = "1"
@@ -66,10 +66,8 @@ class GridSpec:
     count: int
 
     def __post_init__(self) -> None:
-        try:
-            operator.index(self.count)
-        except TypeError:
-            raise ValueError(f"grid count must be an integer, got {self.count!r}") from None
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral):
+            raise ValueError(f"grid count must be an integer, got {self.count!r}")
         if not 1 <= self.count <= MAX_GRID_POINTS:
             raise ValueError(f"grid count must be between 1 and {MAX_GRID_POINTS}, got {self.count:.6g}")
         for edge in (self.start, self.stop):
@@ -77,8 +75,6 @@ class GridSpec:
                 raise ValueError(f"grid edge {edge!r} outside [0, 2*pi]")
 
     def values(self) -> np.ndarray:
-        if self.count == 1:
-            return np.array([self.start])
         return np.linspace(self.start, self.stop, self.count)
 
 
@@ -92,6 +88,7 @@ class SweepSpec:
     metrics: frozenset = METRICS
 
     def __post_init__(self) -> None:
+        _machine(self.variant)
         unknown = set(self.metrics) - METRICS
         if unknown:
             raise ValueError(f"unknown metrics {sorted(unknown)}; choose from {sorted(METRICS)}")
@@ -161,22 +158,17 @@ def _float_texts(values: list) -> list[str]:
     return [f"{v:.17g}" for v in values]
 
 
-def format_float(x: float) -> str:
-    """Render a float with 17 significant digits (lossless for doubles)."""
-    return _float_texts([x])[0]
-
-
 def _column_texts(values: list, other) -> list[str]:
     """One column as text: its floats through ``_float_texts`` in one pass, every other cell through ``other``."""
-    floats = [v for v in values if type(v) is float]
+    floats = [v for v in values if isinstance(v, float)]
     if len(floats) == len(values):
         return _float_texts(floats)
     texts = iter(_float_texts(floats))
-    return [next(texts) if type(v) is float else other(v) for v in values]
+    return [next(texts) if isinstance(v, float) else other(v) for v in values]
 
 
 def _csv_other(value) -> str:
-    return "" if value is None else value if isinstance(value, str) else format_float(value)
+    return "" if value is None else value
 
 
 def render_csv(document: dict) -> str:
@@ -202,8 +194,6 @@ def _json_value(value, indent: int) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, float):
-        return format_float(value)
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if isinstance(value, dict):

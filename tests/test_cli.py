@@ -11,7 +11,7 @@ import pytest
 import qcopynet
 from qcopynet import CopyVariant, InputQubit, cli, run_copier
 from qcopynet.cli import main
-from qcopynet.report import CSV_COLUMNS, MAX_GRID_POINTS, GridSpec, SweepSpec, format_float, render_csv, render_json, sweep_document, sweep_rows
+from qcopynet.report import CSV_COLUMNS, MAX_GRID_POINTS, GridSpec, SweepSpec, render_csv, render_json, sweep_document, sweep_rows
 from qcopynet.verify import run_verification, verification_document
 
 
@@ -209,7 +209,7 @@ def test_sweep_csv_json_identical_numbers(tmp_path, capsys):
             elif isinstance(value, str):
                 assert cell == value
             else:
-                assert cell == format_float(value)
+                assert cell == format(value, ".17g")
     # the JSON text itself carries the same decimal strings
     json_text = json_file.read_text()
     for line in csv_lines[1:]:
@@ -515,7 +515,7 @@ def test_gridspec_validation():
     assert list(GridSpec(0.5, 0.5, 1).values()) == [0.5]
 
 
-@pytest.mark.parametrize("count", [2.5, 3.0])
+@pytest.mark.parametrize("count", [2.5, 3.0, True])
 def test_gridspec_rejects_a_non_integer_count(count):
     with pytest.raises(ValueError, match="grid count must be an integer"):
         GridSpec(0.0, 1.0, count)
@@ -531,12 +531,35 @@ def test_sweepspec_rejects_unknown_metric():
         )
 
 
+@pytest.mark.parametrize("variant", ["duplicator", None])
+def test_sweepspec_rejects_a_variant_that_is_not_a_member(variant):
+    # a string used to pass here and fail later in sweep_rows with an AttributeError
+    with pytest.raises(ValueError, match="variant must be a CopyVariant member"):
+        SweepSpec(variant, GridSpec(0, 1, 2), GridSpec(0, 1, 2))
+
+
 def test_format_float_17_digits_round_trip():
     values = [1.0 / 18.0, 2.0 / 9.0, math.pi, 5.0 / 6.0, 1e-300]
-    for v in values:
-        assert float(format_float(v)) == v
+    spec = SweepSpec(CopyVariant.DUPLICATOR, GridSpec(0.0, 1.0, len(values)), GridSpec(0.0, 0.0, 1))
+    doc = sweep_document(spec, sweep_rows(spec))
+    for row, v in zip(doc["rows"], values):
+        row["d1_a2"] = v
+    column = CSV_COLUMNS.index("d1_a2")
+    assert [float(line.split(",")[column]) for line in render_csv(doc).splitlines()[1:]] == values
+    doc["rows"][0]["d1_a2"] = float("nan")
     with pytest.raises(ValueError):
-        format_float(float("nan"))
+        render_csv(doc)
+
+
+def test_float64_cells_render_as_python_floats():
+    spec = SweepSpec(CopyVariant.TRIPLICATOR, GridSpec(0.0, 1.5, 4), GridSpec(0.0, 6.0, 3))
+    doc = sweep_document(spec, sweep_rows(spec))
+    doc64 = sweep_document(
+        spec, [{k: np.float64(v) if type(v) is float else v for k, v in row.items()} for row in doc["rows"]]
+    )
+    assert any(isinstance(v, np.float64) for v in doc64["rows"][0].values())
+    assert render_csv(doc64) == render_csv(doc)
+    assert render_json(doc64) == render_json(doc)
 
 
 def test_render_json_parses_and_matches_rows():

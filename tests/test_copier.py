@@ -10,6 +10,8 @@ from qcopynet import (
     PreparationAngles,
     amplitudes_from_angles,
     copy_stage_network,
+    evaluate_grid,
+    full_network,
     preparation_amplitudes,
     preparation_angles,
     preparation_network,
@@ -17,12 +19,20 @@ from qcopynet import (
     solve_preparation_angles,
 )
 from qcopynet.copier import _DEGENERATE_GAP, _amplitudes_from_angles, _scaling_fit, _solve_angles, _weight
-from qcopynet.gates import PureState, run_network as run
+from qcopynet.gates import PureState, density_of, run_network as run
 
 THETA2 = math.asin(math.sqrt(0.5 - math.sqrt(2.0) / 3.0))
 
 THETAS = np.linspace(0.0, math.pi / 2.0, 8)
 PHIS = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+
+
+def input_state(qubit: InputQubit) -> PureState:
+    return PureState(np.array([qubit.alpha, qubit.beta]))
+
+
+def input_density(qubit: InputQubit) -> np.ndarray:
+    return density_of(input_state(qubit))
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +60,7 @@ def test_input_qubit_amplitudes():
     assert abs(q.alpha - math.sin(math.pi / 3.0) * 1j) < 1e-15
     assert abs(q.beta - 0.5) < 1e-15
     perp = np.array([np.conj(q.beta), -np.conj(q.alpha)])
-    assert abs(np.vdot(q.state().amplitudes, perp)) < 1e-15
+    assert abs(np.vdot(input_state(q).amplitudes, perp)) < 1e-15
 
 
 def test_input_qubit_from_amplitudes_basis_case():
@@ -65,7 +75,7 @@ def test_input_qubit_from_amplitudes_strips_global_phase():
     q = InputQubit.from_amplitudes(raw_alpha, raw_beta)
     assert q.beta >= 0.0
     expected = np.outer([raw_alpha, raw_beta], np.conj([raw_alpha, raw_beta]))
-    assert np.max(np.abs(q.density() - expected)) < 1e-12
+    assert np.max(np.abs(input_density(q) - expected)) < 1e-12
 
 
 def test_input_qubit_from_amplitudes_rejects_unnormalized():
@@ -290,6 +300,45 @@ def test_copy_stage_order_and_involution_on_blank():
     assert np.array_equal(out.amplitudes, PureState.computational(3, 0).amplitudes)
 
 
+# Each machine's target amplitudes and middle preparation angle, stated apart from the copier's table.
+MACHINE_CONSTANTS = {
+    CopyVariant.DUPLICATOR: (np.array([2.0, 1.0, 1.0, 0.0]) / math.sqrt(6.0), -THETA2),
+    CopyVariant.TRIPLICATOR: (np.array([3.0, 1.0, 1.0, 1.0]) / math.sqrt(12.0), THETA2),
+}
+
+
+@pytest.mark.parametrize("variant", list(CopyVariant))
+def test_machine_constants_are_bit_identical(variant):
+    amplitudes, theta2 = MACHINE_CONSTANTS[variant]
+    assert preparation_amplitudes(variant).tobytes() == amplitudes.tobytes()
+    angles = np.array([math.pi / 8.0, theta2, math.pi / 8.0])
+    assert preparation_angles(variant).as_array().tobytes() == angles.tobytes()
+    # each call hands out its own copy of the table's amplitudes
+    preparation_amplitudes(variant)[0] = 0.0
+    assert preparation_amplitudes(variant).tobytes() == amplitudes.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_copier(InputQubit(0.3), "duplicator"),
+        lambda: evaluate_grid("triplicator", [0.1], [0.0]),
+        lambda: evaluate_grid(["triplicator"], [0.1], [0.0]),
+        lambda: full_network("duplicator"),
+        lambda: preparation_angles("duplicator"),
+        lambda: preparation_amplitudes(None),
+    ],
+    ids=[
+        "run_copier-str", "evaluate_grid-str", "evaluate_grid-list",
+        "full_network-str", "angles-str", "amplitudes-None",
+    ],
+)
+def test_a_value_that_is_not_a_variant_member_raises(call):
+    # a string or None used to fall into the triplicator branch, and a list into a TypeError
+    with pytest.raises(ValueError, match="variant must be a CopyVariant member"):
+        call()
+
+
 # ------------------------------------------------------------- run_copier
 
 def test_duplicator_uniform_input_report():
@@ -371,21 +420,21 @@ def test_triplicator_output_pure(trip_reports):
 # --------------------------------------------------------- scaling & split
 
 def test_scaling_decompose_identity_cases():
-    rho_id = InputQubit(0.7, 1.1).density()
+    rho_id = input_density(InputQubit(0.7, 1.1))
     s = _scaling_fit(np.array([rho_id, np.eye(2) / 2.0]), rho_id)
     assert np.max(np.abs(s - [1.0, 0.0])) < 1e-12
 
 
 def test_scaling_decompose_duplicator_copy():
     report = run_copier(InputQubit(0.4, 5.0), CopyVariant.DUPLICATOR)
-    s = _scaling_fit(report.qubit_reductions["a2"][None], report.input.density())
+    s = _scaling_fit(report.qubit_reductions["a2"][None], input_density(report.input))
     assert abs(s[0] - 2.0 / 3.0) < 1e-10
 
 
 def test_scaling_decompose_returns_none_off_form():
     # triplicator copy with a complex amplitude has no scaled form
     report = run_copier(InputQubit(0.8, 1.0), CopyVariant.TRIPLICATOR)
-    s = _scaling_fit(report.qubit_reductions["a2"][None], report.input.density())
+    s = _scaling_fit(report.qubit_reductions["a2"][None], input_density(report.input))
     assert np.isnan(s[0])
 
 
@@ -396,8 +445,8 @@ def test_scaling_decompose_rejects_impure_reference():
 
 def test_fidelity_split_pure_and_mixed():
     qubit = InputQubit(1.1, 0.3)
-    vectors = np.array([qubit.state().amplitudes, [np.conj(qubit.beta), -np.conj(qubit.alpha)]])
-    for rho, expected in ((qubit.density(), (1.0, 0.0)), (np.eye(2) / 2.0, (0.5, 0.5))):
+    vectors = np.array([input_state(qubit).amplitudes, [np.conj(qubit.beta), -np.conj(qubit.alpha)]])
+    for rho, expected in ((input_density(qubit), (1.0, 0.0)), (np.eye(2) / 2.0, (0.5, 0.5))):
         split = _weight(np.array([rho, rho], dtype=complex), vectors)
         assert np.allclose(split, expected, atol=1e-12)
 
@@ -406,7 +455,7 @@ def test_fidelity_split_pure_and_mixed():
 
 def test_original_transpose_check_real_input(dup_reports):
     for qubit, report in dup_reports:
-        expected = qubit.density().T / 3.0 + np.eye(2) / 3.0
+        expected = input_density(qubit).T / 3.0 + np.eye(2) / 3.0
         residual = float(np.max(np.abs(report.qubit_reductions["a1"] - expected)))
         assert residual <= 1e-10, f"residual {residual} at theta={qubit.theta}, phi={qubit.phi}"
 
@@ -415,7 +464,7 @@ def test_original_off_diagonal_conjugated_at_quarter_phase():
     # with alpha imaginary the transpose flips the off-diagonal sign
     qubit = InputQubit(math.pi / 4.0, math.pi / 2.0)
     report = run_copier(qubit, CopyVariant.DUPLICATOR)
-    rho_in = qubit.density()
+    rho_in = input_density(qubit)
     observed = report.qubit_reductions["a1"][0, 1]
     assert abs(observed - rho_in[1, 0] / 3.0) < 1e-12
     assert abs(observed - rho_in[0, 1] / 3.0) > 0.1

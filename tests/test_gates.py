@@ -224,7 +224,7 @@ def test_density_of_copier_output_reduces_to_fidelity_split():
     qubit = InputQubit(1.0, 0.7)
     report = run_copier(qubit, CopyVariant.DUPLICATOR)
     reduced = partial_trace(density_of(report.output_state), (1,))
-    psi = qubit.state().amplitudes
+    psi = np.array([qubit.alpha, qubit.beta])
     perp = np.array([np.conj(qubit.beta), -np.conj(qubit.alpha)])
     expected = (5.0 / 6.0) * np.outer(psi, psi.conj()) + (1.0 / 6.0) * np.outer(perp, perp.conj())
     assert np.max(np.abs(reduced - expected)) < 1e-12

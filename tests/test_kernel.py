@@ -76,7 +76,7 @@ def reference_row(theta: float, phi: float, variant: CopyVariant) -> dict:
     """One sweep row from a per-point network run, partial traces and eigvalsh."""
     qubit = InputQubit(theta, phi)
     rho = density_of(PureState(network_output(theta, phi, variant)))
-    psi = qubit.state().amplitudes
+    psi = np.array([qubit.alpha, qubit.beta])
     ideal1 = np.outer(psi, psi.conj())
     ideal = [ideal1, np.kron(ideal1, ideal1), np.kron(np.kron(ideal1, ideal1), ideal1)]
     row = {

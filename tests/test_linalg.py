@@ -92,6 +92,13 @@ def test_partial_trace_rejects_bad_keep():
         linalg.partial_trace(rho, (0, 0))
 
 
+@pytest.mark.parametrize("keep", [(1.9,), (0, 1.0), ("1",)])
+def test_partial_trace_rejects_a_non_integer_qubit(keep):
+    # (1.9,) used to be truncated to qubit 1
+    with pytest.raises(ValueError, match="integer qubit indices"):
+        linalg.partial_trace(np.eye(4) / 4.0, keep)
+
+
 # ------------------------------------------------------ partial transpose
 
 def test_partial_transpose_product_state_stays_positive():
@@ -245,10 +252,14 @@ def test_validate_density_rejects_non_hermitian():
 
 
 def test_reverse_basis_involution(rng):
-    rho = random_density(rng, 2)
-    assert np.array_equal(linalg.reverse_basis(linalg.reverse_basis(rho)), rho)
-    vec = random_pure(rng, 2)
-    assert np.array_equal(linalg.reverse_basis(linalg.reverse_basis(vec)), vec)
+    for n in (1, 2, 3):
+        rho = random_density(rng, n)
+        assert np.array_equal(linalg.reverse_basis(linalg.reverse_basis(rho)), rho)
+
+
+def test_reverse_basis_rejects_a_vector(rng):
+    with pytest.raises(ValueError, match="expected a matrix"):
+        linalg.reverse_basis(random_pure(rng, 2))
 
 
 # ------------------------------------------------------- property suite
