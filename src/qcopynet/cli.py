@@ -36,7 +36,7 @@ from .report import (
     sweep_document,
     sweep_rows,
 )
-from .separability import PptReport, ppt_verdict
+from .separability import PptReport, _ppt_reports, ppt_spectrum
 from .verify import GROUP_ORDER, render_human, run_verification, verification_document
 
 EXIT_OK = 0
@@ -138,18 +138,19 @@ def _print_state_analysis(state: PureState) -> None:
     rho = density_of(state)
     for q in range(n):
         _print_reduction(f"qubit {q}", linalg.partial_trace(rho, (q,)) if n > 1 else rho)
-    for qa in range(n):
-        for qb in range(qa + 1, n):
-            verdict = ppt_verdict(linalg.partial_trace(rho, (qa, qb)))
-            spectrum = ", ".join(_h(x) for x in verdict.spectrum)
-            print(f"pair ({qa},{qb}) partial-transpose spectrum: [{spectrum}] -> {_separability_word(verdict)}")
+    pairs = [(qa, qb) for qa in range(n) for qb in range(qa + 1, n)]
+    verdicts = _ppt_reports(ppt_spectrum(np.stack([linalg.partial_trace(rho, p) for p in pairs]))) if pairs else []
+    for (qa, qb), verdict in zip(pairs, verdicts):
+        spectrum = ", ".join(_h(x) for x in verdict.spectrum)
+        print(f"pair ({qa},{qb}) partial-transpose spectrum: [{spectrum}] -> {_separability_word(verdict)}")
 
 
 def cmd_copy(args) -> int:
     qubit = _input_from_args(args)
     variant = CopyVariant(args.variant)
     report = run_copier(qubit, variant)
-    verdicts = {label: ppt_verdict(report.pair_reductions[label]) for label in PAIR_LABELS}
+    spectra = ppt_spectrum(np.stack([report.pair_reductions[label] for label in PAIR_LABELS]))
+    verdicts = dict(zip(PAIR_LABELS, _ppt_reports(spectra)))
 
     if args.format == "json":
         doc = {

@@ -345,9 +345,9 @@ class CopyGrid:
     no scaled form; ``fidelity`` holds (N, 2) weights on the input state and
     on its orthogonal complement; ``ppt_spectrum`` is the ascending (N, 4)
     spectrum of the partially transposed a2a3 pair.  Reading ``scaling``
-    raises ValueError if an input state is not pure, and reading
-    ``ppt_spectrum`` raises it if an a2a3 pair fails
-    ``linalg.validate_density``.
+    raises ValueError if an input state is not pure.  A pair reduction is a
+    Gram matrix M M^dagger of checked states, so positive by construction;
+    ``ppt_spectrum`` checks that the a2a3 pair is finite, Hermitian and unit-trace.
     """
 
     variant: CopyVariant
@@ -422,7 +422,7 @@ class CopyGrid:
 
     @functools.cached_property
     def ppt_spectrum(self) -> np.ndarray:
-        return separability.ppt_spectrum(self.pair_reductions["a2a3"])
+        return separability._transposed_spectrum(linalg._check_density(self.pair_reductions["a2a3"]))
 
 
 @functools.cache

@@ -175,14 +175,8 @@ def hs_distance(rho1, rho2):
     return float(distance) if rho1.ndim == 2 else distance
 
 
-def validate_density(rho) -> np.ndarray:
-    """Check the density-matrix invariants and return rho as a complex ndarray.
-
-    Raises ValueError if rho is not Hermitian (within HERMITICITY_TOL), not
-    unit trace (TRACE_TOL), or not positive semidefinite (PSD_TOL), or if
-    any entry is non-finite.  A stack of matrices (shape (..., n, n))
-    passes only if every matrix does; the error names the worst one.
-    """
+def _check_density(rho) -> np.ndarray:
+    """``validate_density`` short of its positivity eigensolve: shape, finite entries, Hermiticity, unit trace."""
     rho = _stack(rho)
     num_qubits_of(rho)
     if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
@@ -195,6 +189,18 @@ def validate_density(rho) -> np.ndarray:
     tr = complex(traces[worst])
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1")
+    return rho
+
+
+def validate_density(rho) -> np.ndarray:
+    """Check the density-matrix invariants and return rho as a complex ndarray.
+
+    Raises ValueError if rho is not Hermitian (within HERMITICITY_TOL), not
+    unit trace (TRACE_TOL), or not positive semidefinite (PSD_TOL), or if
+    any entry is non-finite.  A stack of matrices (shape (..., n, n))
+    passes only if every matrix does; the error names the worst one.
+    """
+    rho = _check_density(rho)
     low = float(np.min(hermitian_eigenvalues(rho)[..., 0]))
     if low < -PSD_TOL:
         raise ValueError(f"density matrix is not positive semidefinite (min eigenvalue {low:.3e})")

@@ -1,8 +1,8 @@
 """Parameter sweeps and their CSV/JSON serialization.
 
-CSV and JSON read one column formatter, which renders each column's floats
-(``float`` and its subclasses such as ``np.float64``) in one pass to 17
-significant digits, so the decimal strings of a sweep are identical in both
+CSV and JSON read one column formatter, which formats every float (``float``
+and its subclasses such as ``np.float64``) at ``%.17g``, mostly inside one
+``%`` per row, so the decimal strings of a sweep are identical in both
 formats and round-trip to the same doubles.
 """
 
@@ -151,20 +151,19 @@ def sweep_document(spec: SweepSpec, rows: list[dict]) -> dict:
     }
 
 
-def _float_texts(values: list) -> list[str]:
-    """Floats at 17 significant digits (lossless for doubles), after one finiteness pass."""
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"non-finite value {next(v for v in values if not math.isfinite(v))!r} in report")
-    return [f"{v:.17g}" for v in values]
+def _column(values: list, other) -> tuple[str, list]:
+    """A column's ``%`` conversion and cells: floats only stay floats under ``%.17g`` (17 digits, lossless).
 
-
-def _column_texts(values: list, other) -> list[str]:
-    """One column as text: its floats through ``_float_texts`` in one pass, every other cell through ``other``."""
+    Any other column becomes text under ``%s``, its floats at ``%.17g`` and
+    every other cell through ``other``.  Non-finite floats raise first.
+    """
     floats = [v for v in values if isinstance(v, float)]
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"non-finite value {next(v for v in floats if not math.isfinite(v))!r} in report")
     if len(floats) == len(values):
-        return _float_texts(floats)
-    texts = iter(_float_texts(floats))
-    return [next(texts) if isinstance(v, float) else other(v) for v in values]
+        return "%.17g", values
+    texts = map("%.17g".__mod__, floats)
+    return "%s", [next(texts) if isinstance(v, float) else other(v) for v in values]
 
 
 def _csv_other(value) -> str:
@@ -174,15 +173,15 @@ def _csv_other(value) -> str:
 def render_csv(document: dict) -> str:
     """CSV body for a sweep document; header row first, empty cell for None."""
     rows = document["rows"]
-    cells = [_column_texts([row[column] for row in rows], _csv_other) for column in CSV_COLUMNS]
-    return "\n".join([",".join(CSV_COLUMNS), *map(",".join, zip(*cells))]) + "\n"
+    specs, cells = zip(*(_column([row[column] for row in rows], _csv_other) for column in CSV_COLUMNS))
+    return "\n".join([",".join(CSV_COLUMNS), *map(",".join(specs).__mod__, zip(*cells))]) + "\n"
 
 
 def _json_objects(records: list, indent: int) -> list[str]:
     """Non-empty dicts that share one key sequence as JSON objects: keys escaped once, values by column."""
-    pad, keys = "  " * indent, records[0]
-    fields = ",\n".join(f"{pad}  {encode_basestring_ascii(key).replace('%', '%%')}: %s" for key in keys)
-    cells = [_column_texts([item[key] for item in records], lambda v: _json_value(v, indent + 1)) for key in keys]
+    pad, keys, other = "  " * indent, records[0], lambda v: _json_value(v, indent + 1)
+    specs, cells = zip(*(_column([item[key] for item in records], other) for key in keys))
+    fields = ",\n".join(f"{pad}  {encode_basestring_ascii(k).replace('%', '%%')}: {c}" for k, c in zip(keys, specs))
     return list(map(f"{{\n{fields}\n{pad}}}".__mod__, zip(*cells)))
 
 
@@ -205,7 +204,8 @@ def _json_value(value, indent: int) -> str:
         if keys and all(isinstance(item, dict) and tuple(item) == keys for item in value):
             items = _json_objects(value, indent + 1)
         else:
-            items = _column_texts(value, lambda v: _json_value(v, indent + 1))
+            spec, cells = _column(value, lambda v: _json_value(v, indent + 1))
+            items = map(spec.__mod__, cells)
         return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(value).__name__}")
 

@@ -3,7 +3,8 @@
 For a pair of qubits, positivity of the partial transpose is necessary and
 sufficient for separability, so the minimum eigenvalue of the partially
 transposed matrix settles the question: strictly negative means the pair is
-entangled.
+entangled.  ``ppt_spectrum`` validates a caller's matrix in full; the copier
+kernel, whose pairs are positive by construction, skips only positivity.
 """
 
 from __future__ import annotations
@@ -39,6 +40,21 @@ class PptReport:
     indeterminate: bool
 
 
+def _transposed_spectrum(rho: np.ndarray) -> np.ndarray:
+    """``ppt_spectrum`` of a complex stack whose density-matrix invariants the caller has checked."""
+    if rho.shape[-1] != 4:
+        raise ValueError("the separability verdict applies to two-qubit states")
+    return linalg.hermitian_eigenvalues(linalg.partial_transpose(rho))
+
+
+def _ppt_reports(spectra: np.ndarray) -> list[PptReport]:
+    """The verdict on each ascending spectrum of a (k, 4) stack."""
+    return [
+        PptReport(tuple(s), s[0], s[0] < -INSEPARABILITY_TOL, -INSEPARABILITY_TOL <= s[0] < 0.0)
+        for s in spectra.tolist()
+    ]
+
+
 def ppt_spectrum(rho) -> np.ndarray:
     """Ascending partial-transpose spectrum of a two-qubit density matrix, or of each matrix of a stack.
 
@@ -46,21 +62,11 @@ def ppt_spectrum(rho) -> np.ndarray:
     a ValueError is raised otherwise.  The low-order qubit is transposed; the
     spectrum would be the same for the high-order one.
     """
-    rho = linalg.validate_density(rho)
-    if rho.shape[-1] != 4:
-        raise ValueError("the separability verdict applies to two-qubit states")
-    return linalg.hermitian_eigenvalues(linalg.partial_transpose(rho))
+    return _transposed_spectrum(linalg.validate_density(rho))
 
 
 def ppt_verdict(rho) -> PptReport:
     """Partial-transpose spectrum and separability verdict for one two-qubit density matrix."""
     if np.ndim(rho) > 2:
         raise ValueError("ppt_verdict takes one matrix; use ppt_spectrum for a stack")
-    spectrum = ppt_spectrum(rho)
-    low = float(spectrum[0])
-    return PptReport(
-        spectrum=tuple(float(x) for x in spectrum),
-        min_eigenvalue=low,
-        inseparable=low < -INSEPARABILITY_TOL,
-        indeterminate=-INSEPARABILITY_TOL <= low < 0.0,
-    )
+    return _ppt_reports(ppt_spectrum(rho)[None])[0]

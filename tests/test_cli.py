@@ -12,6 +12,7 @@ import qcopynet
 from qcopynet import CopyVariant, InputQubit, cli, run_copier
 from qcopynet.cli import main
 from qcopynet.report import CSV_COLUMNS, MAX_GRID_POINTS, GridSpec, SweepSpec, render_csv, render_json, sweep_document, sweep_rows
+from qcopynet.separability import PptReport, ppt_verdict
 from qcopynet.verify import run_verification, verification_document
 
 
@@ -66,6 +67,21 @@ def test_copy_json_matches_library(capsys):
     re_a2 = np.array(doc["reductions"]["a2"]["re"]) + 1j * np.array(doc["reductions"]["a2"]["im"])
     assert np.max(np.abs(re_a2 - report.qubit_reductions["a2"])) < 1e-15
     assert doc["ppt"]["a2a3"]["inseparable"] is True
+
+
+@pytest.mark.parametrize("variant", ["duplicator", "triplicator"])
+def test_copy_verdicts_equal_one_ppt_verdict_per_pair(capsys, rng, variant):
+    for theta, phi in zip(rng.uniform(0.0, math.pi / 2.0, 8).tolist(), rng.uniform(0.0, 2.0 * math.pi, 8).tolist()):
+        code, out, _ = run_cli(
+            capsys, "copy", "--theta", repr(theta), "--phi", repr(phi), "--variant", variant, "--format", "json"
+        )
+        assert code == 0
+        report = run_copier(InputQubit(theta, phi), CopyVariant(variant))
+        entries = json.loads(out)["ppt"]
+        assert list(entries) == ["a2a3", "a1a2", "a1a3"]
+        for label, entry in entries.items():
+            verdict = PptReport(**{**entry, "spectrum": tuple(entry["spectrum"])})
+            assert verdict == ppt_verdict(report.pair_reductions[label]), label
 
 
 def test_copy_amplitude_input_equivalent_to_angles(capsys):
@@ -554,12 +570,14 @@ def test_format_float_17_digits_round_trip():
 def test_float64_cells_render_as_python_floats():
     spec = SweepSpec(CopyVariant.TRIPLICATOR, GridSpec(0.0, 1.5, 4), GridSpec(0.0, 6.0, 3))
     doc = sweep_document(spec, sweep_rows(spec))
+    doc["rows"][0]["s_a2"] = None  # a column of float64 and None, next to all-float64 columns
     doc64 = sweep_document(
         spec, [{k: np.float64(v) if type(v) is float else v for k, v in row.items()} for row in doc["rows"]]
     )
-    assert any(isinstance(v, np.float64) for v in doc64["rows"][0].values())
-    assert render_csv(doc64) == render_csv(doc)
-    assert render_json(doc64) == render_json(doc)
+    doc["list"], doc64["list"] = [0.1, 2.5, -1e-300], [np.float64(0.1), 2.5, np.float64(-1e-300)]
+    assert any(isinstance(v, np.float64) for v in doc64["rows"][1].values())
+    assert render_csv(doc64) == render_csv(doc) == reference_csv(doc64)
+    assert render_json(doc64) == render_json(doc) == reference_render_json(doc64)
 
 
 def test_render_json_parses_and_matches_rows():
@@ -696,6 +714,25 @@ def test_column_renderers_reject_a_non_finite_cell_as_the_reference_does(bad):
         with pytest.raises(ValueError) as raised:
             render(doc)
         assert str(raised.value) == str(expected.value) == f"non-finite value {bad!r} in report"
+
+
+def test_an_all_float_column_under_a_key_with_percent_and_newline_matches_the_reference():
+    records = [{"50%\nof %s": 1.0 / (i + 3), "%%": -2.0**-i, "%d\t": "%s text"} for i in range(6)]
+    doc = {"rows": records, "100%": {"%s": 0.1, "a\nb": [0.5, 1e-300, -3.0]}}
+    assert render_json(doc) == reference_render_json(doc)
+    assert json.loads(render_json(doc)) == doc
+
+
+def test_a_column_mixing_float_none_str_and_bool_matches_the_reference():
+    mixed = [0.25, None, "50%s", True, 1e-300, False, -7.5, "x\ny"]
+    doc = {"rows": [{"mixed": v, "x": float(i)} for i, v in enumerate(mixed)], "list": mixed}
+    assert render_json(doc) == reference_render_json(doc)
+    spec = SweepSpec(CopyVariant.TRIPLICATOR, GridSpec(0.0, 1.5, 3), GridSpec(0.0, 6.0, 2))
+    sweep = sweep_document(spec, sweep_rows(spec))
+    for row, value in zip(sweep["rows"], [0.25, None, "50%s", 1e-300, None, -7.5]):
+        row["s_a2"] = value
+    assert render_csv(sweep) == reference_csv(sweep)
+    assert render_json(sweep) == reference_render_json(sweep)
 
 
 # ---------------------------------------------------------- document keys

@@ -140,6 +140,16 @@ def test_kernel_spectrum_is_the_separability_routine(variant):
     assert np.array_equal(grid.ppt_spectrum, ppt_spectrum(grid.pair_reductions["a2a3"]))
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_pair_reduction_passes_the_density_check(variant, rng):
+    # why the kernel's E may skip ppt_spectrum's positivity eigensolve:
+    # each pair is a Gram matrix of a checked state, so it is PSD
+    grid = evaluate_grid(variant, rng.uniform(-2.0 * math.pi, 2.0 * math.pi, 13), rng.uniform(0.0, 2.0 * math.pi, 17))
+    for label, pairs in grid.pair_reductions.items():
+        assert np.array_equal(linalg.validate_density(pairs), pairs), label
+        assert np.min(np.linalg.eigvalsh(pairs)) >= -1e-15, label
+
+
 def test_kernel_rejects_non_finite_angles():
     with pytest.raises(ValueError, match="finite"):
         evaluate_grid(CopyVariant.DUPLICATOR, [0.1, math.nan], [0.2])

@@ -87,6 +87,16 @@ def test_ppt_verdict_rejects_invalid_density():
         ppt_verdict(np.eye(2) / 2.0)  # one qubit
 
 
+def test_ppt_spectrum_and_verdict_reject_a_hermitian_unit_trace_matrix_that_is_not_psd():
+    # its partial transpose is itself, so without the check it would read as entangled
+    not_psd = np.diag([0.75, 0.5, -0.25, 0.0])
+    for check in (ppt_spectrum, ppt_verdict):
+        with pytest.raises(ValueError, match="not positive semidefinite"):
+            check(not_psd)
+    with pytest.raises(ValueError, match="not positive semidefinite"):
+        ppt_spectrum(np.stack([np.eye(4) / 4.0, not_psd]))
+
+
 def test_ppt_spectrum_of_a_stack_matches_each_verdict(rng):
     stack = np.array([random_density(rng, 2) for _ in range(12)])
     spectra = ppt_spectrum(stack)
