@@ -27,7 +27,6 @@ from .gates import (
     NetworkParseError,
     PureState,
     Rotation,
-    density_of,
     parse_network,
     run_network,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "Rotation",
     "amplitudes_from_angles",
     "copy_stage_network",
-    "density_of",
     "evaluate_grid",
     "full_network",
     "hermitian_eigenvalues",

@@ -1,8 +1,9 @@
 """Command-line interface: copy runs, sweeps, custom networks, verification.
 
-Exit codes: 0 success, 1 verification/computation failure, 2 usage or
-parse errors.  Angles are radians everywhere.  Human output rounds to 6
-significant digits; machine formats carry 17.
+Exit codes: 0 success, 1 verification/computation failure or a reader that
+closed stdout early (nothing on stderr then), 2 usage or parse errors.
+Angles are radians everywhere.  Human output rounds to 6 significant
+digits; machine formats carry 17.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from .copier import (
     run_copier,
     solve_preparation_angles,
 )
-from .gates import MAX_QUBITS, NetworkParseError, PureState, density_of, max_qubit, parse_network, run_network
+from .gates import MAX_QUBITS, NetworkParseError, PureState, max_qubit, parse_network, run_network
 from .report import (
     GridSpec,
     METRICS,
@@ -131,15 +133,14 @@ def _separability_word(verdict: PptReport) -> str:
 
 
 def _print_state_analysis(state: PureState) -> None:
-    n = state.num_qubits
+    n, amps = state.num_qubits, state.amplitudes
     print(f"final state ({n} qubit{'s' if n > 1 else ''}):")
-    for i, amp in enumerate(state.amplitudes):
+    for i, amp in enumerate(amps):
         print(f"  |{format(i, f'0{n}b')}>  {_hc(amp)}")
-    rho = density_of(state)
     for q in range(n):
-        _print_reduction(f"qubit {q}", linalg.partial_trace(rho, (q,)) if n > 1 else rho)
+        _print_reduction(f"qubit {q}", linalg.reduce_pure(amps, (q,)))
     pairs = [(qa, qb) for qa in range(n) for qb in range(qa + 1, n)]
-    verdicts = _ppt_reports(ppt_spectrum(np.stack([linalg.partial_trace(rho, p) for p in pairs]))) if pairs else []
+    verdicts = _ppt_reports(ppt_spectrum(np.stack([linalg.reduce_pure(amps, p) for p in pairs]))) if pairs else []
     for (qa, qb), verdict in zip(pairs, verdicts):
         spectrum = ", ".join(_h(x) for x in verdict.spectrum)
         print(f"pair ({qa},{qb}) partial-transpose spectrum: [{spectrum}] -> {_separability_word(verdict)}")
@@ -356,7 +357,15 @@ def main(argv=None) -> int:
         "copy": cmd_copy, "sweep": cmd_sweep, "verify": cmd_verify, "network": cmd_network, "angles": cmd_angles,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader closed early: stdout goes to the null device, or the flush at exit fails again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_FAILURE

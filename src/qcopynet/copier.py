@@ -47,6 +47,8 @@ __all__ = [
 
 QUBIT_LABELS = ("a1", "a2", "a3")
 PAIR_LABELS = ("a2a3", "a1a2", "a1a3")
+# register qubits (a1, a2, a3) = (0, 1, 2) behind each label, first-listed high-order
+_REDUCED_QUBITS = {"a1": (0,), "a2": (1,), "a3": (2,), "a2a3": (1, 2), "a1a2": (0, 1), "a1a3": (0, 2)}
 
 SCALING_RESIDUAL_TOL = 1e-10
 _PURITY_TOL = 1e-10
@@ -340,7 +342,8 @@ class CopyGrid:
 
     ``states`` holds the (N, 8) output amplitudes.  Everything else is
     computed from them on first read and cached: reductions keyed as in
-    CopyReport, with shapes (N, 2, 2) and (N, 4, 4), and the metrics.
+    CopyReport, with shapes (N, 2, 2) and (N, 4, 4), each label built alone
+    by ``linalg.reduce_pure``, and the metrics.
     ``d3`` is None for the duplicator.  ``scaling`` is NaN where a qubit has
     no scaled form; ``fidelity`` holds (N, 2) weights on the input state and
     on its orthogonal complement; ``ppt_spectrum`` is the ascending (N, 4)
@@ -366,24 +369,22 @@ class CopyGrid:
         return self._psi[:, :, None] * self._psi.conj()[:, None, :]
 
     @functools.cached_property
+    def _reductions(self) -> dict[str, np.ndarray]:
+        return {}
+
+    def _reduced(self, label: str) -> np.ndarray:
+        """The reduction keyed ``label``, built on its first request."""
+        if label not in self._reductions:
+            self._reductions[label] = linalg.reduce_pure(self.states, _REDUCED_QUBITS[label])
+        return self._reductions[label]
+
+    @functools.cached_property
     def qubit_reductions(self) -> dict[str, np.ndarray]:
-        t = self.states.reshape(-1, 2, 2, 2)
-        c = t.conj()
-        return {
-            "a1": np.einsum("nijk,nljk->nil", t, c),
-            "a2": np.einsum("nijk,nilk->njl", t, c),
-            "a3": np.einsum("nijk,nijl->nkl", t, c),
-        }
+        return {label: self._reduced(label) for label in QUBIT_LABELS}
 
     @functools.cached_property
     def pair_reductions(self) -> dict[str, np.ndarray]:
-        t = self.states.reshape(-1, 2, 2, 2)
-        c = t.conj()
-        return {
-            "a2a3": np.einsum("nijk,nilm->njklm", t, c).reshape(-1, 4, 4),
-            "a1a2": np.einsum("nijk,nlmk->nijlm", t, c).reshape(-1, 4, 4),
-            "a1a3": np.einsum("nijk,nljm->niklm", t, c).reshape(-1, 4, 4),
-        }
+        return {label: self._reduced(label) for label in PAIR_LABELS}
 
     @functools.cached_property
     def d1(self) -> dict[str, np.ndarray]:
@@ -422,7 +423,7 @@ class CopyGrid:
 
     @functools.cached_property
     def ppt_spectrum(self) -> np.ndarray:
-        return separability._transposed_spectrum(linalg._check_density(self.pair_reductions["a2a3"]))
+        return separability._transposed_spectrum(linalg._check_density(self._reduced("a2a3")))
 
 
 @functools.cache

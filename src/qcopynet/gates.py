@@ -24,7 +24,6 @@ __all__ = [
     "Gate",
     "max_qubit",
     "run_network",
-    "density_of",
     "parse_network",
     "NetworkParseError",
 ]
@@ -165,12 +164,6 @@ def run_network(state: PureState, net: Iterable[Gate]) -> PureState:
         except ValueError as exc:
             raise ValueError(f"gate {pos + 1} ({gate!r}): {exc}") from None
     return PureState(amps)
-
-
-def density_of(state: PureState) -> np.ndarray:
-    """Rank-1 projector |psi><psi| of a pure state."""
-    amps = state.amplitudes
-    return np.outer(amps, amps.conj())
 
 
 def parse_network(text: str) -> tuple[Gate, ...]:

@@ -6,8 +6,8 @@ qubit 0 as the most significant bit, so a two-qubit basis reads
 descending order (|11>, |10>, |01>, |00>) that some references prefer;
 eigenvalues and traces are unaffected by the choice.  Tensor products,
 eigenvalues, partial traces and transposes, Hilbert-Schmidt distances and
-density checks also take stacks of matrices (leading batch axes), so a
-whole parameter grid is handled in one call.
+density checks take stacks of matrices (leading batch axes), and
+``reduce_pure`` stacks of pure states, so a grid is handled in one call.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ __all__ = [
     "MAX_DIM",
     "kron",
     "partial_trace",
+    "reduce_pure",
     "partial_transpose",
     "hermitian_eigenvalues",
     "hs_distance",
@@ -91,16 +92,8 @@ def kron(a, b) -> np.ndarray:
     return out.reshape(out.shape[:-4] + (dim, dim))
 
 
-def partial_trace(rho, keep) -> np.ndarray:
-    """Reduced matrix on the kept qubits, ordered as listed in ``keep``.
-
-    The first listed qubit becomes the high-order subsystem of the result.
-    Trace is preserved.  A stack of matrices (shape (..., n, n)) is reduced
-    matrix by matrix.  Raises ValueError unless ``keep`` holds distinct
-    integer qubit indices in range; a float such as 1.9 is not truncated.
-    """
-    rho = _stack(rho)
-    n = num_qubits_of(rho)
+def _check_keep(keep, n: int) -> tuple[int, ...]:
+    """``keep`` as a tuple of distinct integer qubit indices of an n-qubit register; ValueError otherwise."""
     try:
         keep = tuple(map(operator.index, keep))
     except TypeError:
@@ -111,6 +104,20 @@ def partial_trace(rho, keep) -> np.ndarray:
         raise ValueError(f"keep contains duplicate qubit indices: {keep}")
     if any(q < 0 or q >= n for q in keep):
         raise ValueError(f"keep {keep} out of range for a {n}-qubit matrix")
+    return keep
+
+
+def partial_trace(rho, keep) -> np.ndarray:
+    """Reduced matrix on the kept qubits, ordered as listed in ``keep``.
+
+    The first listed qubit becomes the high-order subsystem of the result.
+    Trace is preserved.  A stack of matrices (shape (..., n, n)) is reduced
+    matrix by matrix.  Raises ValueError unless ``keep`` holds distinct
+    integer qubit indices in range; a float such as 1.9 is not truncated.
+    """
+    rho = _stack(rho)
+    n = num_qubits_of(rho)
+    keep = _check_keep(keep, n)
     drop = [q for q in range(n) if q not in keep]
     order = list(keep) + drop
     batch = rho.shape[:-2]
@@ -120,6 +127,27 @@ def partial_trace(rho, keep) -> np.ndarray:
     dk = 1 << len(keep)
     dd = 1 << len(drop)
     return np.einsum("...imjm->...ij", r.reshape(batch + (dk, dd, dk, dd)))
+
+
+def reduce_pure(amps, keep) -> np.ndarray:
+    """``partial_trace`` of |psi><psi| for amplitudes of shape (2**n,) or a stack (..., 2**n), by one einsum.
+
+    Each qubit gets a ket letter and each kept qubit a fresh bra letter, so
+    keeping (1, 2) of three qubits reads ``nijk,nilm->njklm``.  The norm is
+    not checked: the trace is the squared norm.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    if amps.ndim == 0:
+        raise ValueError("expected amplitudes or a stack of them, got a scalar")
+    n = num_qubits_of(amps)
+    keep = _check_keep(keep, n)
+    ket = "ijk"[:n]
+    fresh = dict(zip(keep, "lmo"))
+    bra = "".join(fresh.get(q, ket[q]) for q in range(n))
+    kept = "".join(ket[q] for q in keep) + "".join(fresh.values())
+    t = amps.reshape((-1,) + (2,) * n)
+    d = 1 << len(keep)
+    return np.einsum(f"n{ket},n{bra}->n{kept}", t, t.conj()).reshape(amps.shape[:-1] + (d, d))
 
 
 def partial_transpose(rho, subsystem: int = 1) -> np.ndarray:

@@ -213,30 +213,19 @@ def _scaling_error(s: np.ndarray) -> float | tuple[float, str]:
 def _triplicator_single_expected(grid: CopyGrid) -> np.ndarray:
     a, b = grid.alpha, grid.beta.astype(complex)
     off_low = 3.0 * a * np.conj(b) + np.conj(a) * b
-    descending = np.stack(
-        [
-            np.stack([4.0 * np.abs(b) ** 2 + 1.0, np.conj(off_low)], axis=-1),
-            np.stack([off_low, 4.0 * np.abs(a) ** 2 + 1.0], axis=-1),
-        ],
-        axis=-2,
-    ) / 6.0
-    return descending[:, ::-1, ::-1]
+    descending = np.array([[4.0 * np.abs(b) ** 2 + 1.0, np.conj(off_low)], [off_low, 4.0 * np.abs(a) ** 2 + 1.0]])
+    return descending.transpose(2, 0, 1)[:, ::-1, ::-1] / 6.0
 
 
 def _triplicator_pair_expected_real(grid: CopyGrid) -> np.ndarray:
     a, b = grid.alpha.real, grid.beta
     ab = 4.0 * a * b
     one = np.ones_like(a)
-    descending = np.stack(
-        [
-            np.stack([8.0 * b * b + 1.0, ab, ab, 3.0 * one], axis=-1),
-            np.stack([ab, one, one, ab], axis=-1),
-            np.stack([ab, one, one, ab], axis=-1),
-            np.stack([3.0 * one, ab, ab, 8.0 * a * a + 1.0], axis=-1),
-        ],
-        axis=-2,
-    ) / 12.0
-    return descending[:, ::-1, ::-1]
+    descending = np.array(
+        [[8.0 * b * b + 1.0, ab, ab, 3.0 * one], [ab, one, one, ab],
+         [ab, one, one, ab], [3.0 * one, ab, ab, 8.0 * a * a + 1.0]]
+    )
+    return descending.transpose(2, 0, 1)[:, ::-1, ::-1] / 12.0
 
 
 def _triplicator_output_expected(grid: CopyGrid) -> np.ndarray:
@@ -266,15 +255,10 @@ def _prep_results(suite: _Suite) -> list:
 
 def _basis_results(suite: _Suite) -> list:
     outputs = _basis_outputs(CopyVariant.DUPLICATOR)
-    expected0 = np.zeros(8, dtype=complex)
-    expected0[0b000] = math.sqrt(2.0 / 3.0)
-    expected0[0b101] = 1.0 / math.sqrt(6.0)
-    expected0[0b110] = 1.0 / math.sqrt(6.0)
-    expected1 = np.zeros(8, dtype=complex)
-    expected1[0b111] = math.sqrt(2.0 / 3.0)
-    expected1[0b001] = 1.0 / math.sqrt(6.0)
-    expected1[0b010] = 1.0 / math.sqrt(6.0)
-    return [_max_dev(outputs[0], expected0), _max_dev(outputs[1], expected1)]
+    expected = np.zeros((2, 8))
+    weights = (math.sqrt(2.0 / 3.0), 1.0 / math.sqrt(6.0), 1.0 / math.sqrt(6.0))
+    expected[0, [0b000, 0b101, 0b110]] = expected[1, [0b111, 0b001, 0b010]] = weights
+    return [_max_dev(outputs[0], expected[0]), _max_dev(outputs[1], expected[1])]
 
 
 def _fidelity_results(suite: _Suite) -> list:
@@ -480,33 +464,19 @@ def run_verification(groups=None, tolerance: float | None = None) -> list[Verify
     """
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
-    if groups is not None:
-        requested = list(groups)
-        unknown = set(requested) - set(GROUP_ORDER)
-        if unknown:
-            raise ValueError(f"unknown check groups: {sorted(unknown)}")
-        selected = [g for g in GROUP_ORDER if g in requested]
-    else:
-        selected = list(GROUP_ORDER)
+    requested = GROUP_ORDER if groups is None else list(groups)
+    unknown = set(requested) - set(GROUP_ORDER)
+    if unknown:
+        raise ValueError(f"unknown check groups: {sorted(unknown)}")
     suite = _Suite()
     checks: list[VerifyCheck] = []
-    for group in selected:
+    for group in (g for g in GROUP_ORDER if g in requested):
         laws = [law for law in _LAWS if law[0].startswith(group + ".")]
         for (check_id, description, expected, pinned), result in zip(laws, _GROUPS[group](suite), strict=True):
             error, observed = result if isinstance(result, tuple) else (result, f"max deviation {result:.3e}")
-            limit = pinned if tolerance is None else tolerance
-            checks.append(
-                VerifyCheck(
-                    check_id=check_id,
-                    group=group,
-                    description=description,
-                    expected=expected,
-                    observed=observed,
-                    tolerance=limit,
-                    error=float(error),
-                    passed=float(error) <= limit,
-                )
-            )
+            limit, error = pinned if tolerance is None else tolerance, float(error)
+            checks.append(VerifyCheck(check_id=check_id, group=group, description=description, expected=expected,
+                                      observed=observed, tolerance=limit, error=error, passed=error <= limit))
     return checks
 
 

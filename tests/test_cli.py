@@ -386,6 +386,35 @@ def test_network_state_options(tmp_path, capsys):
     assert "|10>  0.8+0j" in out
 
 
+def test_network_reductions_of_a_complex_state(tmp_path, capsys):
+    # every reduction's diagonal prints a zero imaginary part, as in copy; a partial
+    # trace of the full projector leaves one of order 1e-18 on this state
+    net_file = tmp_path / "entangler.txt"
+    net_file.write_text("R 0 0.3\nCNOT 0 1\n")
+    expected = """\
+network: 2 gates on 2 qubits
+final state (2 qubits):
+  |00>  0.573202+0j
+  |01>  -0.189133+0.458562j
+  |10>  0.611415+0.14185j
+  |11>  0.177312+0j
+qubit 0 reduction (|0>, |1>):
+    [             0.57461+0j             0.316929+0j ]
+    [            0.316929+0j              0.42539+0j ]
+qubit 0 reduction, reversed order (|1>, |0>):
+    [             0.42539+0j             0.316929+0j ]
+    [            0.316929+0j              0.57461+0j ]
+qubit 1 reduction (|0>, |1>):
+    [             0.72251+0j             0-0.237697j ]
+    [            0+0.237697j              0.27749+0j ]
+qubit 1 reduction, reversed order (|1>, |0>):
+    [             0.27749+0j             0+0.237697j ]
+    [            0-0.237697j              0.72251+0j ]
+pair (0,1) partial-transpose spectrum: [-0.379459, 0.174407, 0.379459, 0.825593] -> inseparable
+"""
+    assert run_cli(capsys, "network", str(net_file), "--state", "0.6,0.48j,0,0.64") == (0, expected, "")
+
+
 def test_network_parse_error_reports_line(tmp_path, capsys):
     net_file = tmp_path / "bad.txt"
     net_file.write_text("R 0 0.1\nNOPE 1 2\n")
@@ -489,11 +518,13 @@ def test_angles_command_rejects_huge_target_with_one_error_line(capsys):
 
 # ------------------------------------------------------------- module runs
 
-def run_module(*argv):
-    # the child imports the same qcopynet as this process, installed or not
+def run_module(*argv, **streams):
+    # the child imports the same qcopynet as this process, installed or not;
+    # both output streams are captured unless the caller routes them
     package_root = str(Path(qcopynet.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "qcopynet", *argv], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", "qcopynet", *argv], text=True, env=env,
+                          **(streams or {"capture_output": True}))
 
 
 def test_module_entry_point_version():
@@ -505,6 +536,20 @@ def test_module_entry_point_version():
 def test_usage_error_exit_code():
     proc = run_module("copy", "--variant", "bogus")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("command", ["copy", "network"])
+def test_a_reader_that_closed_early_gets_exit_1_and_no_traceback(tmp_path, command):
+    net_file = tmp_path / "cnot.txt"
+    net_file.write_text("CNOT 0 1\n")
+    argv = ["copy", "--theta", "0.3"] if command == "copy" else ["network", str(net_file), "--state", "10"]
+    reader, writer = os.pipe()
+    os.close(reader)  # before the child writes a byte
+    try:
+        proc = run_module(*argv, stdout=writer, stderr=subprocess.PIPE)
+    finally:
+        os.close(writer)
+    assert (proc.returncode, proc.stderr) == (1, "")  # no traceback
 
 
 def test_parser_is_built_once():

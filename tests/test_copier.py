@@ -19,7 +19,7 @@ from qcopynet import (
     solve_preparation_angles,
 )
 from qcopynet.copier import _DEGENERATE_GAP, _amplitudes_from_angles, _scaling_fit, _solve_angles, _weight
-from qcopynet.gates import PureState, density_of, run_network as run
+from qcopynet.gates import PureState, run_network as run
 
 THETA2 = math.asin(math.sqrt(0.5 - math.sqrt(2.0) / 3.0))
 
@@ -32,7 +32,8 @@ def input_state(qubit: InputQubit) -> PureState:
 
 
 def input_density(qubit: InputQubit) -> np.ndarray:
-    return density_of(input_state(qubit))
+    amps = input_state(qubit).amplitudes
+    return np.outer(amps, amps.conj())
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,6 @@ from qcopynet.gates import (
     NetworkParseError,
     PureState,
     Rotation,
-    density_of,
     max_qubit,
     parse_network,
     run_network,
@@ -206,28 +205,6 @@ def test_purestate_amplitudes_read_only():
     psi = PureState.computational(2, 0)
     with pytest.raises(ValueError):
         psi.amplitudes[0] = 0.0
-
-
-def test_density_of_basis_state():
-    assert np.array_equal(density_of(PureState.computational(1, 0)), np.diag([1.0, 0.0]))
-
-
-def test_density_of_uniform_superposition():
-    psi = state(1 / math.sqrt(2), 1 / math.sqrt(2))
-    assert np.max(np.abs(density_of(psi) - 0.5)) < 1e-15
-
-
-def test_density_of_copier_output_reduces_to_fidelity_split():
-    # a2 reduction of the duplicator output carries 5/6 of the input state
-    from qcopynet import CopyVariant, InputQubit, partial_trace, run_copier
-
-    qubit = InputQubit(1.0, 0.7)
-    report = run_copier(qubit, CopyVariant.DUPLICATOR)
-    reduced = partial_trace(density_of(report.output_state), (1,))
-    psi = np.array([qubit.alpha, qubit.beta])
-    perp = np.array([np.conj(qubit.beta), -np.conj(qubit.alpha)])
-    expected = (5.0 / 6.0) * np.outer(psi, psi.conj()) + (1.0 / 6.0) * np.outer(perp, perp.conj())
-    assert np.max(np.abs(reduced - expected)) < 1e-12
 
 
 # -------------------------------------------------------------- text form

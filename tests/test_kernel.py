@@ -14,7 +14,7 @@ from qcopynet.copier import (
     full_network,
     run_copier,
 )
-from qcopynet.gates import PureState, density_of, run_network
+from qcopynet.gates import PureState, run_network
 from qcopynet.report import GridSpec, SweepSpec, sweep_rows
 from qcopynet.separability import ppt_spectrum
 
@@ -75,7 +75,8 @@ def test_single_point_grid_equals_run_copier(variant):
 def reference_row(theta: float, phi: float, variant: CopyVariant) -> dict:
     """One sweep row from a per-point network run, partial traces and eigvalsh."""
     qubit = InputQubit(theta, phi)
-    rho = density_of(PureState(network_output(theta, phi, variant)))
+    amps = network_output(theta, phi, variant)
+    rho = np.outer(amps, amps.conj())
     psi = np.array([qubit.alpha, qubit.beta])
     ideal1 = np.outer(psi, psi.conj())
     ideal = [ideal1, np.kron(ideal1, ideal1), np.kron(np.kron(ideal1, ideal1), ideal1)]
@@ -94,6 +95,19 @@ def reference_row(theta: float, phi: float, variant: CopyVariant) -> dict:
     row["fid_a2"] = float((psi.conj() @ copy @ psi).real)
     row["E_a2a3"] = float(np.linalg.eigvalsh(linalg.partial_transpose(pairs["a2a3"]))[0])
     return row
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_every_reduction_is_the_partial_trace_on_its_register_qubits(variant, rng):
+    # the kets' order matters: the duplicator's a1a2 and a1a3 are not symmetric under a swap
+    grid = evaluate_grid(variant, rng.uniform(0.0, math.pi / 2.0, 4), rng.uniform(0.0, 2.0 * math.pi, 5))
+    qubits = {**{label: (q,) for q, label in enumerate(QUBIT_LABELS)}, **PAIR_QUBITS}
+    reductions = {**grid.qubit_reductions, **grid.pair_reductions}
+    assert reductions.keys() == qubits.keys()
+    for i, amps in enumerate(grid.states):
+        rho = np.outer(amps, amps.conj())
+        for label, m in reductions.items():
+            assert np.max(np.abs(m[i] - linalg.partial_trace(rho, qubits[label]))) <= 1e-15, label
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -124,7 +138,9 @@ def test_grid_fields_are_computed_on_first_read_in_any_order(variant):
     thetas, phis = [0.0, 0.3, 1.1], [0.0, 0.4, 2.0]
     grid = evaluate_grid(variant, thetas, phis)
     grid.ppt_spectrum
-    assert "qubit_reductions" not in vars(grid)
+    # E reads the a2a3 pair alone: no other reduction, single or pair, is built
+    assert "qubit_reductions" not in vars(grid) and "pair_reductions" not in vars(grid)
+    assert list(grid._reductions) == ["a2a3"]
     for name in LAZY_FIELDS:
         getattr(grid, name)
     reversed_read = evaluate_grid(variant, thetas, phis)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -59,10 +60,10 @@ def test_partial_trace_bell_state_is_maximally_mixed():
 
 def test_partial_trace_duplicator_copy_scaled_form():
     # One copy of the uniform input is 2/3 * ideal + 1/6 * I = [[1/2, 1/3], [1/3, 1/2]]
-    from qcopynet import CopyVariant, InputQubit, density_of, run_copier
+    from qcopynet import CopyVariant, InputQubit, run_copier
 
-    report = run_copier(InputQubit(math.pi / 4.0, 0.0), CopyVariant.DUPLICATOR)
-    copy = linalg.partial_trace(density_of(report.output_state), (1,))
+    amps = run_copier(InputQubit(math.pi / 4.0, 0.0), CopyVariant.DUPLICATOR).output_state.amplitudes
+    copy = linalg.partial_trace(np.outer(amps, amps.conj()), (1,))
     expected = np.array([[0.5, 1.0 / 3.0], [1.0 / 3.0, 0.5]])
     assert np.max(np.abs(copy - expected)) < 1e-14
 
@@ -82,21 +83,51 @@ def test_partial_trace_keep_order_swaps_subsystems():
             assert np.array_equal(reduced[index], linalg.partial_trace(stack[index], keep))
 
 
+# each function that takes a keep, with a two-qubit operand; both share one keep check
+KEEP_TAKERS = ((linalg.partial_trace, np.eye(4) / 4.0), (linalg.reduce_pure, np.full(4, 0.5)))
+
+
 def test_partial_trace_rejects_bad_keep():
-    rho = np.eye(4) / 4.0
-    with pytest.raises(ValueError, match="at least one"):
-        linalg.partial_trace(rho, ())
-    with pytest.raises(ValueError, match="out of range"):
-        linalg.partial_trace(rho, (2,))
-    with pytest.raises(ValueError, match="duplicate"):
-        linalg.partial_trace(rho, (0, 0))
+    for reduce, operand in KEEP_TAKERS:
+        with pytest.raises(ValueError, match="^keep must name at least one qubit$"):
+            reduce(operand, ())
+        with pytest.raises(ValueError, match=r"^keep \(2,\) out of range for a 2-qubit matrix$"):
+            reduce(operand, (2,))
+        with pytest.raises(ValueError, match=r"^keep contains duplicate qubit indices: \(0, 0\)$"):
+            reduce(operand, (0, 0))
 
 
 @pytest.mark.parametrize("keep", [(1.9,), (0, 1.0), ("1",)])
 def test_partial_trace_rejects_a_non_integer_qubit(keep):
     # (1.9,) used to be truncated to qubit 1
-    with pytest.raises(ValueError, match="integer qubit indices"):
-        linalg.partial_trace(np.eye(4) / 4.0, keep)
+    for reduce, operand in KEEP_TAKERS:
+        with pytest.raises(ValueError, match="integer qubit indices"):
+            reduce(operand, keep)
+
+
+# ------------------------------------------------- pure-state reduction
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reduce_pure_is_the_partial_trace_of_the_projector(n, rng):
+    # random states, then every basis state, against the projector's partial trace
+    stack = np.concatenate([[random_pure(rng, n) for _ in range(6)], np.eye(1 << n)])
+    keeps = [keep for size in range(1, n + 1) for keep in itertools.permutations(range(n), size)]
+    for keep in keeps:
+        reduced = linalg.reduce_pure(stack, keep)
+        assert reduced.shape == (len(stack),) + (1 << len(keep),) * 2
+        for amps, got in zip(stack, reduced):
+            want = linalg.partial_trace(np.outer(amps, amps.conj()), keep)
+            assert np.max(np.abs(got - want)) <= 1e-15, keep
+            assert np.max(np.abs(linalg.reduce_pure(amps, keep) - want)) <= 1e-15, keep
+    # any leading batch axes are kept
+    assert linalg.reduce_pure(stack.reshape(2, -1, 1 << n), (0,)).shape == (2, len(stack) // 2, 2, 2)
+
+
+def test_reduce_pure_rejects_a_register_it_cannot_hold():
+    with pytest.raises(ValueError, match="unsupported dimension 16"):
+        linalg.reduce_pure(np.eye(16)[0], (0,))
+    with pytest.raises(ValueError, match="got a scalar"):
+        linalg.reduce_pure(1.0, (0,))
 
 
 # ------------------------------------------------------ partial transpose
