@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 verification/computation failure or a reader that
 closed stdout early (nothing on stderr then), 2 usage or parse errors.
 Angles are radians everywhere.  Human output rounds to 6 significant
-digits; machine formats carry 17.
+digits, except that ``angles`` prints each solved angle in full (``repr``)
+and its residual at ``.3e``; machine formats carry 17.  ``copy``, ``angles``
+and ``verify`` build one document each, which ``--format`` renders.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .copier import (
     CopyVariant,
     InputQubit,
     PAIR_LABELS,
-    QUBIT_LABELS,
     amplitudes_from_angles,
     run_copier,
     solve_preparation_angles,
@@ -38,7 +39,7 @@ from .report import (
     sweep_document,
     sweep_rows,
 )
-from .separability import PptReport, _ppt_reports, ppt_spectrum
+from .separability import _ppt_reports, ppt_spectrum
 from .verify import GROUP_ORDER, render_human, run_verification, verification_document
 
 EXIT_OK = 0
@@ -53,8 +54,8 @@ class UsageError(Exception):
     pass
 
 
-def _h(x: float) -> str:
-    return format(float(x), ".6g")
+def _h(x: float | None) -> str:
+    return "-" if x is None else format(float(x), ".6g")
 
 
 def _hc(z: complex) -> str:
@@ -64,19 +65,6 @@ def _hc(z: complex) -> str:
 
 def _matrix_lines(m: np.ndarray) -> list[str]:
     return ["    [ " + "  ".join(f"{_hc(z):>22}" for z in row) + " ]" for row in m]
-
-
-def _complex_json(z) -> dict:
-    """A complex number or array as ``{"re": ..., "im": ...}``, each part a float or nested lists of floats."""
-    z = np.asarray(z, dtype=complex)
-    return {"re": z.real.tolist(), "im": z.imag.tolist()}
-
-
-def _basis_labels(n: int) -> tuple[str, str]:
-    kets = [format(i, f"0{n}b") for i in range(1 << n)]
-    ascending = ", ".join(f"|{k}>" for k in kets)
-    descending = ", ".join(f"|{k}>" for k in reversed(kets))
-    return ascending, descending
 
 
 def _parse_complex(text: str, what: str) -> complex:
@@ -117,84 +105,86 @@ def _input_from_args(args) -> InputQubit:
     return InputQubit(theta=args.theta, phi=phi)
 
 
-def _print_reduction(label: str, reduced: np.ndarray) -> None:
+def _reduction_lines(label: str, reduced: np.ndarray) -> list[str]:
     """A reduced matrix in both basis orders (ascending, then descending)."""
-    asc, desc = _basis_labels(linalg.num_qubits_of(reduced))
-    print(f"{label} reduction ({asc}):")
-    print("\n".join(_matrix_lines(reduced)))
-    print(f"{label} reduction, reversed order ({desc}):")
-    print("\n".join(_matrix_lines(linalg.reverse_basis(reduced))))
+    n = linalg.num_qubits_of(reduced)
+    kets = [f"|{i:0{n}b}>" for i in range(1 << n)]
+    return [
+        f"{label} reduction ({', '.join(kets)}):",
+        *_matrix_lines(reduced),
+        f"{label} reduction, reversed order ({', '.join(reversed(kets))}):",
+        *_matrix_lines(linalg.reverse_basis(reduced)),
+    ]
 
 
-def _separability_word(verdict: PptReport) -> str:
-    if verdict.inseparable:
+def _separability_word(verdict: dict) -> str:
+    if verdict["inseparable"]:
         return "inseparable"
-    return "indeterminate" if verdict.indeterminate else "separable"
+    return "indeterminate" if verdict["indeterminate"] else "separable"
 
 
-def _print_state_analysis(state: PureState) -> None:
+def _state_lines(state: PureState) -> list[str]:
     n, amps = state.num_qubits, state.amplitudes
-    print(f"final state ({n} qubit{'s' if n > 1 else ''}):")
-    for i, amp in enumerate(amps):
-        print(f"  |{format(i, f'0{n}b')}>  {_hc(amp)}")
+    lines = [f"final state ({n} qubit{'s' if n > 1 else ''}):"]
+    lines += [f"  |{i:0{n}b}>  {_hc(amp)}" for i, amp in enumerate(amps)]
     for q in range(n):
-        _print_reduction(f"qubit {q}", linalg.reduce_pure(amps, (q,)))
+        lines += _reduction_lines(f"qubit {q}", linalg.reduce_pure(amps, (q,)))
     pairs = [(qa, qb) for qa in range(n) for qb in range(qa + 1, n)]
     verdicts = _ppt_reports(ppt_spectrum(np.stack([linalg.reduce_pure(amps, p) for p in pairs]))) if pairs else []
     for (qa, qb), verdict in zip(pairs, verdicts):
         spectrum = ", ".join(_h(x) for x in verdict.spectrum)
-        print(f"pair ({qa},{qb}) partial-transpose spectrum: [{spectrum}] -> {_separability_word(verdict)}")
+        word = _separability_word(vars(verdict))
+        lines.append(f"pair ({qa},{qb}) partial-transpose spectrum: [{spectrum}] -> {word}")
+    return lines
+
+
+def _copy_document(qubit: InputQubit, variant: CopyVariant) -> dict:
+    report = run_copier(qubit, variant)
+    spectra = ppt_spectrum(np.stack([report.pair_reductions[label] for label in PAIR_LABELS]))
+    return {
+        "meta": _document_meta("copy", variant=variant.value),
+        "input": {"theta": qubit.theta, "phi": qubit.phi, "alpha": qubit.alpha, "beta": qubit.beta},
+        "output_amplitudes": report.output_state.amplitudes,
+        "reductions": {**report.qubit_reductions, **report.pair_reductions},
+        "metrics": {
+            "d1": dict(report.d1),
+            "d2": dict(report.d2),
+            "d3": report.d3,
+            "scaling": dict(report.scaling),
+            "fidelity": {k: list(v) for k, v in report.fidelity.items()},
+        },
+        "ppt": {label: dict(vars(verdict)) for label, verdict in zip(PAIR_LABELS, _ppt_reports(spectra))},
+    }
+
+
+def _copy_human(doc: dict) -> str:
+    qubit, metrics = doc["input"], doc["metrics"]
+    lines = [
+        f"variant: {doc['meta']['variant']}",
+        f"input: theta={_h(qubit['theta'])} phi={_h(qubit['phi'])} "
+        f"alpha={_hc(qubit['alpha'])} beta={_h(qubit['beta'])}",
+    ]
+    for label, reduced in doc["reductions"].items():
+        lines += _reduction_lines(label, reduced)
+    lines += [
+        "distances d1: " + "  ".join(f"{k}={_h(v)}" for k, v in metrics["d1"].items()),
+        "distances d2: " + "  ".join(f"{k}={_h(v)}" for k, v in metrics["d2"].items()),
+        f"distance d3: {_h(metrics['d3'])}",
+        "scaling s: " + "  ".join(f"{k}={_h(v)}" for k, v in metrics["scaling"].items()),
+        "fidelity split (ideal, orthogonal): "
+        + "  ".join(f"{k}=({_h(p)}, {_h(q)})" for k, (p, q) in metrics["fidelity"].items()),
+    ]
+    for label, verdict in doc["ppt"].items():
+        spectrum = ", ".join(_h(x) for x in verdict["spectrum"])
+        lines.append(
+            f"PPT {label}: spectrum [{spectrum}] min={_h(verdict['min_eigenvalue'])} -> {_separability_word(verdict)}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def cmd_copy(args) -> int:
-    qubit = _input_from_args(args)
-    variant = CopyVariant(args.variant)
-    report = run_copier(qubit, variant)
-    spectra = ppt_spectrum(np.stack([report.pair_reductions[label] for label in PAIR_LABELS]))
-    verdicts = dict(zip(PAIR_LABELS, _ppt_reports(spectra)))
-
-    if args.format == "json":
-        doc = {
-            "meta": _document_meta("copy", variant=variant.value),
-            "input": {
-                "theta": qubit.theta,
-                "phi": qubit.phi,
-                "alpha": _complex_json(qubit.alpha),
-                "beta": qubit.beta,
-            },
-            "output_amplitudes": _complex_json(report.output_state.amplitudes),
-            "reductions": {
-                label: _complex_json(m) for label, m in {**report.qubit_reductions, **report.pair_reductions}.items()
-            },
-            "metrics": {
-                "d1": dict(report.d1),
-                "d2": dict(report.d2),
-                "d3": report.d3,
-                "scaling": dict(report.scaling),
-                "fidelity": {k: list(v) for k, v in report.fidelity.items()},
-            },
-            "ppt": {label: dict(vars(verdict)) for label, verdict in verdicts.items()},
-        }
-        print(render_json(doc), end="")
-        return EXIT_OK
-
-    print(f"variant: {variant.value}")
-    print(f"input: theta={_h(qubit.theta)} phi={_h(qubit.phi)} "
-          f"alpha={_hc(qubit.alpha)} beta={_h(qubit.beta)}")
-    for label in QUBIT_LABELS:
-        _print_reduction(label, report.qubit_reductions[label])
-    for label in PAIR_LABELS:
-        _print_reduction(label, report.pair_reductions[label])
-    print("distances d1:", "  ".join(f"{k}={_h(v)}" for k, v in report.d1.items()))
-    print("distances d2:", "  ".join(f"{k}={_h(v)}" for k, v in report.d2.items()))
-    print(f"distance d3: {_h(report.d3) if report.d3 is not None else '-'}")
-    print("scaling s:", "  ".join(
-        f"{k}={_h(v) if v is not None else '-'}" for k, v in report.scaling.items()))
-    print("fidelity split (ideal, orthogonal):", "  ".join(
-        f"{k}=({_h(p)}, {_h(q)})" for k, (p, q) in report.fidelity.items()))
-    for label, verdict in verdicts.items():
-        spectrum = ", ".join(_h(x) for x in verdict.spectrum)
-        print(f"PPT {label}: spectrum [{spectrum}] min={_h(verdict.min_eigenvalue)} -> {_separability_word(verdict)}")
+    doc = _copy_document(_input_from_args(args), CopyVariant(args.variant))
+    print((render_json if args.format == "json" else _copy_human)(doc), end="")
     return EXIT_OK
 
 
@@ -235,11 +225,9 @@ def cmd_verify(args) -> int:
         checks = run_verification(groups, tolerance=args.tolerance)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if args.format == "json":
-        print(render_json(verification_document(checks, tolerance=args.tolerance)), end="")
-    else:
-        print(render_human(checks), end="")
-    return EXIT_OK if all(c.passed for c in checks) else EXIT_FAILURE
+    doc = verification_document(checks, tolerance=args.tolerance)
+    print((render_json if args.format == "json" else render_human)(doc), end="")
+    return EXIT_OK if doc["summary"]["failed"] == 0 else EXIT_FAILURE
 
 
 def _state_from_spec(spec: str | None, needed_qubits: int) -> PureState:
@@ -277,9 +265,16 @@ def cmd_network(args) -> int:
         final = run_network(state, net)
     except ValueError as exc:
         raise UsageError(f"{args.file}: {exc}") from None
-    print(f"network: {len(net)} gates on {state.num_qubits} qubits")
-    _print_state_analysis(final)
+    print("\n".join([f"network: {len(net)} gates on {state.num_qubits} qubits", *_state_lines(final)]))
     return EXIT_OK
+
+
+def _angles_human(doc: dict) -> str:
+    # float(): JSON writes 0.0 as 0, which parses back as an int
+    lines = [f"{name} = {float(angle)!r}" for name, angle in doc["angles"].items()]
+    lines.append(f"reproduced amplitudes: {', '.join(_h(x) for x in doc['reproduced'])}")
+    lines.append(f"max residual: {doc['residual']:.3e}")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_angles(args) -> int:
@@ -287,22 +282,14 @@ def cmd_angles(args) -> int:
     c = _normalized(c, "target amplitudes")
     angles = solve_preparation_angles(c)
     reproduced = amplitudes_from_angles(angles)
-    residual = float(np.max(np.abs(reproduced - c)))
-    if args.format == "json":
-        doc = {
-            "meta": _document_meta("angles"),
-            "target": [float(x) for x in c],
-            "angles": dict(vars(angles)),
-            "reproduced": [float(x) for x in reproduced],
-            "residual": residual,
-        }
-        print(render_json(doc), end="")
-    else:
-        print(f"theta1 = {angles.theta1!r}")
-        print(f"theta2 = {angles.theta2!r}")
-        print(f"theta3 = {angles.theta3!r}")
-        print(f"reproduced amplitudes: {', '.join(_h(x) for x in reproduced)}")
-        print(f"max residual: {residual:.3e}")
+    doc = {
+        "meta": _document_meta("angles"),
+        "target": [float(x) for x in c],
+        "angles": dict(vars(angles)),
+        "reproduced": [float(x) for x in reproduced],
+        "residual": float(np.max(np.abs(reproduced - c))),
+    }
+    print((render_json if args.format == "json" else _angles_human)(doc), end="")
     return EXIT_OK
 
 

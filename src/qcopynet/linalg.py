@@ -68,7 +68,9 @@ def _stack(m) -> np.ndarray:
 
 
 def num_qubits_of(m: np.ndarray) -> int:
-    """Number of qubits of a square matrix (or stack); rejects dims outside {2, 4, 8}."""
+    """Number of qubits of amplitudes or a square matrix (or a stack); rejects dims outside {2, 4, 8}."""
+    if np.ndim(m) == 0:
+        raise ValueError("expected amplitudes, a matrix or a stack of them, got a scalar")
     dim = m.shape[-1]
     n = (dim - 1).bit_length()
     if dim < 2 or dim > MAX_DIM or 2**n != dim:
@@ -137,8 +139,6 @@ def reduce_pure(amps, keep) -> np.ndarray:
     not checked: the trace is the squared norm.
     """
     amps = np.asarray(amps, dtype=complex)
-    if amps.ndim == 0:
-        raise ValueError("expected amplitudes or a stack of them, got a scalar")
     n = num_qubits_of(amps)
     keep = _check_keep(keep, n)
     ket = "ijk"[:n]

@@ -207,9 +207,15 @@ def _json_value(value, indent: int) -> str:
             spec, cells = _column(value, lambda v: _json_value(v, indent + 1))
             items = map(spec.__mod__, cells)
         return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + "\n" + pad + "]"
+    if isinstance(value, (complex, np.complexfloating, np.ndarray)) and np.iscomplexobj(value):
+        z = np.asarray(value)
+        return _json_value({"re": z.real.tolist(), "im": z.imag.tolist()}, indent)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def render_json(document: dict) -> str:
-    """JSON text with floats rendered exactly as in the CSV output and strings escaped to ASCII."""
+    """JSON text with floats rendered exactly as in the CSV output and strings escaped to ASCII.
+
+    A complex scalar or array becomes ``{"re": ..., "im": ...}``; a real array is rejected.
+    """
     return _json_value(document, 0) + "\n"

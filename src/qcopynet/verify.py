@@ -480,17 +480,17 @@ def run_verification(groups=None, tolerance: float | None = None) -> list[Verify
     return checks
 
 
-def render_human(checks) -> str:
+def render_human(document: dict) -> str:
     lines = []
-    for check in checks:
-        verdict = "PASS" if check.passed else "FAIL"
+    for row in document["rows"]:
+        verdict = "PASS" if row["passed"] else "FAIL"
         lines.append(
-            f"{verdict}  {check.check_id:<34} expected {check.expected}; "
-            f"observed {check.observed} (tol {check.tolerance:g})"
+            f"{verdict}  {row['check_id']:<34} expected {row['expected']}; "
+            f"observed {row['observed']} (tol {row['tolerance']:g})"
         )
-        lines.append(f"      {check.description}")
-    passed = sum(1 for c in checks if c.passed)
-    lines.append(f"{len(checks)} checks: {passed} passed, {len(checks) - passed} failed")
+        lines.append(f"      {row['description']}")
+    summary = document["summary"]
+    lines.append(f"{summary['total']} checks: {summary['passed']} passed, {summary['failed']} failed")
     return "\n".join(lines) + "\n"
 
 

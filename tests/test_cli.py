@@ -39,17 +39,20 @@ def not_normalizable(what: str, norm: str) -> str:
 
 # ------------------------------------------------------------------- copy
 
+# Human reports pinned byte for byte; the duplicator's 1e-16 entries are the reductions' rounding.
+EXPECTED = Path(__file__).parent / "expected"
+
+
 def test_copy_human_output(capsys):
-    code, out, _ = run_cli(
-        capsys, "copy", "--theta", "0.7853981633974483", "--phi", "0", "--variant", "duplicator"
-    )
-    assert code == 0
-    assert "variant: duplicator" in out
-    assert "reversed order (|1>, |0>)" in out
-    assert "d1_a1" not in out  # human format, not csv
-    assert "a2=0.0555556" in out or "a2=0.0555556".replace("0.0555556", "0.0555556") in out
-    assert "fidelity split" in out
-    assert "inseparable" in out
+    # the README command, then a phased triplicator input
+    cases = [
+        ("copy-duplicator-readme.txt", "--theta", "0.7853981633974483", "--phi", "0", "--variant", "duplicator"),
+        ("copy-triplicator-phased.txt", "--theta", "0.7853981633974483", "--phi", "0.3", "--variant", "triplicator"),
+    ]
+    for expected, *argv in cases:
+        code, out, err = run_cli(capsys, "copy", *argv)
+        assert (code, err) == (0, "")
+        assert out == (EXPECTED / expected).read_text(), expected
 
 
 def test_copy_json_matches_library(capsys):
@@ -497,6 +500,22 @@ def test_angles_command_solves_target_a_local_search_missed(capsys):
     assert float(out.rsplit("max residual: ", 1)[1]) <= 1e-10
 
 
+ANGLES_TARGETS = [
+    ["0.8164965809277261", "0.4082482904638631", "0.4082482904638631", "0"],
+    ANGLES_SEARCH_FAILURE,
+    [repr(math.sqrt(0.5)), "0", "0", repr(math.sqrt(0.5))],
+]
+
+
+@pytest.mark.parametrize("target", ANGLES_TARGETS, ids=["readme", "readme-negative", "degenerate"])
+def test_angles_human_report_reads_only_the_document(capsys, target):
+    code, out, _ = run_cli(capsys, "angles", "--format", "json", "--", *target)
+    assert code == 0
+    code, human, _ = run_cli(capsys, "angles", "--", *target)
+    assert code == 0
+    assert cli._angles_human(json.loads(out)) == human
+
+
 def test_angles_command_rejects_nan_target(capsys):
     code, out, err = run_cli(capsys, "angles", "nan", "0", "0", "1")
     assert code == 2
@@ -643,6 +662,30 @@ def test_render_json_parses_and_matches_rows():
     assert len(decimals) == len(csv_lines) - 1 == 4
     for line, row in zip(csv_lines[1:], decimals):
         assert line.split(",") == ["" if row[column] is None else row[column] for column in CSV_COLUMNS]
+
+
+@pytest.mark.parametrize(
+    "value, re, im",
+    [
+        (complex(0.6, -0.0), 0.6, -0.0),
+        (np.complex128(-2.5 + 1e-300j), -2.5, 1e-300),
+        (np.array([0.6 + 0.2j, complex(0.0, -1.0)]), [0.6, 0.0], [0.2, -1.0]),
+        (
+            np.array([[0.5, 1 / 3 + 1e-17j], [1 / 3 - 1e-17j, 0.5]]),
+            [[0.5, 1 / 3], [1 / 3, 0.5]],
+            [[0.0, 1e-17], [-1e-17, 0.0]],
+        ),
+    ],
+    ids=["complex", "complex128", "vector", "matrix"],
+)
+def test_render_json_writes_a_complex_value_as_its_parts(value, re, im):
+    parts = {"re": re, "im": im}
+    assert render_json({"z": value, "list": [value]}) == reference_render_json({"z": parts, "list": [parts]})
+
+
+def test_render_json_rejects_a_real_array():
+    with pytest.raises(TypeError, match="cannot serialize ndarray"):
+        render_json({"m": np.eye(2)})
 
 
 def test_render_json_escapes_every_string():

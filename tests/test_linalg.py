@@ -130,6 +130,13 @@ def test_reduce_pure_rejects_a_register_it_cannot_hold():
         linalg.reduce_pure(1.0, (0,))
 
 
+@pytest.mark.parametrize("scalar", [np.float64(1.0), np.array(2.0 + 1.0j), np.int64(4)])
+def test_num_qubits_of_rejects_a_scalar(scalar):
+    # a 0-d input used to fail with IndexError from its empty shape
+    with pytest.raises(ValueError, match="got a scalar"):
+        linalg.num_qubits_of(scalar)
+
+
 # ------------------------------------------------------ partial transpose
 
 def test_partial_transpose_product_state_stays_positive():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from qcopynet import linalg, verify
 from qcopynet.gates import CNOT
+from qcopynet.report import render_json
 from qcopynet.verify import eigenvalues_by_bisection
 
 from conftest import random_hermitian
@@ -167,3 +169,11 @@ def test_a_copy_without_a_scaling_fit_is_counted(monkeypatch, group, grid_name, 
     assert check.observed == "1 copies without a scaling fit"
     assert check.error == math.inf
     assert not check.passed
+
+
+@pytest.mark.parametrize("tolerance", [None, 1e-15], ids=["default", "strict"])
+def test_human_report_reads_only_the_document(tolerance):
+    doc = verify.verification_document(verify.run_verification(tolerance=tolerance), tolerance=tolerance)
+    human = verify.render_human(doc)
+    assert verify.render_human(json.loads(render_json(doc))) == human
+    assert human.endswith(f"39 checks: {doc['summary']['passed']} passed, {doc['summary']['failed']} failed\n")
