@@ -20,14 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, linalg
-from .copier import (
-    CopyVariant,
-    InputQubit,
-    PAIR_LABELS,
-    amplitudes_from_angles,
-    run_copier,
-    solve_preparation_angles,
-)
+from .copier import CopyVariant, InputQubit, amplitudes_from_angles, run_copier, solve_preparation_angles
 from .gates import MAX_QUBITS, NetworkParseError, PureState, max_qubit, parse_network, run_network
 from .report import (
     GridSpec,
@@ -140,7 +133,6 @@ def _state_lines(state: PureState) -> list[str]:
 
 def _copy_document(qubit: InputQubit, variant: CopyVariant) -> dict:
     report = run_copier(qubit, variant)
-    spectra = ppt_spectrum(np.stack([report.pair_reductions[label] for label in PAIR_LABELS]))
     return {
         "meta": _document_meta("copy", variant=variant.value),
         "input": {"theta": qubit.theta, "phi": qubit.phi, "alpha": qubit.alpha, "beta": qubit.beta},
@@ -153,7 +145,7 @@ def _copy_document(qubit: InputQubit, variant: CopyVariant) -> dict:
             "scaling": dict(report.scaling),
             "fidelity": {k: list(v) for k, v in report.fidelity.items()},
         },
-        "ppt": {label: dict(vars(verdict)) for label, verdict in zip(PAIR_LABELS, _ppt_reports(spectra))},
+        "ppt": {label: dict(vars(verdict)) for label, verdict in report.ppt.items()},
     }
 
 

@@ -295,7 +295,8 @@ class CopyReport:
     high-order subsystem).  ``scaling`` holds the fitted mixing factor per
     qubit, or None where the reduction has no such form.  ``fidelity``
     holds (weight on the input state, weight on its orthogonal complement)
-    per qubit.  ``d3`` is only set for the triplicator.
+    per qubit.  ``d3`` is only set for the triplicator.  ``ppt`` holds each
+    pair's ``ppt_verdict``, from the kernel's Gram route (see ``CopyGrid``).
     """
 
     variant: CopyVariant
@@ -308,6 +309,7 @@ class CopyReport:
     d1: dict[str, float]
     d2: dict[str, float]
     d3: float | None
+    ppt: dict[str, separability.PptReport]
 
 
 def _scaling_fit(rho_out: np.ndarray, rho_id: np.ndarray) -> np.ndarray:
@@ -350,7 +352,7 @@ class CopyGrid:
     spectrum of the partially transposed a2a3 pair.  Reading ``scaling``
     raises ValueError if an input state is not pure.  A pair reduction is a
     Gram matrix M M^dagger of checked states, so positive by construction;
-    ``ppt_spectrum`` checks that the a2a3 pair is finite, Hermitian and unit-trace.
+    ``_pair_spectra`` checks that pairs are finite, Hermitian and unit-trace.
     """
 
     variant: CopyVariant
@@ -423,7 +425,12 @@ class CopyGrid:
 
     @functools.cached_property
     def ppt_spectrum(self) -> np.ndarray:
-        return separability._transposed_spectrum(linalg._check_density(self._reduced("a2a3")))
+        return _pair_spectra(self._reduced("a2a3"))
+
+
+def _pair_spectra(pairs: np.ndarray) -> np.ndarray:
+    """Ascending partial-transpose spectra of a stack of the kernel's pairs: ``ppt_spectrum`` short of positivity."""
+    return separability._transposed_spectrum(linalg._check_density(pairs))
 
 
 @functools.cache
@@ -468,18 +475,21 @@ def evaluate_grid(variant: CopyVariant, thetas, phis) -> CopyGrid:
 def run_copier(input_qubit: InputQubit, variant: CopyVariant) -> CopyReport:
     """Run the copying network on the input qubit and characterize the output.
 
-    This is the one-point case of ``evaluate_grid``.
+    This is the one-point case of ``evaluate_grid``; one stacked spectrum verdicts its three pairs.
     """
     grid = evaluate_grid(variant, [input_qubit.theta], [input_qubit.phi])
+    pairs = {label: m[0] for label, m in grid.pair_reductions.items()}
+    verdicts = separability._ppt_reports(_pair_spectra(np.stack(list(pairs.values()))))
     return CopyReport(
         variant=variant,
         input=input_qubit,
         output_state=PureState(grid.states[0]),
         qubit_reductions={label: m[0] for label, m in grid.qubit_reductions.items()},
-        pair_reductions={label: m[0] for label, m in grid.pair_reductions.items()},
+        pair_reductions=pairs,
         scaling={label: None if math.isnan(s[0]) else float(s[0]) for label, s in grid.scaling.items()},
         fidelity={label: (float(f[0, 0]), float(f[0, 1])) for label, f in grid.fidelity.items()},
         d1={label: float(d[0]) for label, d in grid.d1.items()},
         d2={label: float(d[0]) for label, d in grid.d2.items()},
         d3=None if grid.d3 is None else float(grid.d3[0]),
+        ppt=dict(zip(pairs, verdicts)),
     )

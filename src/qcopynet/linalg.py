@@ -109,6 +109,19 @@ def _check_keep(keep, n: int) -> tuple[int, ...]:
     return keep
 
 
+def _reduction_letters(keep, n: int) -> tuple[str, str, str, int]:
+    """Einsum letters (kets, bras, kept, kept dimension) of an n-qubit reduction onto ``keep``, checked.
+
+    Qubit q is ket letter q; a kept qubit gets a fresh bra letter and a traced one repeats its ket letter.
+    """
+    keep = _check_keep(keep, n)
+    ket = "abc"[:n]
+    fresh = dict(zip(keep, "def"))
+    bra = "".join(fresh.get(q, ket[q]) for q in range(n))
+    kept = "".join(ket[q] for q in keep) + "".join(fresh.values())
+    return ket, bra, kept, 1 << len(keep)
+
+
 def partial_trace(rho, keep) -> np.ndarray:
     """Reduced matrix on the kept qubits, ordered as listed in ``keep``.
 
@@ -119,39 +132,28 @@ def partial_trace(rho, keep) -> np.ndarray:
     """
     rho = _stack(rho)
     n = num_qubits_of(rho)
-    keep = _check_keep(keep, n)
-    drop = [q for q in range(n) if q not in keep]
-    order = list(keep) + drop
+    ket, bra, kept, d = _reduction_letters(keep, n)
     batch = rho.shape[:-2]
-    k = len(batch)
-    r = rho.reshape(batch + (2,) * (2 * n))
-    r = r.transpose(list(range(k)) + [k + q for q in order] + [k + n + q for q in order])
-    dk = 1 << len(keep)
-    dd = 1 << len(drop)
-    return np.einsum("...imjm->...ij", r.reshape(batch + (dk, dd, dk, dd)))
+    reduced = np.einsum(f"...{ket}{bra}->...{kept}", rho.reshape(batch + (2,) * (2 * n)))
+    # keeping every qubit sums nothing and leaves a view; + 0.0 copies it and turns -0.0 into 0.0, as a sum does
+    return reduced.reshape(batch + (d, d)) + 0.0
 
 
 def reduce_pure(amps, keep) -> np.ndarray:
     """``partial_trace`` of |psi><psi| for amplitudes of shape (2**n,) or a stack (..., 2**n), by one einsum.
 
-    Each qubit gets a ket letter and each kept qubit a fresh bra letter, so
-    keeping (1, 2) of three qubits reads ``nijk,nilm->njklm``.  The norm is
-    not checked: the trace is the squared norm.
+    The letters are ``partial_trace``'s, with the stack as ``n``, so keeping
+    (1, 2) of three qubits reads ``nabc,nade->nbcde``.  The norm is not
+    checked: the trace is the squared norm.
     """
     amps = np.asarray(amps, dtype=complex)
-    n = num_qubits_of(amps)
-    keep = _check_keep(keep, n)
-    ket = "ijk"[:n]
-    fresh = dict(zip(keep, "lmo"))
-    bra = "".join(fresh.get(q, ket[q]) for q in range(n))
-    kept = "".join(ket[q] for q in keep) + "".join(fresh.values())
-    t = amps.reshape((-1,) + (2,) * n)
-    d = 1 << len(keep)
+    ket, bra, kept, d = _reduction_letters(keep, num_qubits_of(amps))
+    t = amps.reshape((-1,) + (2,) * len(ket))
     return np.einsum(f"n{ket},n{bra}->n{kept}", t, t.conj()).reshape(amps.shape[:-1] + (d, d))
 
 
 def partial_transpose(rho, subsystem: int = 1) -> np.ndarray:
-    """Transpose one qubit of a two-qubit matrix (0 = high-order, 1 = low-order).
+    """Transpose one qubit of a two-qubit matrix (0 = high-order, 1 = low-order) by swapping its ket and bra letters.
 
     The result stays Hermitian when the input is Hermitian, but need not
     stay positive; that loss of positivity is exactly what the separability
@@ -164,12 +166,8 @@ def partial_transpose(rho, subsystem: int = 1) -> np.ndarray:
         raise ValueError("partial transpose is defined here for two-qubit matrices")
     if subsystem not in (0, 1):
         raise ValueError("subsystem must be 0 or 1")
-    batch = rho.shape[:-2]
-    r = rho.reshape(batch + (2, 2, 2, 2))
-    k = len(batch)
-    swap = (k + 2, k + 1, k, k + 3) if subsystem == 0 else (k, k + 3, k + 2, k + 1)
-    r = r.transpose(tuple(range(k)) + swap)
-    return r.reshape(rho.shape).copy()
+    swapped = "cbad" if subsystem == 0 else "adcb"
+    return np.einsum(f"...abcd->...{swapped}", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))).reshape(rho.shape)
 
 
 def hermitian_eigenvalues(h) -> np.ndarray:

@@ -3,8 +3,9 @@
 For a pair of qubits, positivity of the partial transpose is necessary and
 sufficient for separability, so the minimum eigenvalue of the partially
 transposed matrix settles the question: strictly negative means the pair is
-entangled.  ``ppt_spectrum`` validates a caller's matrix in full; the copier
-kernel, whose pairs are positive by construction, skips only positivity.
+entangled.  A caller's matrix gets the full check (``ppt_spectrum``); the
+kernel's own pairs, ``copy``'s included, are Gram matrices and so positive by
+construction, and take the route that skips only the positivity eigensolve.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ class PptReport:
 
 def _transposed_spectrum(rho: np.ndarray) -> np.ndarray:
     """``ppt_spectrum`` of a complex stack whose density-matrix invariants the caller has checked."""
-    if rho.shape[-1] != 4:
-        raise ValueError("the separability verdict applies to two-qubit states")
     return linalg.hermitian_eigenvalues(linalg.partial_transpose(rho))
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qcopynet
-from qcopynet import CopyVariant, InputQubit, cli, run_copier
+from qcopynet import CopyVariant, InputQubit, cli, linalg, run_copier
 from qcopynet.cli import main
 from qcopynet.report import CSV_COLUMNS, MAX_GRID_POINTS, GridSpec, SweepSpec, render_csv, render_json, sweep_document, sweep_rows
 from qcopynet.separability import PptReport, ppt_verdict
@@ -53,6 +53,17 @@ def test_copy_human_output(capsys):
         code, out, err = run_cli(capsys, "copy", *argv)
         assert (code, err) == (0, "")
         assert out == (EXPECTED / expected).read_text(), expected
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_copy_request_makes_one_eigensolve(fmt, monkeypatch, capsys):
+    # run_copier verdicts the three pairs from one stacked spectrum; the kernel's pairs skip the positivity eigensolve
+    calls = []
+    eigensolve = linalg.hermitian_eigenvalues
+    monkeypatch.setattr(linalg, "hermitian_eigenvalues", lambda h: calls.append(np.shape(h)) or eigensolve(h))
+    argv = ["copy", "--alpha", "0.6", "--beta", "0.8", "--variant", "triplicator", "--format", fmt]
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err, calls) == (0, "", [(3, 4, 4)])
 
 
 def test_copy_json_matches_library(capsys):
@@ -376,6 +387,21 @@ def test_network_command_runs_file(tmp_path, capsys):
     assert "final state (2 qubits)" in out
     assert "0.816497" in out  # 2/sqrt(6)
     assert "partial-transpose spectrum" in out
+
+
+def test_network_output_at_one_and_three_qubits(tmp_path, capsys):
+    # one qubit: the "1 qubit" header and no pairs; three qubits: three pairs verdicted from one stack.
+    # The three-qubit text holds a 2.77556e-17 entry, its reductions' rounding.
+    cases = [
+        ("network-one-qubit.txt", "R 0 0.5\n", "1"),
+        ("network-three-qubits.txt", "R 0 0.7\nCNOT 0 1\nR 2 1.1\nCNOT 2 0\nR 1 -0.4\nCNOT 1 2\n",
+         "0.6,0,0.48j,0,0,0,0,0.64"),
+    ]
+    for expected, network, state in cases:
+        net_file = tmp_path / "net.txt"
+        net_file.write_text(network)
+        want = (EXPECTED / expected).read_text()
+        assert run_cli(capsys, "network", str(net_file), "--state", state) == (0, want, ""), expected
 
 
 def test_network_state_options(tmp_path, capsys):

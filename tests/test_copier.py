@@ -12,13 +12,21 @@ from qcopynet import (
     copy_stage_network,
     evaluate_grid,
     full_network,
+    ppt_verdict,
     preparation_amplitudes,
     preparation_angles,
     preparation_network,
     run_copier,
     solve_preparation_angles,
 )
-from qcopynet.copier import _DEGENERATE_GAP, _amplitudes_from_angles, _scaling_fit, _solve_angles, _weight
+from qcopynet.copier import (
+    PAIR_LABELS,
+    _DEGENERATE_GAP,
+    _amplitudes_from_angles,
+    _scaling_fit,
+    _solve_angles,
+    _weight,
+)
 from qcopynet.gates import PureState, run_network as run
 
 THETA2 = math.asin(math.sqrt(0.5 - math.sqrt(2.0) / 3.0))
@@ -350,6 +358,17 @@ def test_duplicator_uniform_input_report():
     assert report.scaling["a2"] is not None and abs(report.scaling["a2"] - 2.0 / 3.0) < 1e-12
     assert abs(report.fidelity["a2"][0] - 5.0 / 6.0) < 1e-12
     assert report.d3 is None
+
+
+@pytest.mark.parametrize("variant", list(CopyVariant))
+def test_report_verdicts_each_pair_as_ppt_verdict_does(variant):
+    # the kernel's Gram route skips only the positivity eigensolve, so the verdicts agree exactly
+    rng = np.random.default_rng(19)
+    for theta, phi in rng.uniform((0.0, -math.pi), (math.pi / 2.0, math.pi), size=(20, 2)):
+        report = run_copier(InputQubit(theta, phi), variant)
+        assert list(report.ppt) == list(PAIR_LABELS)
+        for label, pair in report.pair_reductions.items():
+            assert report.ppt[label] == ppt_verdict(pair), (theta, phi, label)
 
 
 def test_duplicator_copies_identical_over_grid(dup_reports):

@@ -197,6 +197,71 @@ def test_partial_transpose_rejects_wrong_dimension():
         linalg.partial_transpose(np.eye(4) / 4.0, 2)
 
 
+# ------------------------------------------------ loop references
+# Reductions and transposes written as loops over basis bits, sharing no index
+# arithmetic with linalg's einsum letters; qubit q is bit n-1-q of a basis index.
+
+def loop_partial_trace(rho, keep):
+    n = (rho.shape[-1] - 1).bit_length()
+    traced = [q for q in range(n) if q not in keep]
+    out = np.zeros(rho.shape[:-2] + (1 << len(keep),) * 2, dtype=complex)
+
+    def index(kept_bits, traced_bits):
+        bits = dict(zip(keep, kept_bits)) | dict(zip(traced, traced_bits))
+        return sum(bit << (n - 1 - q) for q, bit in bits.items())
+
+    for i, j in itertools.product(itertools.product((0, 1), repeat=len(keep)), repeat=2):
+        row = int("".join(map(str, i)), 2)
+        col = int("".join(map(str, j)), 2)
+        for t in itertools.product((0, 1), repeat=len(traced)):
+            out[..., row, col] += rho[..., index(i, t), index(j, t)]
+    return out
+
+
+def loop_partial_transpose(rho, subsystem):
+    out = np.empty_like(rho)
+    for a, b, c, d in itertools.product((0, 1), repeat=4):
+        # <ab|rho|cd> moves to <cb|.|ad> (qubit 0 transposed) or <ad|.|cb> (qubit 1)
+        row, col = (2 * c + b, 2 * a + d) if subsystem == 0 else (2 * a + d, 2 * c + b)
+        out[..., row, col] = rho[..., 2 * a + b, 2 * c + d]
+    return out
+
+
+def same_bits(got, want):
+    """Equal entry for entry, the sign of every zero included."""
+    return (
+        got.shape == want.shape
+        and np.array_equal(got, want)
+        and all(np.array_equal(np.signbit(part(got)), np.signbit(part(want))) for part in (np.real, np.imag))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reductions_match_the_loop_partial_trace(n, rng):
+    d = 1 << n
+    amps = np.array([random_pure(rng, n) for _ in range(6)]).reshape(2, 3, d)
+    projectors = amps[..., :, None] * amps.conj()[..., None, :]
+    mixed = np.array([random_density(rng, n) for _ in range(6)]).reshape(2, 3, d, d)
+    for size in range(1, n + 1):
+        for keep in itertools.permutations(range(n), size):
+            # two batch axes, then a single matrix
+            for rho in (mixed, mixed[1, 2]):
+                assert np.max(np.abs(linalg.partial_trace(rho, keep) - loop_partial_trace(rho, keep))) <= 1e-15
+            want = loop_partial_trace(projectors, keep)
+            assert np.max(np.abs(linalg.reduce_pure(amps, keep) - want)) <= 1e-15, keep
+            single = linalg.reduce_pure(amps[0, 1], keep)
+            assert np.max(np.abs(single - loop_partial_trace(np.outer(amps[0, 1], amps[0, 1].conj()), keep))) <= 1e-15
+
+
+def test_partial_transpose_matches_the_loop_transpose(rng):
+    stack = (rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4)))
+    stack[0, 0, 1, 2] = complex(-0.0, 0.5)
+    stack[1, 2, 3, 0] = complex(0.25, -0.0)
+    for subsystem in (0, 1):
+        for rho in (stack, stack[0, 0], stack[1, 2]):
+            assert same_bits(linalg.partial_transpose(rho, subsystem), loop_partial_transpose(rho, subsystem))
+
+
 # ------------------------------------------------------------ eigenvalues
 
 def test_eigenvalues_diagonal():

@@ -26,6 +26,7 @@ def test_readme_library_block_runs_and_keeps_its_promises():
     assert abs(report.d1["a2"] - 1.0 / 18.0) < 1e-12
     assert np.max(np.abs(np.array(report.fidelity["a2"]) - [5.0 / 6.0, 1.0 / 6.0])) < 1e-12
     assert abs(report.scaling["a2"] - 2.0 / 3.0) < 1e-12
+    assert report.ppt["a2a3"].inseparable is True
     assert ns["ppt_verdict"](report.pair_reductions["a2a3"]).inseparable is True
     assert grid.d1["a2"].shape == (4,)
     assert grid.ppt_spectrum[:, 0].shape == (4,)
