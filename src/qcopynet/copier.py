@@ -158,9 +158,9 @@ def amplitudes_from_angles(angles: PreparationAngles) -> np.ndarray:
     return _amplitudes_from_angles(angles.as_array())
 
 
-# Singular-value gap below which a target counts as degenerate: the even
-# split below then reproduces it within half the gap, inside the 1e-10
-# residual contract.
+# Singular-value gap 2 min(p, q) below which a target counts as degenerate
+# (see solve_preparation_angles): the even split then reproduces it within
+# half the gap, inside the 1e-10 residual contract.
 _DEGENERATE_GAP = 1e-11
 
 _TWO_PI = 2.0 * math.pi
@@ -191,8 +191,9 @@ def _solve_angles(c) -> np.ndarray:
     """Closed-form preparation angles (N, 3) for a stack of targets (N, 4).
 
     Each row is solved as ``solve_preparation_angles`` (the one-target view)
-    describes, taking its own branch, SVD or degenerate.  Raises ValueError
-    unless every target has unit sum of squares.
+    describes, by the same formulas for every target; a degenerate one only
+    has its smaller part zeroed.  Raises ValueError unless every target has
+    unit sum of squares.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[1] != 4:
@@ -200,30 +201,20 @@ def _solve_angles(c) -> np.ndarray:
     if not (np.abs((c * c).sum(axis=1) - 1.0) <= 1e-12).all():
         raise ValueError("target amplitudes must have unit sum of squares")
 
-    m = c.reshape(-1, 2, 2)
-    u, s, vt = np.linalg.svd(m)
-    theta1 = _atan2(vt[:, 0, 1], vt[:, 0, 0])
-    theta2 = _atan2(np.copysign(s[:, 1], np.linalg.det(u) * np.linalg.det(vt)), s[:, 0])
-    theta3 = _atan2(u[:, 1, 0], u[:, 0, 0])
+    m00, m01, m10, m11 = c.T
+    # rotation part (ux, uy) = p e^{i(theta3 - theta1)}, reflection part (vx, vy) = q e^{i(theta3 + theta1)}
+    ux, uy, vx, vy = (m00 + m11) / 2.0, (m10 - m01) / 2.0, (m00 - m11) / 2.0, (m01 + m10) / 2.0
+    p, q, a, b = np.hypot(ux, uy), np.hypot(vx, vy), _atan2(uy, ux), _atan2(vy, vx)
+    # within the gap the smaller part and its free angle are 0, which splits the other's angle evenly
+    tied = 2.0 * np.minimum(p, q) <= _DEGENERATE_GAP
+    reflection = tied & (p < q)
+    p, a = np.where(reflection, 0.0, [p, a])
+    q, b = np.where(tied & ~reflection, 0.0, [q, b])
+    theta1, theta2, theta3 = (b - a) / 2.0, _atan2(p - q, p + q), (a + b) / 2.0
     half = math.pi / 2.0
-    # the SVD solution and its singular-value swap, each under the four sign flips
+    # the solution and its singular-value swap, each under the four sign flips
     solutions = np.array([(theta1, theta2, theta3), (theta1 + half, half - theta2, theta3 + half)])
     candidates = (solutions.transpose(2, 0, 1)[:, :, None, :] + _SIGN_FLIPS).reshape(-1, 8, 3)
-
-    degenerate = (s[:, 0] - s[:, 1] <= _DEGENERATE_GAP).nonzero()[0]
-    if degenerate.size:
-        md = m[degenerate]
-        sign = np.where(np.linalg.det(md) >= 0.0, 1.0, -1.0)
-        fixed = _atan2(md[:, 1, 0] - sign * md[:, 0, 1], md[:, 0, 0] + sign * md[:, 1, 1])
-        # axis 1: the branches theta2 = sign pi/4 and theta2 + pi, which shifts the fixed part by pi
-        sign = sign[:, None, None]
-        theta2 = np.concatenate([sign * math.pi / 4.0, -sign * 3.0 * math.pi / 4.0], axis=1)
-        w = _wrap_angles(fixed[:, None, None] + np.array([[0.0], [math.pi]]))
-        # axis 2: w and w - 2 pi, which only matters at w = pi, where the two tie in norm
-        f = np.concatenate([w, w - _TWO_PI], axis=2)
-        split = np.stack([-sign * f / 2.0, np.broadcast_to(theta2, f.shape), f / 2.0], axis=-1)
-        candidates[degenerate] = np.tile(split.reshape(-1, 4, 3), (1, 2, 1))
-
     wrapped = _wrap_angles(candidates).tolist()
     return np.array([min(members, key=lambda t: (math.hypot(*t), t)) for members in wrapped]).reshape(-1, 3)
 
@@ -233,23 +224,30 @@ def solve_preparation_angles(c) -> PreparationAngles:
 
     The amplitudes, read as the 2x2 matrix ``M = c.reshape(2, 2)``, factor
     exactly as ``R(theta3) diag(cos theta2, sin theta2) R(theta1)^T`` with
-    ``R(t) = [[cos t, -sin t], [sin t, cos t]]``.  So one real SVD
-    ``M = U S V^T`` gives a solution: theta3 and theta1 are the angles of
-    the first columns of U and V, and theta2 carries the sign of
-    det(U) det(V) on the smaller singular value.  Every unit-norm target is
-    reachable.  The solutions form a finite family: sign flips (-I on either
-    side of the diagonal factor), the swap of the singular values (R(pi/2)
-    on both sides) and 2 pi wraps.  Each member is wrapped into (-pi, pi]
-    and the one with the smallest Euclidean norm is returned, ties broken
-    by the smaller angle tuple.
+    ``R(t) = [[cos t, -sin t], [sin t, cos t]]``.  Writing the diagonal
+    factor as p I + q Z, with p = (cos theta2 + sin theta2)/2 and
+    q = (cos theta2 - sin theta2)/2, gives
+    ``M = p R(theta3 - theta1) + q R(theta3 + theta1) Z``.  So M's rotation
+    part ((M00 + M11)/2, (M10 - M01)/2), read as a complex number, is
+    p e^{i(theta3 - theta1)}, its reflection part ((M00 - M11)/2,
+    (M01 + M10)/2) is q e^{i(theta3 + theta1)}, and
+    theta2 = atan2(p - q, p + q).  Every unit-norm target is reachable.
+    Near a rotation or a reflection the differences that cancel are exact
+    (Sterbenz's lemma), so the angles are accurate to rounding.  The
+    singular values of M are p + q and |p - q|.  The solutions form a
+    finite family: sign flips (-I on either side of the diagonal factor),
+    the swap of the singular values (R(pi/2) on both sides) and 2 pi wraps.
+    Each member is wrapped into (-pi, pi] and the one with the smallest
+    Euclidean norm is returned, ties broken by the smaller angle tuple.
 
-    When the singular values are equal within ``_DEGENERATE_GAP``, M is a
-    multiple of a rotation (det >= 0) or of a reflection (det < 0), and the
-    family is continuous: with theta2 = pi/4 only theta3 - theta1 is fixed,
-    with theta2 = -pi/4 only theta3 + theta1 (the branch theta2 + pi shifts
-    either by pi).  The norm is smallest with the free part split evenly
-    between theta1 and theta3, so ``[1, 0, 0, 1]/sqrt(2)`` gives
-    (0, pi/4, 0).
+    When 2 min(p, q), the singular-value gap, is at most
+    ``_DEGENERATE_GAP``, M is a multiple of a rotation (q = 0) or of a
+    reflection (p = 0), and the family is continuous: with theta2 = pi/4
+    only theta3 - theta1 is fixed, with theta2 = -pi/4 only theta3 + theta1
+    (the branch theta2 + pi shifts either by pi).  The smaller part and its
+    free angle are set to 0, which splits the fixed angle evenly between
+    theta1 and theta3, where the norm is smallest, so
+    ``[1, 0, 0, 1]/sqrt(2)`` gives (0, pi/4, 0).
 
     Raises ValueError unless ``c`` holds four amplitudes with unit sum of
     squares.
