@@ -5,7 +5,9 @@ closed stdout early (nothing on stderr then), 2 usage or parse errors.
 Angles are radians everywhere.  Human output rounds to 6 significant
 digits, except that ``angles`` prints each solved angle in full (``repr``)
 and its residual at ``.3e``; machine formats carry 17.  ``copy``, ``angles``
-and ``verify`` build one document each, which ``--format`` renders.
+and ``verify`` build one document each, which ``--format`` renders.  A
+reduced matrix is printed in both basis orders; the reversed block reuses
+the ascending block's formatted cells.
 """
 
 from __future__ import annotations
@@ -48,16 +50,16 @@ class UsageError(Exception):
 
 
 def _h(x: float | None) -> str:
-    return "-" if x is None else format(float(x), ".6g")
+    return "-" if x is None else "%.6g" % float(x)
 
 
 def _hc(z: complex) -> str:
     z = complex(z)
-    return f"{z.real:.6g}{z.imag:+.6g}j"
+    return "%.6g%+.6gj" % (z.real, z.imag)
 
 
-def _matrix_lines(m: np.ndarray) -> list[str]:
-    return ["    [ " + "  ".join(f"{_hc(z):>22}" for z in row) + " ]" for row in m]
+def _matrix_lines(cells: list[list[str]]) -> list[str]:
+    return ["    [ " + "  ".join(row) + " ]" for row in cells]
 
 
 def _parse_complex(text: str, what: str) -> complex:
@@ -99,14 +101,20 @@ def _input_from_args(args) -> InputQubit:
 
 
 def _reduction_lines(label: str, reduced: np.ndarray) -> list[str]:
-    """A reduced matrix in both basis orders (ascending, then descending)."""
+    """A reduced matrix in both basis orders (ascending, then descending).
+
+    Each entry is formatted once: the descending block is the ascending
+    block's cells with rows and columns reversed, as ``linalg.reverse_basis``
+    reindexes the matrix.
+    """
     n = linalg.num_qubits_of(reduced)
     kets = [f"|{i:0{n}b}>" for i in range(1 << n)]
+    cells = [["%22s" % _hc(z) for z in row] for row in reduced.tolist()]
     return [
         f"{label} reduction ({', '.join(kets)}):",
-        *_matrix_lines(reduced),
+        *_matrix_lines(cells),
         f"{label} reduction, reversed order ({', '.join(reversed(kets))}):",
-        *_matrix_lines(linalg.reverse_basis(reduced)),
+        *_matrix_lines([row[::-1] for row in reversed(cells)]),
     ]
 
 
@@ -119,7 +127,7 @@ def _separability_word(verdict: dict) -> str:
 def _state_lines(state: PureState) -> list[str]:
     n, amps = state.num_qubits, state.amplitudes
     lines = [f"final state ({n} qubit{'s' if n > 1 else ''}):"]
-    lines += [f"  |{i:0{n}b}>  {_hc(amp)}" for i, amp in enumerate(amps)]
+    lines += [f"  |{i:0{n}b}>  {_hc(amp)}" for i, amp in enumerate(amps.tolist())]
     for q in range(n):
         lines += _reduction_lines(f"qubit {q}", linalg.reduce_pure(amps, (q,)))
     pairs = [(qa, qb) for qa in range(n) for qb in range(qa + 1, n)]

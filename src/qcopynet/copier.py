@@ -52,6 +52,8 @@ _REDUCED_QUBITS = {"a1": (0,), "a2": (1,), "a3": (2,), "a2a3": (1, 2), "a1a2": (
 
 SCALING_RESIDUAL_TOL = 1e-10
 _PURITY_TOL = 1e-10
+_EYE2 = np.eye(2)
+_EYE2.flags.writeable = False
 
 
 class CopyVariant(Enum):
@@ -316,10 +318,10 @@ def _scaling_fit(rho_out: np.ndarray, rho_id: np.ndarray) -> np.ndarray:
     ``rho_id`` broadcasts against ``rho_out``.
     """
     purity = np.einsum("...ij,...ji->...", rho_id, rho_id).real
-    low = float(np.min(purity))
+    low = float(purity.min())
     if low < 1.0 - _PURITY_TOL:
         raise ValueError(f"reference state is not pure (purity {low!r})")
-    eye = np.eye(2)
+    eye = _EYE2
     direction = rho_id - eye / 2.0
     offset = rho_out - eye / 2.0
     s = (
@@ -343,7 +345,9 @@ class CopyGrid:
     ``states`` holds the (N, 8) output amplitudes.  Everything else is
     computed from them on first read and cached: reductions keyed as in
     CopyReport, with shapes (N, 2, 2) and (N, 4, 4), each label built alone
-    by ``linalg.reduce_pure``, and the metrics.
+    by ``linalg.reduce_pure``, and the metrics.  The three singles and the
+    three pairs are each stacked once, so ``d1``, ``d2`` and ``scaling``
+    each make one call on their stack.
     ``d3`` is None for the duplicator.  ``scaling`` is NaN where a qubit has
     no scaled form; ``fidelity`` holds (N, 2) weights on the input state and
     on its orthogonal complement; ``ppt_spectrum`` is the ascending (N, 4)
@@ -378,22 +382,39 @@ class CopyGrid:
             self._reductions[label] = linalg.reduce_pure(self.states, _REDUCED_QUBITS[label])
         return self._reductions[label]
 
+    def _stacked(self, labels: tuple[str, ...]) -> np.ndarray:
+        """The labels' reductions stacked in order; each label's entry becomes a view of the stack, not a copy."""
+        stack = np.stack([self._reduced(label) for label in labels])
+        self._reductions.update(zip(labels, stack))
+        return stack
+
+    @functools.cached_property
+    def _singles(self) -> np.ndarray:
+        """The (3, N, 2, 2) single-qubit reductions, stacked in QUBIT_LABELS order."""
+        return self._stacked(QUBIT_LABELS)
+
+    @functools.cached_property
+    def _pairs(self) -> np.ndarray:
+        """The (3, N, 4, 4) pair reductions, stacked in PAIR_LABELS order."""
+        return self._stacked(PAIR_LABELS)
+
     @functools.cached_property
     def qubit_reductions(self) -> dict[str, np.ndarray]:
-        return {label: self._reduced(label) for label in QUBIT_LABELS}
+        return dict(zip(QUBIT_LABELS, self._singles))
 
     @functools.cached_property
     def pair_reductions(self) -> dict[str, np.ndarray]:
-        return {label: self._reduced(label) for label in PAIR_LABELS}
+        return dict(zip(PAIR_LABELS, self._pairs))
 
     @functools.cached_property
     def d1(self) -> dict[str, np.ndarray]:
-        return {label: linalg.hs_distance(m, self._ideal1) for label, m in self.qubit_reductions.items()}
+        singles = self._singles
+        return dict(zip(QUBIT_LABELS, linalg.hs_distance(singles, np.broadcast_to(self._ideal1, singles.shape))))
 
     @functools.cached_property
     def d2(self) -> dict[str, np.ndarray]:
-        ideal2 = linalg.kron(self._ideal1, self._ideal1)
-        return {label: linalg.hs_distance(m, ideal2) for label, m in self.pair_reductions.items()}
+        pairs, ideal2 = self._pairs, linalg.kron(self._ideal1, self._ideal1)
+        return dict(zip(PAIR_LABELS, linalg.hs_distance(pairs, np.broadcast_to(ideal2, pairs.shape))))
 
     @functools.cached_property
     def d3(self) -> np.ndarray | None:
@@ -409,8 +430,7 @@ class CopyGrid:
 
     @functools.cached_property
     def scaling(self) -> dict[str, np.ndarray]:
-        singles = self.qubit_reductions
-        return dict(zip(singles, _scaling_fit(np.stack(list(singles.values())), self._ideal1)))
+        return dict(zip(QUBIT_LABELS, _scaling_fit(self._singles, self._ideal1)))
 
     @functools.cached_property
     def fidelity(self) -> dict[str, np.ndarray]:
@@ -458,7 +478,7 @@ def evaluate_grid(variant: CopyVariant, thetas, phis) -> CopyGrid:
     phis = np.asarray(phis, dtype=float).reshape(-1)
     if not (thetas.size and phis.size):
         raise ValueError("the grid needs at least one theta and one phi")
-    if not (np.all(np.isfinite(thetas)) and np.all(np.isfinite(phis))):
+    if not (np.isfinite(thetas).all() and np.isfinite(phis).all()):
         raise ValueError("input angles must be finite")
     theta = np.repeat(thetas, phis.size)
     phi = np.tile(phis, thetas.size)
@@ -476,18 +496,17 @@ def run_copier(input_qubit: InputQubit, variant: CopyVariant) -> CopyReport:
     This is the one-point case of ``evaluate_grid``; one stacked spectrum verdicts its three pairs.
     """
     grid = evaluate_grid(variant, [input_qubit.theta], [input_qubit.phi])
-    pairs = {label: m[0] for label, m in grid.pair_reductions.items()}
-    verdicts = separability._ppt_reports(_pair_spectra(np.stack(list(pairs.values()))))
+    pairs = grid._pairs[:, 0]
     return CopyReport(
         variant=variant,
         input=input_qubit,
         output_state=PureState(grid.states[0]),
-        qubit_reductions={label: m[0] for label, m in grid.qubit_reductions.items()},
-        pair_reductions=pairs,
+        qubit_reductions=dict(zip(QUBIT_LABELS, grid._singles[:, 0])),
+        pair_reductions=dict(zip(PAIR_LABELS, pairs)),
         scaling={label: None if math.isnan(s[0]) else float(s[0]) for label, s in grid.scaling.items()},
         fidelity={label: (float(f[0, 0]), float(f[0, 1])) for label, f in grid.fidelity.items()},
         d1={label: float(d[0]) for label, d in grid.d1.items()},
         d2={label: float(d[0]) for label, d in grid.d2.items()},
         d3=None if grid.d3 is None else float(grid.d3[0]),
-        ppt=dict(zip(pairs, verdicts)),
+        ppt=dict(zip(PAIR_LABELS, separability._ppt_reports(_pair_spectra(pairs)))),
     )

@@ -10,6 +10,8 @@ a fresh state.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from math import cos, isfinite, sin
 from typing import Iterable, Union
@@ -63,10 +65,10 @@ Gate = Union[Rotation, CNOT]
 
 def _check_normalized(amps: np.ndarray) -> None:
     """Raise ValueError unless every state (last axis) is finite and normalized within NORM_TOL."""
-    if not np.all(np.isfinite(amps)):
+    if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite")
-    norms = np.sum(np.abs(amps) ** 2, axis=-1).reshape(-1)
-    norm = float(norms[np.argmax(np.abs(norms - 1.0))])
+    norms = (np.abs(amps) ** 2).sum(axis=-1).reshape(-1)
+    norm = float(norms[np.abs(norms - 1.0).argmax()])
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized (sum of |amp|^2 = {norm!r})")
 
@@ -122,18 +124,34 @@ def _check_index(num_qubits: int, qubit: int, role: str) -> None:
         raise ValueError(f"{role} qubit {qubit} out of range for a {num_qubits}-qubit state")
 
 
+@functools.cache
+def _index_pair(num_qubits: int, target: int, control: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only basis indices a gate moves amplitudes between, built once per register size and qubits.
+
+    Qubit q is bit num_qubits - 1 - q of the basis index.  Without a control,
+    the indices whose target bit is 0; with one, those whose control bit is 1.
+    Each is paired with the index that has the target bit flipped.
+    """
+    idx = np.arange(1 << num_qubits)
+    if control is None:
+        src = idx[(idx & (1 << (num_qubits - 1 - target))) == 0]
+    else:
+        src = idx[(idx & (1 << (num_qubits - 1 - control))) != 0]
+    pair = (src, src ^ (1 << (num_qubits - 1 - target)))
+    for indices in pair:
+        indices.flags.writeable = False
+    return pair
+
+
 def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
     """Fresh amplitudes after one gate, for one state or a stack (shape (..., 2**num_qubits)).
 
-    Qubit q is bit num_qubits - 1 - q of the basis index.  A rotation angle
-    may be an array with one angle per state of the stack.
+    A rotation angle may be an array with one angle per state of the stack.
+    Qubit indices must be integers (``operator.index``): they key the index cache.
     """
-    idx = np.arange(amps.shape[-1])
     if isinstance(gate, Rotation):
         _check_index(num_qubits, gate.target, "target")
-        mask = 1 << (num_qubits - 1 - gate.target)
-        lo = idx[(idx & mask) == 0]
-        hi = lo | mask
+        lo, hi = _index_pair(num_qubits, operator.index(gate.target))
         if np.ndim(gate.theta):
             theta = np.asarray(gate.theta)[..., None]
             c, s = np.cos(theta), np.sin(theta)
@@ -146,11 +164,9 @@ def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
     if isinstance(gate, CNOT):
         _check_index(num_qubits, gate.control, "control")
         _check_index(num_qubits, gate.target, "target")
-        control_mask = 1 << (num_qubits - 1 - gate.control)
-        target_mask = 1 << (num_qubits - 1 - gate.target)
-        src = idx[(idx & control_mask) != 0]
+        src, dst = _index_pair(num_qubits, operator.index(gate.target), operator.index(gate.control))
         out = amps.copy()
-        out[..., src ^ target_mask] = amps[..., src]
+        out[..., dst] = amps[..., src]
         return out
     raise TypeError(f"unknown gate type {type(gate).__name__}")
 

@@ -12,6 +12,7 @@ density checks take stacks of matrices (leading batch axes), and
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -95,9 +96,15 @@ def kron(a, b) -> np.ndarray:
 
 
 def _check_keep(keep, n: int) -> tuple[int, ...]:
-    """``keep`` as a tuple of distinct integer qubit indices of an n-qubit register; ValueError otherwise."""
+    """``keep`` as a tuple of distinct integer qubit indices of an n-qubit register; ValueError otherwise.
+
+    A bool is not a qubit index, Python's or numpy's.
+    """
     try:
-        keep = tuple(map(operator.index, keep))
+        indices = tuple(keep)
+        if any(isinstance(q, (bool, np.bool_)) for q in indices):
+            raise TypeError
+        keep = tuple(map(operator.index, indices))
     except TypeError:
         raise ValueError(f"keep must hold integer qubit indices, got {keep!r}") from None
     if not keep:
@@ -114,7 +121,12 @@ def _reduction_letters(keep, n: int) -> tuple[str, str, str, int]:
 
     Qubit q is ket letter q; a kept qubit gets a fresh bra letter and a traced one repeats its ket letter.
     """
-    keep = _check_keep(keep, n)
+    return _letters(_check_keep(keep, n), n)
+
+
+@functools.cache
+def _letters(keep: tuple[int, ...], n: int) -> tuple[str, str, str, int]:
+    # keyed on the checked tuple of ints: a raw (0, 1.0) hashes equal to (0, 1) and must not hit the cache
     ket = "abc"[:n]
     fresh = dict(zip(keep, "def"))
     bra = "".join(fresh.get(q, ket[q]) for q in range(n))
@@ -179,8 +191,8 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     that of the Hermitian part, taken with LAPACK (``np.linalg.eigvalsh``).
     """
     h = _stack(h)
-    hc = np.swapaxes(h, -1, -2).conj()
-    deviation = float(np.max(np.abs(h - hc)))
+    hc = h.swapaxes(-1, -2).conj()
+    deviation = float(np.abs(h - hc).max())
     if not deviation <= _EIG_HERMITICITY_TOL:
         raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
     return np.linalg.eigvalsh((h + hc) / 2.0)
@@ -205,13 +217,13 @@ def _check_density(rho) -> np.ndarray:
     """``validate_density`` short of its positivity eigensolve: shape, finite entries, Hermiticity, unit trace."""
     rho = _stack(rho)
     num_qubits_of(rho)
-    if not np.all(np.isfinite(rho.real)) or not np.all(np.isfinite(rho.imag)):
+    if not np.isfinite(rho).all():  # a complex entry is finite when both its parts are
         raise ValueError("density matrix has non-finite entries")
-    dev = float(np.max(np.abs(rho - np.swapaxes(rho, -1, -2).conj())))
+    dev = float(np.abs(rho - rho.swapaxes(-1, -2).conj()).max())
     if dev > HERMITICITY_TOL:
         raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
-    traces = np.trace(rho, axis1=-2, axis2=-1).reshape(-1)
-    worst = int(np.argmax(np.abs(traces - 1.0)))
+    traces = rho.trace(axis1=-2, axis2=-1).reshape(-1)
+    worst = int(np.abs(traces - 1.0).argmax())
     tr = complex(traces[worst])
     if abs(tr - 1.0) > TRACE_TOL:
         raise ValueError(f"density matrix trace {tr} is not 1")

@@ -1,13 +1,18 @@
 """Parameter sweeps and their CSV/JSON serialization.
 
-CSV and JSON read one column formatter, which formats every float (``float``
-and its subclasses such as ``np.float64``) at ``%.17g``, mostly inside one
-``%`` per row, so the decimal strings of a sweep are identical in both
-formats and round-trip to the same doubles.
+Every float (``float`` and its subclasses such as ``np.float64``) is written
+at ``%.17g``, so the decimal strings of a sweep are identical in both formats
+and round-trip to the same doubles.  A CSV column, and a JSON list of
+same-key records (sweep and verify rows), go through one column formatter,
+mostly inside one ``%`` per row, which writes each repeated string, int,
+bool or None of a column once.  JSON writes any other dict field by field,
+and a complex scalar or array with one ``%`` over a template cached per
+shape and indent.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -151,19 +156,42 @@ def sweep_document(spec: SweepSpec, rows: list[dict]) -> dict:
     }
 
 
+# Cells whose text _column writes once per column and value: for these types, equal values of one type
+# have one text.  Not tuples or complex numbers, where 0.0 == -0.0 would merge "0" with "-0".
+_ATOMS = frozenset({str, int, bool, type(None)})
+
+
+def _check_finite(floats: list) -> None:
+    """ValueError naming the first non-finite float of the list."""
+    if not all(map(math.isfinite, floats)):
+        raise ValueError(f"non-finite value {next(v for v in floats if not math.isfinite(v))!r} in report")
+
+
 def _column(values: list, other) -> tuple[str, list]:
     """A column's ``%`` conversion and cells: floats only stay floats under ``%.17g`` (17 digits, lossless).
 
     Any other column becomes text under ``%s``, its floats at ``%.17g`` and
-    every other cell through ``other``.  Non-finite floats raise first.
+    every other cell through ``other``, called once per distinct string,
+    int, bool or None (keyed on type and value, so True and 1 stay apart).
+    Non-finite floats raise first.
     """
     floats = [v for v in values if isinstance(v, float)]
-    if not all(map(math.isfinite, floats)):
-        raise ValueError(f"non-finite value {next(v for v in floats if not math.isfinite(v))!r} in report")
+    _check_finite(floats)
     if len(floats) == len(values):
         return "%.17g", values
-    texts = map("%.17g".__mod__, floats)
-    return "%s", [next(texts) if isinstance(v, float) else other(v) for v in values]
+    texts, atoms = map("%.17g".__mod__, floats), {}
+
+    def cell(v):
+        if isinstance(v, float):
+            return next(texts)
+        if type(v) not in _ATOMS:
+            return other(v)
+        key = (type(v), v)
+        if key not in atoms:
+            atoms[key] = other(v)
+        return atoms[key]
+
+    return "%s", list(map(cell, values))
 
 
 def _csv_other(value) -> str:
@@ -185,21 +213,46 @@ def _json_objects(records: list, indent: int) -> list[str]:
     return list(map(f"{{\n{fields}\n{pad}}}".__mod__, zip(*cells)))
 
 
+@functools.lru_cache(maxsize=64)
+def _complex_template(shape: tuple[int, ...], indent: int) -> str:
+    """The ``{"re": ..., "im": ...}`` text of a complex value of this shape, one ``%.17g`` per part."""
+    def nested(shape: tuple[int, ...], indent: int) -> str:
+        if not shape:
+            return "%.17g"
+        if not shape[0]:
+            return "[]"
+        pad = "  " * indent
+        item = f"{pad}  {nested(shape[1:], indent + 1)}"
+        return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
+
+    pad, part = "  " * indent, nested(shape, indent + 1)
+    return f'{{\n{pad}  "re": {part},\n{pad}  "im": {part}\n{pad}}}'
+
+
 def _json_value(value, indent: int) -> str:
-    pad = "  " * indent
+    """JSON text of one value: a dict field by field, a complex value by its cached template, a list by column."""
     if value is None:
         return "null"
+    if isinstance(value, float):
+        _check_finite([value])
+        return "%.17g" % value
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        pad = "  " * indent
+        texts = [_json_value(v, indent + 1) for v in value.values()]  # every value before any key, as lists do
+        fields = (f"{pad}  {encode_basestring_ascii(k)}: {text}" for k, text in zip(value, texts))
+        return "{\n" + ",\n".join(fields) + "\n" + pad + "}"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, dict):
-        return _json_objects([value], indent)[0] if value else "{}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
+        pad = "  " * indent
         keys = tuple(value[0]) if isinstance(value[0], dict) else ()
         if keys and all(isinstance(item, dict) and tuple(item) == keys for item in value):
             items = _json_objects(value, indent + 1)
@@ -209,7 +262,9 @@ def _json_value(value, indent: int) -> str:
         return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + "\n" + pad + "]"
     if isinstance(value, (complex, np.complexfloating, np.ndarray)) and np.iscomplexobj(value):
         z = np.asarray(value)
-        return _json_value({"re": z.real.tolist(), "im": z.imag.tolist()}, indent)
+        parts = z.real.ravel().tolist() + z.imag.ravel().tolist()
+        _check_finite(parts)
+        return _complex_template(z.shape, indent) % tuple(parts)
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

@@ -39,20 +39,49 @@ def not_normalizable(what: str, norm: str) -> str:
 
 # ------------------------------------------------------------------- copy
 
-# Human reports pinned byte for byte; the duplicator's 1e-16 entries are the reductions' rounding.
+# Copy reports pinned byte for byte; the duplicator's 1e-16 entries are the reductions' rounding.
 EXPECTED = Path(__file__).parent / "expected"
 
 
 def test_copy_human_output(capsys):
-    # the README command, then a phased triplicator input
+    # the README command, then a phased triplicator input, in human text and in JSON
+    phased = ("--theta", "0.7853981633974483", "--phi", "0.3", "--variant", "triplicator")
     cases = [
         ("copy-duplicator-readme.txt", "--theta", "0.7853981633974483", "--phi", "0", "--variant", "duplicator"),
-        ("copy-triplicator-phased.txt", "--theta", "0.7853981633974483", "--phi", "0.3", "--variant", "triplicator"),
+        ("copy-triplicator-phased.txt", *phased),
+        ("copy-triplicator-phased.json", *phased, "--format", "json"),
     ]
     for expected, *argv in cases:
         code, out, err = run_cli(capsys, "copy", *argv)
         assert (code, err) == (0, "")
         assert out == (EXPECTED / expected).read_text(), expected
+
+
+def reference_reduction_lines(label: str, m: np.ndarray) -> list[str]:
+    """The two-pass form the renderer replaced: ``reverse_basis``, then every entry of both blocks formatted."""
+    n = linalg.num_qubits_of(m)
+    kets = [f"|{i:0{n}b}>" for i in range(1 << n)]
+
+    def block(matrix):
+        return ["    [ " + "  ".join(f"{z.real:.6g}{z.imag:+.6g}j".rjust(22) for z in row) + " ]" for row in matrix]
+
+    return [
+        f"{label} reduction ({', '.join(kets)}):",
+        *block(m),
+        f"{label} reduction, reversed order ({', '.join(reversed(kets))}):",
+        *block(linalg.reverse_basis(m)),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reduction_lines_match_the_two_pass_reference(n, rng):
+    for _ in range(20):
+        dim = 1 << n
+        m = rng.normal(size=(dim, dim)) * 10.0 ** rng.integers(-8, 8, (dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        signed = rng.integers(0, 4, (dim, dim))
+        m.real[signed == 1], m.imag[signed == 2] = -0.0, -0.0
+        m[signed == 3] = complex(0.0, -0.0)
+        assert cli._reduction_lines("pair", m) == reference_reduction_lines("pair", m)
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
@@ -709,6 +738,47 @@ def test_render_json_writes_a_complex_value_as_its_parts(value, re, im):
     assert render_json({"z": value, "list": [value]}) == reference_render_json({"z": parts, "list": [parts]})
 
 
+@pytest.mark.parametrize("shape", [(), (0,), (8,), (2, 2), (4, 4)], ids=str)
+def test_render_json_writes_each_complex_shape_as_the_reference(shape, rng):
+    # signed zeros and subnormal-scale parts, at three depths, so each shape's template serves three indents
+    z = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    flat = z.reshape(-1)
+    flat[::3] = [complex(x, -0.0) for x in flat[::3].real]
+    flat[1::3] = [complex(-0.0, 1e-300)] * len(flat[1::3])
+    doc = {"z": z, "list": [z, z], "nested": {"deeper": {"z": z}}}
+    assert render_json(doc) == reference_render_json(doc)
+    assert json.loads(render_json(doc))["nested"]["deeper"]["z"] == {"re": z.real.tolist(), "im": z.imag.tolist()}
+
+
+@pytest.mark.parametrize("value", [complex(0.5, math.nan), np.array([[0.5, 1j], [0.25j, complex(1.0, -math.inf)]])])
+def test_render_json_rejects_a_non_finite_complex_part_as_the_reference_does(value):
+    with pytest.raises(ValueError) as expected:
+        reference_render_json({"z": value})
+    with pytest.raises(ValueError) as raised:
+        render_json({"z": value})
+    assert str(raised.value) == str(expected.value)
+    assert str(raised.value) in ("non-finite value nan in report", "non-finite value -inf in report")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("copy", "--theta", "0.7853981633974483", "--phi", "0.3", "--variant", "triplicator"),
+        ("copy", "--alpha", "0.6", "--beta", "0.8j", "--variant", "duplicator"),
+        ("angles", "0.8164965809277261", "0.4082482904638631", "0.4082482904638631", "0"),
+        ("angles", "0.7071067811865476", "0", "0", "0.7071067811865476"),
+    ],
+    ids=["copy-triplicator", "copy-duplicator", "angles", "angles-degenerate"],
+)
+def test_render_json_matches_the_reference_on_documents_built_in_process(argv, monkeypatch, capsys):
+    # the documents as the commands build them, numpy arrays and all, with no JSON round trip
+    documents = []
+    monkeypatch.setattr(cli, "render_json", lambda doc: documents.append(doc) or render_json(doc))
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0 and len(documents) == 1
+    assert out == reference_render_json(documents[0])
+
+
 def test_render_json_rejects_a_real_array():
     with pytest.raises(TypeError, match="cannot serialize ndarray"):
         render_json({"m": np.eye(2)})
@@ -747,6 +817,9 @@ def reference_csv(document: dict) -> str:
 
 def reference_json(value, indent: int = 0) -> str:
     pad = "  " * indent
+    if isinstance(value, (complex, np.complexfloating, np.ndarray)) and np.iscomplexobj(value):
+        z = np.asarray(value)
+        return reference_json({"re": z.real.tolist(), "im": z.imag.tolist()}, indent)
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -838,7 +911,9 @@ def test_an_all_float_column_under_a_key_with_percent_and_newline_matches_the_re
 
 
 def test_a_column_mixing_float_none_str_and_bool_matches_the_reference():
-    mixed = [0.25, None, "50%s", True, 1e-300, False, -7.5, "x\ny"]
+    # repeated cells of equal value but another type or sign: True and 1, 0 and False, (0.0,) and (-0.0,), 0j and -0j
+    mixed = [0.25, None, "50%s", True, 1e-300, False, -7.5, "x\ny", 1, True, 1, None, 0, False, "50%s"]
+    mixed += [(0.0,), (-0.0,), (True,), (1,), complex(0.0, 0.0), complex(0.0, -0.0), [1.0], [True]]
     doc = {"rows": [{"mixed": v, "x": float(i)} for i, v in enumerate(mixed)], "list": mixed}
     assert render_json(doc) == reference_render_json(doc)
     spec = SweepSpec(CopyVariant.TRIPLICATOR, GridSpec(0.0, 1.5, 3), GridSpec(0.0, 6.0, 2))

@@ -97,12 +97,20 @@ def test_partial_trace_rejects_bad_keep():
             reduce(operand, (0, 0))
 
 
-@pytest.mark.parametrize("keep", [(1.9,), (0, 1.0), ("1",)])
+@pytest.mark.parametrize("keep", [(1.9,), (0, 1.0), ("1",), (True,), (0, np.True_)])
 def test_partial_trace_rejects_a_non_integer_qubit(keep):
-    # (1.9,) used to be truncated to qubit 1
+    # (1.9,) used to be truncated to qubit 1, and True read as qubit 1
     for reduce, operand in KEEP_TAKERS:
         with pytest.raises(ValueError, match="integer qubit indices"):
             reduce(operand, keep)
+
+
+def test_a_float_keep_is_rejected_right_after_its_integer_twin():
+    # (0, 1.0) hashes equal to (0, 1), so a cache keyed on the unchecked tuple would let it through
+    for reduce, operand in KEEP_TAKERS:
+        reduce(operand, (0, 1))
+        with pytest.raises(ValueError, match="integer qubit indices"):
+            reduce(operand, (0, 1.0))
 
 
 # ------------------------------------------------- pure-state reduction
