@@ -2,12 +2,14 @@
 
 Every float (``float`` and its subclasses such as ``np.float64``) is written
 at ``%.17g``, so the decimal strings of a sweep are identical in both formats
-and round-trip to the same doubles.  A CSV column, and a JSON list of
-same-key records (sweep and verify rows), go through one column formatter,
-mostly inside one ``%`` per row, which writes each repeated string, int,
-bool or None of a column once.  JSON writes any other dict field by field,
-and a complex scalar or array with one ``%`` over a template cached per
-shape and indent.
+and round-trip to the same doubles.  A sweep's rows are one typed table, a
+float64 field per numeric column, and both formats write it by column into
+one ``%`` template per row, with the variant and blank columns written into
+the template once.  A JSON list of same-key records (verify rows) goes
+through one column formatter, which writes each repeated string, int, bool
+or None of a column once.  JSON writes any other dict field by field, and a
+complex scalar or array with one ``%`` over a template cached per shape and
+indent.
 """
 
 from __future__ import annotations
@@ -106,34 +108,35 @@ class SweepSpec:
             )
 
 
-def sweep_rows(spec: SweepSpec) -> list[dict]:
-    """Evaluate the sweep, one row dict per grid point, theta-major order.
+def sweep_rows(spec: SweepSpec) -> np.ndarray:
+    """Evaluate the sweep as one typed table: a record per grid point, theta-major order.
 
-    Every CSV column is present in every row; deselected metrics and
-    inapplicable values (duplicator d3, absent scaling fits) are None.
+    The table is a NumPy structured array with one float64 field per
+    numeric CSV column the sweep fills, in CSV order: theta, phi and the
+    selected metrics' columns, without d3 for the duplicator.  ``s_a2`` is
+    NaN where the copy has no scaled form.  The variant and every other
+    column are not fields; the renderers write them.  A record
+    (``table[i]``) is a writable view of the table.
     """
     grid = evaluate_grid(spec.variant, spec.theta_grid.values(), spec.phi_grid.values())
-    metrics, count = spec.metrics, grid.theta.size
-    columns = {
-        "theta": grid.theta.tolist(),
-        "phi": grid.phi.tolist(),
-        "variant": [spec.variant.value] * count,
-    }
+    metrics = spec.metrics
+    columns = {"theta": grid.theta, "phi": grid.phi}
     if "d1" in metrics:
-        columns.update({f"d1_{label}": grid.d1[label].tolist() for label in QUBIT_LABELS})
+        columns.update({f"d1_{label}": grid.d1[label] for label in QUBIT_LABELS})
     if "d2" in metrics:
-        columns.update({f"d2_{label}": grid.d2[label].tolist() for label in PAIR_LABELS})
+        columns.update({f"d2_{label}": grid.d2[label] for label in PAIR_LABELS})
     if "d3" in metrics and grid.d3 is not None:
-        columns["d3"] = grid.d3.tolist()
+        columns["d3"] = grid.d3
     if "s" in metrics:
-        columns["s_a2"] = [None if math.isnan(s) else s for s in grid.scaling["a2"].tolist()]
+        columns["s_a2"] = grid.scaling["a2"]
     if "fidelity" in metrics:
-        columns["fid_a2"] = grid.fidelity["a2"][:, 0].tolist()
+        columns["fid_a2"] = grid.fidelity["a2"][:, 0]
     if "E" in metrics:
-        columns["E_a2a3"] = grid.ppt_spectrum[:, 0].tolist()
-    blank = [None] * count
-    cells = zip(*(columns.get(column, blank) for column in CSV_COLUMNS))
-    return [dict(zip(CSV_COLUMNS, row)) for row in cells]
+        columns["E_a2a3"] = grid.ppt_spectrum[:, 0]
+    table = np.empty(grid.theta.size, dtype=[(column, float) for column in columns])
+    for column, values in columns.items():
+        table[column] = values
+    return table
 
 
 def _document_meta(kind: str, **fields) -> dict:
@@ -141,7 +144,8 @@ def _document_meta(kind: str, **fields) -> dict:
     return {"schema_version": SCHEMA_VERSION, "generator": f"qcopynet {__version__}", "kind": kind, **fields}
 
 
-def sweep_document(spec: SweepSpec, rows: list[dict]) -> dict:
+def sweep_document(spec: SweepSpec, table: np.ndarray) -> dict:
+    """The sweep's JSON document; ``rows`` is ``table`` itself, which the renderers read with ``meta.variant``."""
     return {
         "meta": _document_meta(
             "sweep",
@@ -151,8 +155,8 @@ def sweep_document(spec: SweepSpec, rows: list[dict]) -> dict:
             metrics=sorted(spec.metrics),
             columns=list(CSV_COLUMNS),
         ),
-        "rows": rows,
-        "summary": {"row_count": len(rows)},
+        "rows": table,
+        "summary": {"row_count": len(table)},
     }
 
 
@@ -165,6 +169,51 @@ def _check_finite(floats: list) -> None:
     """ValueError naming the first non-finite float of the list."""
     if not all(map(math.isfinite, floats)):
         raise ValueError(f"non-finite value {next(v for v in floats if not math.isfinite(v))!r} in report")
+
+
+def _check_finite_column(values: np.ndarray, absent: bool) -> None:
+    """``_check_finite`` for a float array, NaN allowed where ``absent``."""
+    ok = np.isfinite(values)
+    if absent:
+        ok |= np.isnan(values)
+    if not ok.all():
+        _check_finite([float(values[~ok][0])])
+
+
+# Sweep columns written once per distinct value: each grid axis repeats its values, and s_a2's NaN is a blank.
+_DISTINCT_COLUMNS = frozenset({"theta", "phi", "s_a2"})
+
+
+def _distinct_texts(values: np.ndarray, blank: str) -> list[str]:
+    """Each cell's ``%.17g`` text, or ``blank`` for NaN, formatted once per distinct bit pattern, so -0 stays -0."""
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = [blank if v != v else "%.17g" % v for v in keys.view(float).tolist()]
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
+def _table_columns(document: dict, blank: str, text) -> tuple[list[str], list[list]]:
+    """A sweep table's CSV columns as ``%`` conversions and the cell lists of the columns that vary.
+
+    A float field goes to ``%.17g`` as it is, or, in ``_DISTINCT_COLUMNS``,
+    to ``%s`` through ``_distinct_texts``.  The variant column is
+    ``text(meta.variant)`` and every other column ``blank``, each written
+    into its conversion.  Non-finite values raise first, except s_a2's NaN.
+    """
+    table, specs, cells = document["rows"], [], []
+    for column in CSV_COLUMNS:
+        if column not in table.dtype.names:
+            constant = text(document["meta"]["variant"]) if column == "variant" else blank
+            specs.append(constant.replace("%", "%%"))
+            continue
+        values = table[column]
+        _check_finite_column(values, absent=column == "s_a2")
+        if column in _DISTINCT_COLUMNS:
+            specs.append("%s")
+            cells.append(_distinct_texts(values, blank))
+        else:
+            specs.append("%.17g")
+            cells.append(values.tolist())
+    return specs, cells
 
 
 def _column(values: list, other) -> tuple[str, list]:
@@ -194,23 +243,28 @@ def _column(values: list, other) -> tuple[str, list]:
     return "%s", list(map(cell, values))
 
 
-def _csv_other(value) -> str:
-    return "" if value is None else value
-
-
 def render_csv(document: dict) -> str:
-    """CSV body for a sweep document; header row first, empty cell for None."""
-    rows = document["rows"]
-    specs, cells = zip(*(_column([row[column] for row in rows], _csv_other) for column in CSV_COLUMNS))
+    """CSV body for a sweep document; header row first, an empty cell for a blank column or a NaN ``s_a2``."""
+    specs, cells = _table_columns(document, "", str)
     return "\n".join([",".join(CSV_COLUMNS), *map(",".join(specs).__mod__, zip(*cells))]) + "\n"
 
 
-def _json_objects(records: list, indent: int) -> list[str]:
-    """Non-empty dicts that share one key sequence as JSON objects: keys escaped once, values by column."""
-    pad, keys, other = "  " * indent, records[0], lambda v: _json_value(v, indent + 1)
-    specs, cells = zip(*(_column([item[key] for item in records], other) for key in keys))
+def _json_objects(keys, specs, cells, indent: int) -> list[str]:
+    """JSON objects with one key sequence, one per row of ``cells``, each field written by its ``%`` conversion."""
+    pad = "  " * indent
     fields = ",\n".join(f"{pad}  {encode_basestring_ascii(k).replace('%', '%%')}: {c}" for k, c in zip(keys, specs))
     return list(map(f"{{\n{fields}\n{pad}}}".__mod__, zip(*cells)))
+
+
+def _json_list(items, indent: int) -> str:
+    pad = "  " * indent
+    return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + "\n" + pad + "]"
+
+
+def _table_json(document: dict, indent: int) -> str:
+    """A sweep document's typed table as a JSON list of objects keyed by the CSV columns, null for a blank."""
+    specs, cells = _table_columns(document, "null", encode_basestring_ascii)
+    return _json_list(_json_objects(CSV_COLUMNS, specs, cells, indent + 1), indent)
 
 
 @functools.lru_cache(maxsize=64)
@@ -240,7 +294,10 @@ def _json_value(value, indent: int) -> str:
         if not value:
             return "{}"
         pad = "  " * indent
-        texts = [_json_value(v, indent + 1) for v in value.values()]  # every value before any key, as lists do
+        # every value before any key, as lists do; a typed table is a sweep's rows, read with the document's meta
+        texts = [
+            _table_json(value, indent + 1) if _is_table(v) else _json_value(v, indent + 1) for v in value.values()
+        ]
         fields = (f"{pad}  {encode_basestring_ascii(k)}: {text}" for k, text in zip(value, texts))
         return "{\n" + ",\n".join(fields) + "\n" + pad + "}"
     if isinstance(value, str):
@@ -252,20 +309,25 @@ def _json_value(value, indent: int) -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        pad = "  " * indent
         keys = tuple(value[0]) if isinstance(value[0], dict) else ()
         if keys and all(isinstance(item, dict) and tuple(item) == keys for item in value):
-            items = _json_objects(value, indent + 1)
+            other = lambda v: _json_value(v, indent + 2)
+            specs, cells = zip(*(_column([item[key] for item in value], other) for key in keys))
+            items = _json_objects(keys, specs, cells, indent + 1)
         else:
             spec, cells = _column(value, lambda v: _json_value(v, indent + 1))
             items = map(spec.__mod__, cells)
-        return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + "\n" + pad + "]"
+        return _json_list(items, indent)
     if isinstance(value, (complex, np.complexfloating, np.ndarray)) and np.iscomplexobj(value):
         z = np.asarray(value)
         parts = z.real.ravel().tolist() + z.imag.ravel().tolist()
         _check_finite(parts)
         return _complex_template(z.shape, indent) % tuple(parts)
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+def _is_table(value) -> bool:
+    return isinstance(value, np.ndarray) and value.dtype.names is not None
 
 
 def render_json(document: dict) -> str:

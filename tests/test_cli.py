@@ -689,13 +689,13 @@ def test_format_float_17_digits_round_trip():
 def test_float64_cells_render_as_python_floats():
     spec = SweepSpec(CopyVariant.TRIPLICATOR, GridSpec(0.0, 1.5, 4), GridSpec(0.0, 6.0, 3))
     doc = sweep_document(spec, sweep_rows(spec))
-    doc["rows"][0]["s_a2"] = None  # a column of float64 and None, next to all-float64 columns
-    doc64 = sweep_document(
-        spec, [{k: np.float64(v) if type(v) is float else v for k, v in row.items()} for row in doc["rows"]]
-    )
+    doc["rows"][0]["s_a2"] = math.nan  # a blank among s_a2's cells, next to columns with none
+    # the same cells as float64 and None records, which JSON writes by its generic column path
+    rows64 = [{k: np.float64(v) if type(v) is float else v for k, v in row.items()} for row in reference_rows(doc)]
+    doc64 = {**doc, "rows": rows64}
     doc["list"], doc64["list"] = [0.1, 2.5, -1e-300], [np.float64(0.1), 2.5, np.float64(-1e-300)]
     assert any(isinstance(v, np.float64) for v in doc64["rows"][1].values())
-    assert render_csv(doc64) == render_csv(doc) == reference_csv(doc64)
+    assert render_csv(doc) == reference_csv(doc64)
     assert render_json(doc64) == render_json(doc) == reference_render_json(doc64)
 
 
@@ -709,7 +709,7 @@ def test_render_json_parses_and_matches_rows():
     doc = sweep_document(spec, rows)
     json_text = render_json(doc)
     # floats compare by value, None as null
-    assert json.loads(json_text)["rows"] == rows
+    assert json.loads(json_text)["rows"] == reference_rows(doc)
     csv_lines = render_csv(doc).splitlines()
     assert csv_lines[0] == ",".join(CSV_COLUMNS)
     # every CSV cell is the JSON decimal string of the same value, or empty for null
@@ -796,7 +796,27 @@ def test_render_json_escapes_every_string():
 
 
 # The per-cell renderers that the column renderers replaced, kept here as the
-# reference the column renderers must match byte for byte.
+# reference the column renderers must match byte for byte.  They read a
+# sweep's typed table as the row dicts the sweep had before it was typed.
+def reference_rows(document: dict) -> list[dict]:
+    """A sweep document's table as one dict per record over every CSV column, None for a blank cell."""
+    table, variant = document["rows"], document["meta"]["variant"]
+
+    def cell(record, column):
+        if column == "variant":
+            return variant
+        if column not in table.dtype.names:
+            return None
+        value = float(record[column])
+        return None if column == "s_a2" and math.isnan(value) else value
+
+    return [{column: cell(record, column) for column in CSV_COLUMNS} for record in table]
+
+
+def with_reference_rows(document: dict) -> dict:
+    return {**document, "rows": reference_rows(document)} if isinstance(document.get("rows"), np.ndarray) else document
+
+
 def reference_float(value) -> str:
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {value!r} in report")
@@ -810,7 +830,7 @@ def reference_csv(document: dict) -> str:
         return value if isinstance(value, str) else reference_float(value)
 
     lines = [",".join(CSV_COLUMNS)]
-    for row in document["rows"]:
+    for row in with_reference_rows(document)["rows"]:
         lines.append(",".join(cell(row[column]) for column in CSV_COLUMNS))
     return "\n".join(lines) + "\n"
 
@@ -847,7 +867,7 @@ def reference_json(value, indent: int = 0) -> str:
 
 
 def reference_render_json(document: dict) -> str:
-    return reference_json(document) + "\n"
+    return reference_json(with_reference_rows(document)) + "\n"
 
 
 def assert_same_text(got: str, expected: str) -> None:
@@ -916,12 +936,47 @@ def test_a_column_mixing_float_none_str_and_bool_matches_the_reference():
     mixed += [(0.0,), (-0.0,), (True,), (1,), complex(0.0, 0.0), complex(0.0, -0.0), [1.0], [True]]
     doc = {"rows": [{"mixed": v, "x": float(i)} for i, v in enumerate(mixed)], "list": mixed}
     assert render_json(doc) == reference_render_json(doc)
-    spec = SweepSpec(CopyVariant.TRIPLICATOR, GridSpec(0.0, 1.5, 3), GridSpec(0.0, 6.0, 2))
-    sweep = sweep_document(spec, sweep_rows(spec))
-    for row, value in zip(sweep["rows"], [0.25, None, "50%s", 1e-300, None, -7.5]):
-        row["s_a2"] = value
-    assert render_csv(sweep) == reference_csv(sweep)
-    assert render_json(sweep) == reference_render_json(sweep)
+
+
+# theta 0, pi/4, pi/2 x phi 0, pi/4, ..., pi: record 5 (pi/4, 0) has a scaled form, record 6 (pi/4, pi/4) has none
+SMALL_SWEEP = SweepSpec(CopyVariant.TRIPLICATOR, GridSpec(0.0, math.pi / 2.0, 3), GridSpec(0.0, math.pi, 5))
+
+
+@pytest.mark.parametrize("column", [name for name in CSV_COLUMNS if name != "variant"])
+def test_a_table_cell_edit_changes_its_row_and_nothing_else(column):
+    table = sweep_rows(SMALL_SWEEP)
+    assert list(table.dtype.names) == [name for name in CSV_COLUMNS if name != "variant"]
+    assert math.isfinite(table[5]["s_a2"]) and math.isnan(table[6]["s_a2"])
+    doc = sweep_document(SMALL_SWEEP, table)
+    csv_before, json_before = render_csv(doc), render_json(doc)
+    table[5][column] += 1e-9  # a record is a view: the edit reaches the document
+    csv_after, json_after = render_csv(doc), render_json(doc)
+    changed = [i for i, (a, b) in enumerate(zip(csv_before.split("\n"), csv_after.split("\n"))) if a != b]
+    assert changed == [6] and len(csv_before.split("\n")) == len(csv_after.split("\n"))
+    before, after = (json.loads(text, parse_float=str) for text in (json_before, json_after))
+    assert [i for i, (a, b) in enumerate(zip(before["rows"], after["rows"])) if a != b] == [5]
+    assert [key for key in CSV_COLUMNS if before["rows"][5][key] != after["rows"][5][key]] == [column]
+    assert {**before, "rows": None} == {**after, "rows": None}
+    assert json_after.count("\n") == json_before.count("\n")
+    assert sum(a != b for a, b in zip(json_before.split("\n"), json_after.split("\n"))) == 1
+    assert render_csv(doc) == reference_csv(doc) and render_json(doc) == reference_render_json(doc)
+
+
+def test_an_s_a2_nan_is_blank_and_null_an_infinity_raises_and_a_negative_zero_keeps_its_sign():
+    table = sweep_rows(SMALL_SWEEP)
+    doc = sweep_document(SMALL_SWEEP, table)
+    s_a2, theta = CSV_COLUMNS.index("s_a2"), CSV_COLUMNS.index("theta")
+    blank = [line.split(",")[s_a2] == "" for line in render_csv(doc).splitlines()[1:]]
+    assert blank == [math.isnan(s) for s in table["s_a2"]] and any(blank) and not all(blank)
+    assert [row["s_a2"] is None for row in json.loads(render_json(doc))["rows"]] == blank
+    table[0]["theta"] = -0.0  # theta 0.0 is shared by records 0-4: each distinct bit pattern has its own text
+    csv_lines = render_csv(doc).splitlines()
+    assert [line.split(",")[theta] for line in csv_lines[1:4]] == ["-0", "0", "0"]
+    assert render_csv(doc) == reference_csv(doc) and render_json(doc) == reference_render_json(doc)
+    table[6]["s_a2"] = -math.inf
+    for render in (render_csv, render_json):
+        with pytest.raises(ValueError, match=r"^non-finite value -inf in report$"):
+            render(doc)
 
 
 # ---------------------------------------------------------- document keys

@@ -113,15 +113,15 @@ def test_every_reduction_is_the_partial_trace_on_its_register_qubits(variant, rn
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_sweep_rows_match_per_point_reference(variant):
     spec = SweepSpec(variant, GridSpec(0.0, math.pi / 2.0, 6), GridSpec(0.1, 2.0 * math.pi, 9))
-    rows = sweep_rows(spec)
-    assert len(rows) == 54
-    for row in rows:
-        want = reference_row(row["theta"], row["phi"], variant)
+    table = sweep_rows(spec)
+    assert len(table) == 54
+    for record in table:
+        want = reference_row(float(record["theta"]), float(record["phi"]), variant)
         for column, value in want.items():
-            if value is None:
-                assert row[column] is None, column
+            if value is None:  # no d3 field for the duplicator, and NaN where s_a2 has no scaled form
+                assert column not in table.dtype.names or math.isnan(record[column]), column
             else:
-                assert abs(row[column] - value) <= SWEEP_BOUND, column
+                assert abs(record[column] - value) <= SWEEP_BOUND, column
 
 
 LAZY_FIELDS = ("qubit_reductions", "pair_reductions", "d1", "d2", "d3", "scaling", "fidelity", "ppt_spectrum")
