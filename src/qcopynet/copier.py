@@ -7,9 +7,10 @@ sign of the middle preparation angle, so each is one row of a private table;
 a value that is not a CopyVariant member raises ValueError.  ``evaluate_grid`` runs the circuit
 once per variant on the two basis inputs |000> and |100>, then forms the
 outputs of whole (theta, phi) grids as arrays.  The CopyGrid it returns
-computes the reduced states, scaling fits, fidelity splits, Hilbert-Schmidt
-distances and a2a3 partial-transpose spectrum each on first read, so a
-caller pays only for what it reads.  ``run_copier`` is its one-point case
+computes the reduced states, each a linear map of the input's density
+entries through the label's channel table, and the scaling fits, fidelity
+splits, Hilbert-Schmidt distances and a2a3 partial-transpose spectrum, each
+on first read, so a caller pays only for what it reads.  ``run_copier`` is its one-point case
 and returns a CopyReport; sweeps and the verify grids read the same kernel.
 """
 
@@ -343,17 +344,18 @@ class CopyGrid:
     """Copier outputs and metrics on N input points, every array indexed by point first.
 
     ``states`` holds the (N, 8) output amplitudes.  Everything else is
-    computed from them on first read and cached: reductions keyed as in
-    CopyReport, with shapes (N, 2, 2) and (N, 4, 4), each label built alone
-    by ``linalg.reduce_pure``, and the metrics.  The three singles and the
-    three pairs are each stacked once, so ``d1``, ``d2`` and ``scaling``
-    each make one call on their stack.
+    computed on first read and cached: reductions keyed as in CopyReport,
+    with shapes (N, 2, 2) and (N, 4, 4), and the metrics.  Each label's
+    reduction is built alone, as one product of the inputs' density entries
+    with the label's channel table (``_channel``), made exactly Hermitian.
+    The three singles and the three pairs are each stacked once, so ``d1``,
+    ``d2`` and ``scaling`` each make one call on their stack.
     ``d3`` is None for the duplicator.  ``scaling`` is NaN where a qubit has
     no scaled form; ``fidelity`` holds (N, 2) weights on the input state and
     on its orthogonal complement; ``ppt_spectrum`` is the ascending (N, 4)
     spectrum of the partially transposed a2a3 pair.  Reading ``scaling``
     raises ValueError if an input state is not pure.  A pair reduction is a
-    Gram matrix M M^dagger of checked states, so positive by construction;
+    channel's image of a checked pure state, so positive by construction;
     ``_pair_spectra`` checks that pairs are finite, Hermitian and unit-trace.
     """
 
@@ -377,9 +379,14 @@ class CopyGrid:
         return {}
 
     def _reduced(self, label: str) -> np.ndarray:
-        """The reduction keyed ``label``, built on its first request."""
+        """The reduction keyed ``label``, built on its first request: (X + X^dagger)/2 of the channel product X."""
         if label not in self._reductions:
-            self._reductions[label] = linalg.reduce_pure(self.states, _REDUCED_QUBITS[label])
+            table = _channel(self.variant, label)
+            d = math.isqrt(table.shape[1])
+            m = (self._ideal1.reshape(-1, 4) @ table).reshape(-1, d, d)
+            hermitian = m.conj().swapaxes(-1, -2) + m
+            hermitian *= 0.5  # exact, and cheaper than dividing complex numbers
+            self._reductions[label] = hermitian
         return self._reductions[label]
 
     def _stacked(self, labels: tuple[str, ...]) -> np.ndarray:
@@ -462,6 +469,22 @@ def _basis_outputs(variant: CopyVariant) -> np.ndarray:
     rows = np.array([run_network(PureState.computational(3, index), net).amplitudes for index in (0b000, 0b100)])
     rows.flags.writeable = False
     return rows
+
+
+@functools.cache
+def _channel(variant: CopyVariant, label: str) -> np.ndarray:
+    """Read-only (4, d*d) channel table: row 2i + j is the label's reduction of |u_i><u_j|, flattened.
+
+    With u_0, u_1 the rows of ``_basis_outputs``, the output for the input
+    psi = (alpha, beta) has the projector sum_ij psi_i conj(psi_j) |u_i><u_j|,
+    so each reduction is the input's density entries (|alpha|^2,
+    alpha conj(beta), conj(alpha) beta, |beta|^2) times this table.
+    """
+    u = _basis_outputs(variant)
+    operators = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4, 8, 8)
+    table = linalg.partial_trace(operators, _REDUCED_QUBITS[label]).reshape(4, -1)
+    table.flags.writeable = False
+    return table
 
 
 def evaluate_grid(variant: CopyVariant, thetas, phis) -> CopyGrid:

@@ -100,14 +100,18 @@ def reference_row(theta: float, phi: float, variant: CopyVariant) -> dict:
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_every_reduction_is_the_partial_trace_on_its_register_qubits(variant, rng):
     # the kets' order matters: the duplicator's a1a2 and a1a3 are not symmetric under a swap
-    grid = evaluate_grid(variant, rng.uniform(0.0, math.pi / 2.0, 4), rng.uniform(0.0, 2.0 * math.pi, 5))
+    readme = evaluate_grid(variant, np.linspace(0.0, math.pi / 2.0, 20), np.linspace(0.0, 2.0 * math.pi, 40))
+    points = rng.uniform((0.0, 0.0), (math.pi / 2.0, 2.0 * math.pi), size=(200, 2))
     qubits = {**{label: (q,) for q, label in enumerate(QUBIT_LABELS)}, **PAIR_QUBITS}
-    reductions = {**grid.qubit_reductions, **grid.pair_reductions}
-    assert reductions.keys() == qubits.keys()
-    for i, amps in enumerate(grid.states):
-        rho = np.outer(amps, amps.conj())
-        for label, m in reductions.items():
-            assert np.max(np.abs(m[i] - linalg.partial_trace(rho, qubits[label]))) <= 1e-15, label
+    for grids in ([readme], [evaluate_grid(variant, [theta], [phi]) for theta, phi in points]):
+        states = np.concatenate([grid.states for grid in grids])
+        rho = states[:, :, None] * states.conj()[:, None, :]
+        for label, keep in qubits.items():
+            m = np.concatenate([{**grid.qubit_reductions, **grid.pair_reductions}[label] for grid in grids])
+            # the channel product is symmetrized, so Hermitian bit for bit with real diagonals
+            assert np.array_equal(m, m.conj().swapaxes(-1, -2)), label
+            assert np.all(np.diagonal(m, axis1=-2, axis2=-1).imag == 0.0), label
+            assert np.max(np.abs(m - linalg.partial_trace(rho, keep))) <= 1e-15, label
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
