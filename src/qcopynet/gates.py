@@ -119,9 +119,17 @@ def max_qubit(gates: Iterable[Gate]) -> int:
     return max(qubits, default=-1)
 
 
-def _check_index(num_qubits: int, qubit: int, role: str) -> None:
-    if not 0 <= qubit < num_qubits:
-        raise ValueError(f"{role} qubit {qubit} out of range for a {num_qubits}-qubit state")
+def _check_index(num_qubits: int, qubit, role: str) -> int:
+    """``qubit`` as the int index of a register qubit; ValueError for a bool, a non-integer or one out of range."""
+    try:
+        if isinstance(qubit, (bool, np.bool_)):
+            raise TypeError
+        index = operator.index(qubit)
+    except TypeError:
+        raise ValueError(f"{role} qubit must be an integer, got {qubit!r}") from None
+    if not 0 <= index < num_qubits:
+        raise ValueError(f"{role} qubit {index} out of range for a {num_qubits}-qubit state")
+    return index
 
 
 @functools.cache
@@ -147,11 +155,10 @@ def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
     """Fresh amplitudes after one gate, for one state or a stack (shape (..., 2**num_qubits)).
 
     A rotation angle may be an array with one angle per state of the stack.
-    Qubit indices must be integers (``operator.index``): they key the index cache.
+    Qubit indices must be integers and not bools (``_check_index``): they key the index cache.
     """
     if isinstance(gate, Rotation):
-        _check_index(num_qubits, gate.target, "target")
-        lo, hi = _index_pair(num_qubits, operator.index(gate.target))
+        lo, hi = _index_pair(num_qubits, _check_index(num_qubits, gate.target, "target"))
         if np.ndim(gate.theta):
             theta = np.asarray(gate.theta)[..., None]
             c, s = np.cos(theta), np.sin(theta)
@@ -162,9 +169,8 @@ def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
         out[..., hi] = s * amps[..., lo] + c * amps[..., hi]
         return out
     if isinstance(gate, CNOT):
-        _check_index(num_qubits, gate.control, "control")
-        _check_index(num_qubits, gate.target, "target")
-        src, dst = _index_pair(num_qubits, operator.index(gate.target), operator.index(gate.control))
+        control = _check_index(num_qubits, gate.control, "control")
+        src, dst = _index_pair(num_qubits, _check_index(num_qubits, gate.target, "target"), control)
         out = amps.copy()
         out[..., dst] = amps[..., src]
         return out

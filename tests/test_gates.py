@@ -51,6 +51,19 @@ def test_rotation_index_out_of_range():
         run_network(state(1, 0), [Rotation(1, 0.1)])
 
 
+@pytest.mark.parametrize(
+    "gate,role",
+    [(Rotation(True, math.pi / 2.0), "target"), (CNOT(0, True), "target"), (Rotation(1.0, 0.5), "target")],
+    ids=["bool-rotation", "bool-cnot", "float-rotation"],
+)
+def test_a_qubit_index_that_is_a_bool_or_not_an_integer_is_rejected_with_the_gate_prefix(gate, role):
+    # a bool used to pass as qubit 1, and a float escaped as a bare TypeError
+    prefix = f"gate 1 ({gate!r}): {role} qubit must be an integer, got "
+    with pytest.raises(ValueError) as raised:
+        run_network(PureState.computational(3, 0), (gate,))
+    assert str(raised.value).startswith(prefix)
+
+
 # ------------------------------------------------------------------ cnot
 
 @pytest.mark.parametrize(
