@@ -171,15 +171,6 @@ def _check_finite(floats: list) -> None:
         raise ValueError(f"non-finite value {next(v for v in floats if not math.isfinite(v))!r} in report")
 
 
-def _check_finite_column(values: np.ndarray, absent: bool) -> None:
-    """``_check_finite`` for a float array, NaN allowed where ``absent``."""
-    ok = np.isfinite(values)
-    if absent:
-        ok |= np.isnan(values)
-    if not ok.all():
-        _check_finite([float(values[~ok][0])])
-
-
 # Sweep columns written once per distinct value: each grid axis repeats its values, and s_a2's NaN is a blank.
 _DISTINCT_COLUMNS = frozenset({"theta", "phi", "s_a2"})
 
@@ -206,7 +197,9 @@ def _table_columns(document: dict, blank: str, text) -> tuple[list[str], list[li
             specs.append(constant.replace("%", "%%"))
             continue
         values = table[column]
-        _check_finite_column(values, absent=column == "s_a2")
+        ok = np.isfinite(values) | (np.isnan(values) if column == "s_a2" else False)
+        if not ok.all():
+            _check_finite([float(values[~ok][0])])
         if column in _DISTINCT_COLUMNS:
             specs.append("%s")
             cells.append(_distinct_texts(values, blank))
