@@ -182,6 +182,10 @@ def _distinct_texts(values: np.ndarray, blank: str) -> list[str]:
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
+def _is_table(value) -> bool:
+    return isinstance(value, np.ndarray) and value.dtype.names is not None
+
+
 def _table_columns(document: dict, blank: str, text) -> tuple[list[str], list[list]]:
     """A sweep table's CSV columns as ``%`` conversions and the cell lists of the columns that vary.
 
@@ -237,7 +241,12 @@ def _column(values: list, other) -> tuple[str, list]:
 
 
 def render_csv(document: dict) -> str:
-    """CSV body for a sweep document; header row first, an empty cell for a blank column or a NaN ``s_a2``."""
+    """CSV body for a sweep document; header row first, an empty cell for a blank column or a NaN ``s_a2``.
+
+    Raises TypeError unless the document's rows are the typed table of ``sweep_rows``.
+    """
+    if not _is_table(document["rows"]):
+        raise TypeError("a sweep document's rows must be the typed table of sweep_rows")
     specs, cells = _table_columns(document, "", str)
     return "\n".join([",".join(CSV_COLUMNS), *map(",".join(specs).__mod__, zip(*cells))]) + "\n"
 
@@ -317,10 +326,6 @@ def _json_value(value, indent: int) -> str:
         _check_finite(parts)
         return _complex_template(z.shape, indent) % tuple(parts)
     raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _is_table(value) -> bool:
-    return isinstance(value, np.ndarray) and value.dtype.names is not None
 
 
 def render_json(document: dict) -> str:

@@ -697,6 +697,8 @@ def test_float64_cells_render_as_python_floats():
     assert any(isinstance(v, np.float64) for v in doc64["rows"][1].values())
     assert render_csv(doc) == reference_csv(doc64)
     assert render_json(doc64) == render_json(doc) == reference_render_json(doc64)
+    with pytest.raises(TypeError, match="typed table of sweep_rows"):
+        render_csv(doc64)
 
 
 def test_render_json_parses_and_matches_rows():
