@@ -24,7 +24,11 @@ wirings and a rotation of each qubit, and the partial-transpose and
 eigenvalue checks take stacks of matrices.  The eigenvalue cross-check
 deliberately avoids the production eigensolver: it finds every eigenvalue
 by inertia bisection (``eigenvalues_by_bisection``), so the two routes
-share no code.
+share no code.  The oracle is LAPACK ``dstebz``'s bisection in 64 halvings,
+run on buffers allocated once per call; its output is bit for bit that of
+the plain per-step loop, which the tests keep as a reference.  It raises
+its own ValueError for a 0x0 matrix, a non-finite entry, or a matrix that
+is not Hermitian within ``_ORACLE_HERMITICITY_TOL`` (1e-10).
 """
 
 from __future__ import annotations
@@ -68,6 +72,8 @@ _GRID_SIZE = _THETAS.size * _PHIS.size
 
 # Halvings of the bracket [-|H|_inf, |H|_inf]; 2**-64 of its width is below double precision.
 _BISECTION_STEPS = 64
+# The oracle's own Hermiticity tolerance, max|H - H^H|; stated here so the oracle shares nothing with linalg.
+_ORACLE_HERMITICITY_TOL = 1e-10
 
 _SQRT5 = math.sqrt(5.0)
 _SQRT17 = math.sqrt(17.0)
@@ -517,16 +523,35 @@ def eigenvalues_by_bisection(h) -> np.ndarray:
     law of inertia the LDL^T factorization of T - xI has as many negative
     pivots as T has eigenvalues below x, so eigenvalue k is where that
     count steps from k to k + 1.  Every matrix and every index k is bisected
-    at once inside [-|H|_inf, |H|_inf]; a pivot smaller than pivmin is
-    replaced by -pivmin, as in ``dstebz``.  Unpivoted LDL^H of the dense
-    H - xI is not used: a tiny leading pivot makes its count wrong.  No
-    LAPACK routine and no code from ``linalg`` is involved, so the oracle
+    at once inside [-|H|_inf, |H|_inf], in 64 halvings; a pivot smaller than
+    pivmin is replaced by -pivmin, as in ``dstebz``.  Unpivoted LDL^H of the
+    dense H - xI is not used: a tiny leading pivot makes its count wrong.
+    No LAPACK routine and no code from ``linalg`` is involved, so the oracle
     cross-checks ``linalg.hermitian_eigenvalues`` independently.
+
+    The halvings run on buffers allocated once per call, and each step
+    writes into them.  A pivot is negative after the guard exactly where it
+    was below pivmin before it, so one mask both counts it and marks where
+    the guard replaces it; the last pivot is counted but never divided by,
+    so it is not guarded.  The arithmetic is that of the plain per-step
+    loop, so every midpoint, and the result, is the same bit for bit;
+    ``tests/test_verify.py`` keeps that loop as a frozen reference.
+
+    Raises ValueError for a non-square or 0x0 matrix, a non-finite entry, or
+    a Hermiticity deviation max|H - H^H| above 1e-10.  An empty stack, such
+    as shape (0, 4, 4), gives an empty result, shape (0, 4).
     """
     a = np.array(h, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     n = a.shape[-1]
+    if n == 0:
+        raise ValueError(f"expected at least one row and column, got shape {a.shape}")
+    if not np.isfinite(a).all():  # a complex entry is finite when both its parts are
+        raise ValueError("matrix has non-finite entries")
+    deviation = float(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), initial=0.0))
+    if deviation > _ORACLE_HERMITICITY_TOL:
+        raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
     hi = np.max(np.sum(np.abs(a), axis=-1), axis=-1, keepdims=True) + np.zeros(n)
     lo = -hi
     for k in range(n - 2):
@@ -540,16 +565,37 @@ def eigenvalues_by_bisection(h) -> np.ndarray:
         u = 2.0 * (p - np.sum(w.conj() * p, axis=-1, keepdims=True) * w)
         a = a - w[..., :, None] * u.conj()[..., None, :] - u[..., :, None] * w.conj()[..., None, :]
     d = np.diagonal(a, axis1=-2, axis2=-1).real
-    e2 = np.abs(np.diagonal(a, offset=-1, axis1=-2, axis2=-1))[..., None] ** 2
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(e2, axis=-2, initial=0.0))
+    e2 = np.abs(np.diagonal(a, offset=-1, axis1=-2, axis2=-1)) ** 2
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(e2, axis=-1, keepdims=True, initial=0.0))
+    # Operands broadcast once to the (..., n) shape of the n bisected indices k:
+    # diag[i] is T[i, i] and sub[i] is |T[i + 1, i]|^2.
+    shape = hi.shape
+    diag = np.ascontiguousarray(np.broadcast_to(np.moveaxis(d, -1, 0)[..., None], (n, *shape)))
+    sub = np.ascontiguousarray(np.broadcast_to(np.moveaxis(e2, -1, 0)[..., None], (n - 1, *shape)))
+    pivmin = np.ascontiguousarray(np.broadcast_to(pivmin, shape))
+    floor = -pivmin
+    rank = np.ascontiguousarray(np.broadcast_to(np.arange(n), shape))
+    mid, ratio, guarded = np.empty(shape), np.empty(shape), np.empty(shape)
+    pivots = np.empty((n, *shape))
+    low = np.empty((n, *shape), dtype=bool)
+    below = np.empty(shape, dtype=np.intp)
+    lower = np.empty(shape, dtype=bool)
+    steps = [(pivots[i], low[i], sub[i], pivots[i + 1]) for i in range(n - 1)]
     for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        below = np.zeros(mid.shape, dtype=int)
-        for i in range(n):
-            pivot = d[..., i, None] - mid - (e2[..., i - 1, :] / pivot if i else 0.0)
-            pivot = np.where(np.abs(pivot) < pivmin, -pivmin, pivot)
-            below += pivot < 0.0
-        lower = below > np.arange(n)
-        hi = np.where(lower, mid, hi)
-        lo = np.where(lower, lo, mid)
+        np.add(lo, hi, out=mid)
+        np.multiply(mid, 0.5, out=mid)
+        # pivots[i] starts as d_i - x and becomes d_i - x - e_i^2 / (guarded pivot i - 1)
+        np.subtract(diag, mid, out=pivots)
+        for pivot, is_low, e2_next, pivot_next in steps:
+            np.less(pivot, pivmin, out=is_low)
+            np.minimum(pivot, floor, out=guarded)
+            np.putmask(pivot, is_low, guarded)
+            np.divide(e2_next, pivot, out=ratio)
+            np.subtract(pivot_next, ratio, out=pivot_next)
+        np.less(pivots[-1], pivmin, out=low[-1])
+        np.add.reduce(low, axis=0, dtype=np.intp, out=below)
+        np.greater(below, rank, out=lower)
+        np.putmask(hi, lower, mid)
+        np.logical_not(lower, out=lower)
+        np.putmask(lo, lower, mid)
     return 0.5 * (lo + hi)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,117 @@ def test_oracle_needs_no_lapack_eigensolver(rng, monkeypatch):
 def test_oracle_rejects_non_square_input():
     with pytest.raises(ValueError, match="square"):
         eigenvalues_by_bisection(np.zeros((4, 3)))
+
+
+def reference_bisection(h):
+    """The oracle as a plain loop that allocates every step: the frozen reference for bit-identity."""
+    a = np.array(h, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    n = a.shape[-1]
+    hi = np.max(np.sum(np.abs(a), axis=-1), axis=-1, keepdims=True) + np.zeros(n)
+    lo = -hi
+    for k in range(n - 2):
+        v = a[..., k + 1 :, k].copy()
+        v[..., 0] += np.exp(1j * np.angle(v[..., 0])) * np.sqrt(np.sum(np.abs(v) ** 2, axis=-1))
+        length = np.sqrt(np.sum(np.abs(v) ** 2, axis=-1, keepdims=True))
+        w = np.zeros(a.shape[:-1], dtype=complex)
+        w[..., k + 1 :] = v / np.where(length > 0.0, length, 1.0)
+        # H <- (I - 2ww^H) H (I - 2ww^H) = H - wu^H - uw^H, with p = Hw and u = 2(p - (w^H p) w)
+        p = np.sum(a * w[..., None, :], axis=-1)
+        u = 2.0 * (p - np.sum(w.conj() * p, axis=-1, keepdims=True) * w)
+        a = a - w[..., :, None] * u.conj()[..., None, :] - u[..., :, None] * w.conj()[..., None, :]
+    d = np.diagonal(a, axis1=-2, axis2=-1).real
+    e2 = np.abs(np.diagonal(a, offset=-1, axis1=-2, axis2=-1))[..., None] ** 2
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, np.max(e2, axis=-2, initial=0.0))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = np.zeros(mid.shape, dtype=int)
+        for i in range(n):
+            pivot = d[..., i, None] - mid - (e2[..., i - 1, :] / pivot if i else 0.0)
+            pivot = np.where(np.abs(pivot) < pivmin, -pivmin, pivot)
+            below += pivot < 0.0
+        lower = below > np.arange(n)
+        hi = np.where(lower, mid, hi)
+        lo = np.where(lower, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def property_check_hermitians():
+    """The 100 Hermitian matrices of ``properties.eigenvalue-oracle``, drawn in ``_property_results``' order."""
+    rng = np.random.default_rng(1234)
+    rng.normal(size=(100, 2, 8))  # the states
+    rng.uniform(-math.pi, math.pi, size=100)  # the rotation angles
+    verify._random_densities(rng, 50, 2)
+    draws = rng.normal(size=(100, 2, 4, 4))
+    m = draws[:, 0] + 1j * draws[:, 1]
+    return (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
+
+
+def hermitian_stack(rng, shape, n):
+    m = rng.normal(size=(*shape, n, n)) + 1j * rng.normal(size=(*shape, n, n))
+    return (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
+
+
+def test_oracle_draw_is_the_property_checks_draw():
+    hermitians = property_check_hermitians()
+    check = verify.run_verification(["properties"])[-1]
+    assert check.check_id == "properties.eigenvalue-oracle"
+    expected = np.max(np.abs(linalg.hermitian_eigenvalues(hermitians) - eigenvalues_by_bisection(hermitians)))
+    assert check.error == float(expected)
+
+
+def bit_identity_cases():
+    rng = np.random.default_rng(2024)
+    diagonals = np.array([[1.0, 2.0, 2.0, 3.0], [0.0, 0.0, 1.0, 1.0], [-1.0, -1.0, -1.0, -1.0], [0.5, -2.0, 0.5, 7.0]])
+    yield "property-draw", property_check_hermitians()
+    yield "zero-stack", np.zeros((3, 4, 4))
+    yield "diagonal-repeated", diagonals[:, :, None] * np.eye(4)
+    yield "duplicator-pair", np.diag(DUPLICATOR_PAIR_SPECTRUM)
+    yield "integer-valued", np.round(3.0 * hermitian_stack(rng, (50,), 4))
+    yield "scaled-1e-150", 1e-150 * hermitian_stack(rng, (50,), 4)
+    for n in (1, 2, 3, 5, 8):
+        yield f"n={n}", hermitian_stack(rng, (20,), n)
+    yield "two-leading-axes", hermitian_stack(rng, (3, 7), 4)
+
+
+@pytest.mark.parametrize("h", [h for _, h in bit_identity_cases()], ids=[name for name, _ in bit_identity_cases()])
+def test_oracle_is_bit_identical_to_the_plain_loop(h):
+    expected = reference_bisection(h)
+    got = eigenvalues_by_bisection(h)
+    assert got.shape == expected.shape == h.shape[:-1]
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize(
+    "h, message",
+    [
+        ([[math.nan, 0.0], [0.0, 1.0]], "non-finite"),
+        ([[math.inf, 0.0], [0.0, 1.0]], "non-finite"),
+        (np.zeros((0, 0)), "at least one row"),
+        ([[0.0, 1.0], [0.0, 0.0]], "not Hermitian"),
+    ],
+    ids=["nan", "inf", "0x0", "non-hermitian"],
+)
+def test_oracle_rejects_inputs_outside_its_contract(h, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the oracle's own error, not a NumPy warning on the way
+        with pytest.raises(ValueError, match=message):
+            eigenvalues_by_bisection(h)
+
+
+def test_oracle_accepts_an_empty_stack():
+    assert eigenvalues_by_bisection(np.zeros((0, 4, 4))).shape == (0, 4)
+
+
+def test_oracle_hermiticity_tolerance_is_its_own():
+    assert verify._ORACLE_HERMITICITY_TOL == 1e-10
+    nearly = np.diag([1.0, 2.0]).astype(complex)
+    nearly[0, 1] = 0.5e-10
+    assert eigenvalues_by_bisection(nearly).shape == (2,)
+    nearly[0, 1] = 2e-10
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigenvalues_by_bisection(nearly)
 
 
 def test_each_group_alone_matches_its_rows_of_the_full_run():
