@@ -584,7 +584,7 @@ def eigenvalues_by_bisection(h) -> np.ndarray:
     for _ in range(_BISECTION_STEPS):
         np.add(lo, hi, out=mid)
         np.multiply(mid, 0.5, out=mid)
-        # pivots[i] starts as d_i - x and becomes d_i - x - e_i^2 / (guarded pivot i - 1)
+        # pivots[i] starts as T[i, i] - x and becomes T[i, i] - x - |T[i, i - 1]|^2 / (guarded pivot i - 1)
         np.subtract(diag, mid, out=pivots)
         for pivot, is_low, e2_next, pivot_next in steps:
             np.less(pivot, pivmin, out=is_low)

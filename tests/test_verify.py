@@ -158,8 +158,7 @@ def test_oracle_accepts_an_empty_stack():
     assert eigenvalues_by_bisection(np.zeros((0, 4, 4))).shape == (0, 4)
 
 
-def test_oracle_hermiticity_tolerance_is_its_own():
-    assert verify._ORACLE_HERMITICITY_TOL == 1e-10
+def test_oracle_hermiticity_tolerance_is_1e_10():
     nearly = np.diag([1.0, 2.0]).astype(complex)
     nearly[0, 1] = 0.5e-10
     assert eigenvalues_by_bisection(nearly).shape == (2,)
