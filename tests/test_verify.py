@@ -102,9 +102,8 @@ def property_check_hermitians():
     return (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
 
 
-def hermitian_stack(rng, shape, n):
-    m = rng.normal(size=(*shape, n, n)) + 1j * rng.normal(size=(*shape, n, n))
-    return (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
+def hermitian_stack(rng, count, n):
+    return np.array([random_hermitian(rng, n) for _ in range(count)])
 
 
 def test_oracle_draw_is_the_property_checks_draw():
@@ -122,14 +121,14 @@ def bit_identity_cases():
     yield "zero-stack", np.zeros((3, 4, 4))
     yield "diagonal-repeated", diagonals[:, :, None] * np.eye(4)
     yield "duplicator-pair", np.diag(DUPLICATOR_PAIR_SPECTRUM)
-    yield "integer-valued", np.round(3.0 * hermitian_stack(rng, (50,), 4))
-    yield "scaled-1e-150", 1e-150 * hermitian_stack(rng, (50,), 4)
+    yield "integer-valued", np.round(3.0 * hermitian_stack(rng, 50, 4))
+    yield "scaled-1e-150", 1e-150 * hermitian_stack(rng, 50, 4)
     for n in (1, 2, 3, 5, 8):
-        yield f"n={n}", hermitian_stack(rng, (20,), n)
-    yield "two-leading-axes", hermitian_stack(rng, (3, 7), 4)
+        yield f"n={n}", hermitian_stack(rng, 20, n)
+    yield "two-leading-axes", hermitian_stack(rng, 21, 4).reshape(3, 7, 4, 4)
 
 
-@pytest.mark.parametrize("h", [h for _, h in bit_identity_cases()], ids=[name for name, _ in bit_identity_cases()])
+@pytest.mark.parametrize("h", [pytest.param(h, id=name) for name, h in bit_identity_cases()])
 def test_oracle_is_bit_identical_to_the_plain_loop(h):
     expected = reference_bisection(h)
     got = eigenvalues_by_bisection(h)
