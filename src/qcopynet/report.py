@@ -5,11 +5,10 @@ at ``%.17g``, so the decimal strings of a sweep are identical in both formats
 and round-trip to the same doubles.  A sweep's rows are one typed table, a
 float64 field per numeric column, and both formats write it by column into
 one ``%`` template per row, with the variant and blank columns written into
-the template once.  A JSON list of same-key records (verify rows) goes
-through one column formatter, which writes each repeated string, int, bool
-or None of a column once.  JSON writes any other dict field by field, and a
-complex scalar or array with one ``%`` over a template cached per shape and
-indent.
+the template once.  The table is read only as a sweep document's ``rows``,
+beside a ``meta`` that names the variant.  JSON writes any other dict field
+by field, a list item by item, and a complex scalar or array with one ``%``
+over a template cached per shape and indent.
 """
 
 from __future__ import annotations
@@ -160,16 +159,13 @@ def sweep_document(spec: SweepSpec, table: np.ndarray) -> dict:
     }
 
 
-# Cells whose text _column writes once per column and value: for these types, equal values of one type
-# have one text.  Not tuples or complex numbers, where 0.0 == -0.0 would merge "0" with "-0".
-_ATOMS = frozenset({str, int, bool, type(None)})
-
-
 def _check_finite(floats: list) -> None:
     """ValueError naming the first non-finite float of the list."""
     if not all(map(math.isfinite, floats)):
         raise ValueError(f"non-finite value {next(v for v in floats if not math.isfinite(v))!r} in report")
 
+
+_TABLE_CONTRACT = "a sweep_rows table is read only as a sweep document's rows, beside a meta naming the variant"
 
 # Sweep columns written once per distinct value: each grid axis repeats its values, and s_a2's NaN is a blank.
 _DISTINCT_COLUMNS = frozenset({"theta", "phi", "s_a2"})
@@ -192,12 +188,15 @@ def _table_columns(document: dict, blank: str, text) -> tuple[list[str], list[li
     A float field goes to ``%.17g`` as it is, or, in ``_DISTINCT_COLUMNS``,
     to ``%s`` through ``_distinct_texts``.  The variant column is
     ``text(meta.variant)`` and every other column ``blank``, each written
-    into its conversion.  Non-finite values raise first, except s_a2's NaN.
+    into its conversion.  TypeError unless ``meta.variant`` is a string;
+    then non-finite values raise, except s_a2's NaN.
     """
-    table, specs, cells = document["rows"], [], []
+    table, meta, specs, cells = document["rows"], document.get("meta"), [], []
+    if not (isinstance(meta, dict) and isinstance(meta.get("variant"), str)):
+        raise TypeError(_TABLE_CONTRACT)
     for column in CSV_COLUMNS:
         if column not in table.dtype.names:
-            constant = text(document["meta"]["variant"]) if column == "variant" else blank
+            constant = text(meta["variant"]) if column == "variant" else blank
             specs.append(constant.replace("%", "%%"))
             continue
         values = table[column]
@@ -213,39 +212,12 @@ def _table_columns(document: dict, blank: str, text) -> tuple[list[str], list[li
     return specs, cells
 
 
-def _column(values: list, other) -> tuple[str, list]:
-    """A column's ``%`` conversion and cells: floats only stay floats under ``%.17g`` (17 digits, lossless).
-
-    Any other column becomes text under ``%s``, its floats at ``%.17g`` and
-    every other cell through ``other``, called once per distinct string,
-    int, bool or None (keyed on type and value, so True and 1 stay apart).
-    Non-finite floats raise first.
-    """
-    floats = [v for v in values if isinstance(v, float)]
-    _check_finite(floats)
-    if len(floats) == len(values):
-        return "%.17g", values
-    texts, atoms = map("%.17g".__mod__, floats), {}
-
-    def cell(v):
-        if isinstance(v, float):
-            return next(texts)
-        if type(v) not in _ATOMS:
-            return other(v)
-        key = (type(v), v)
-        if key not in atoms:
-            atoms[key] = other(v)
-        return atoms[key]
-
-    return "%s", list(map(cell, values))
-
-
 def render_csv(document: dict) -> str:
     """CSV body for a sweep document; header row first, an empty cell for a blank column or a NaN ``s_a2``.
 
-    Raises TypeError unless the document's rows are the typed table of ``sweep_rows``.
+    Raises TypeError unless the rows are the typed table of ``sweep_rows``, beside a meta naming the variant.
     """
-    if not _is_table(document["rows"]):
+    if not _is_table(document.get("rows")):
         raise TypeError("a sweep document's rows must be the typed table of sweep_rows")
     specs, cells = _table_columns(document, "", str)
     return "\n".join([",".join(CSV_COLUMNS), *map(",".join(specs).__mod__, zip(*cells))]) + "\n"
@@ -286,46 +258,38 @@ def _complex_template(shape: tuple[int, ...], indent: int) -> str:
 
 
 def _json_value(value, indent: int) -> str:
-    """JSON text of one value: a dict field by field, a complex value by its cached template, a list by column."""
+    """JSON text of one value: a dict field by field, a list item by item, a complex value by its cached template."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            _check_finite([value])
+        return "%.17g" % value
     if value is None:
         return "null"
-    if isinstance(value, float):
-        _check_finite([value])
-        return "%.17g" % value
     if isinstance(value, dict):
         if not value:
             return "{}"
         pad = "  " * indent
-        # every value before any key, as lists do; a typed table is a sweep's rows, read with the document's meta
+        # every value before any key, as lists do; a typed table at "rows" is a sweep's, read with the meta beside it
         texts = [
-            _table_json(value, indent + 1) if _is_table(v) else _json_value(v, indent + 1) for v in value.values()
+            _table_json(value, indent + 1) if key == "rows" and _is_table(item) else _json_value(item, indent + 1)
+            for key, item in value.items()
         ]
         fields = (f"{pad}  {encode_basestring_ascii(k)}: {text}" for k, text in zip(value, texts))
         return "{\n" + ",\n".join(fields) + "\n" + pad + "}"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        keys = tuple(value[0]) if isinstance(value[0], dict) else ()
-        if keys and all(isinstance(item, dict) and tuple(item) == keys for item in value):
-            other = lambda v: _json_value(v, indent + 2)
-            specs, cells = zip(*(_column([item[key] for item in value], other) for key in keys))
-            items = _json_objects(keys, specs, cells, indent + 1)
-        else:
-            spec, cells = _column(value, lambda v: _json_value(v, indent + 1))
-            items = map(spec.__mod__, cells)
-        return _json_list(items, indent)
+        return _json_list([_json_value(item, indent + 1) for item in value], indent) if value else "[]"
     if isinstance(value, (complex, np.complexfloating, np.ndarray)) and np.iscomplexobj(value):
         z = np.asarray(value)
         parts = z.real.ravel().tolist() + z.imag.ravel().tolist()
         _check_finite(parts)
         return _complex_template(z.shape, indent) % tuple(parts)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
+    raise TypeError(_TABLE_CONTRACT if _is_table(value) else f"cannot serialize {type(value).__name__}")
 
 
 def render_json(document: dict) -> str:

@@ -690,7 +690,7 @@ def test_float64_cells_render_as_python_floats():
     spec = SweepSpec(CopyVariant.TRIPLICATOR, GridSpec(0.0, 1.5, 4), GridSpec(0.0, 6.0, 3))
     doc = sweep_document(spec, sweep_rows(spec))
     doc["rows"][0]["s_a2"] = math.nan  # a blank among s_a2's cells, next to columns with none
-    # the same cells as float64 and None records, which JSON writes by its generic column path
+    # the same cells as float64 and None records, which JSON writes item by item, as the reference does
     rows64 = [{k: np.float64(v) if type(v) is float else v for k, v in row.items()} for row in reference_rows(doc)]
     doc64 = {**doc, "rows": rows64}
     doc["list"], doc64["list"] = [0.1, 2.5, -1e-300], [np.float64(0.1), 2.5, np.float64(-1e-300)]
@@ -899,8 +899,14 @@ def test_column_renderers_match_the_per_cell_reference(spec):
     assert_same_text(render_json(doc), reference_render_json(doc))
 
 
-def test_column_renderers_match_the_reference_on_a_verification_document():
-    doc = verification_document(run_verification(["ppt", "bound"]))
+@pytest.mark.parametrize(
+    "groups, tolerance",
+    [(["ppt", "bound"], None), (None, None), (None, 1e-15)],
+    ids=["ppt-bound", "full", "tolerance-1e-15"],
+)
+def test_column_renderers_match_the_reference_on_a_verification_document(groups, tolerance):
+    # the full suite's document is the one verify-full renders; at 1e-15 some rows fail
+    doc = verification_document(run_verification(groups, tolerance), tolerance)
     assert render_json(doc) == reference_render_json(doc)
 
 
@@ -925,6 +931,23 @@ def test_column_renderers_reject_a_non_finite_cell_as_the_reference_does(bad):
         assert str(raised.value) == str(expected.value) == f"non-finite value {bad!r} in report"
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"rows": [{"a": 1.0, "b": math.nan}, {"a": math.inf, "b": 1.0}]},
+        {"list": [{"k": math.nan}, "x", math.inf]},
+    ],
+    ids=["records", "mixed-list"],
+)
+def test_render_json_names_the_first_non_finite_value_as_the_reference_does(doc):
+    # the first non-finite value in document order
+    with pytest.raises(ValueError) as expected:
+        reference_render_json(doc)
+    with pytest.raises(ValueError) as raised:
+        render_json(doc)
+    assert str(raised.value) == str(expected.value) == "non-finite value nan in report"
+
+
 def test_an_all_float_column_under_a_key_with_percent_and_newline_matches_the_reference():
     records = [{"50%\nof %s": 1.0 / (i + 3), "%%": -2.0**-i, "%d\t": "%s text"} for i in range(6)]
     doc = {"rows": records, "100%": {"%s": 0.1, "a\nb": [0.5, 1e-300, -3.0]}}
@@ -933,11 +956,29 @@ def test_an_all_float_column_under_a_key_with_percent_and_newline_matches_the_re
 
 
 def test_a_column_mixing_float_none_str_and_bool_matches_the_reference():
-    # repeated cells of equal value but another type or sign: True and 1, 0 and False, (0.0,) and (-0.0,), 0j and -0j
+    # cells equal under == but of another type or sign, each written as its own type and sign:
+    # True and 1, 0 and False, (0.0,) and (-0.0,), 0j and -0j
     mixed = [0.25, None, "50%s", True, 1e-300, False, -7.5, "x\ny", 1, True, 1, None, 0, False, "50%s"]
     mixed += [(0.0,), (-0.0,), (True,), (1,), complex(0.0, 0.0), complex(0.0, -0.0), [1.0], [True]]
     doc = {"rows": [{"mixed": v, "x": float(i)} for i, v in enumerate(mixed)], "list": mixed}
     assert render_json(doc) == reference_render_json(doc)
+
+
+@pytest.mark.parametrize(
+    "render, make_doc",
+    [
+        (render_json, lambda table: {"t": table}),
+        (render_json, lambda table: {"meta": {"variant": "duplicator"}, "rows": [1.0], "table": table}),
+        (render_json, lambda table: {"rows": table}),
+        (render_csv, lambda table: {"rows": table}),
+        (render_csv, lambda table: {"meta": {}, "rows": table}),
+    ],
+    ids=["json-elsewhere", "json-beside-rows", "json-no-meta", "csv-no-meta", "csv-no-variant"],
+)
+def test_a_typed_table_outside_a_sweep_documents_rows_is_a_type_error(render, make_doc):
+    table = sweep_rows(SweepSpec(CopyVariant.DUPLICATOR, GridSpec(0.0, 1.0, 2), GridSpec(0.0, 1.0, 2)))
+    with pytest.raises(TypeError, match="read only as a sweep document's rows, beside a meta naming the variant$"):
+        render(make_doc(table))
 
 
 # theta 0, pi/4, pi/2 x phi 0, pi/4, ..., pi: record 5 (pi/4, 0) has a scaled form, record 6 (pi/4, pi/4) has none
