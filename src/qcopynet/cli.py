@@ -34,7 +34,7 @@ from .report import (
     sweep_document,
     sweep_rows,
 )
-from .separability import _ppt_reports, ppt_spectrum
+from .separability import _pair_spectra, _ppt_reports
 from .verify import GROUP_ORDER, render_human, run_verification, verification_document
 
 EXIT_OK = 0
@@ -128,10 +128,11 @@ def _state_lines(state: PureState) -> list[str]:
     n, amps = state.num_qubits, state.amplitudes
     lines = [f"final state ({n} qubit{'s' if n > 1 else ''}):"]
     lines += [f"  |{i:0{n}b}>  {_hc(amp)}" for i, amp in enumerate(amps.tolist())]
+    projector = np.einsum("i,j->ij", amps, amps.conj())  # not np.outer, whose diagonal can keep a tiny imaginary part
     for q in range(n):
-        lines += _reduction_lines(f"qubit {q}", linalg.reduce_pure(amps, (q,)))
+        lines += _reduction_lines(f"qubit {q}", linalg.partial_trace(projector, (q,)))
     pairs = [(qa, qb) for qa in range(n) for qb in range(qa + 1, n)]
-    verdicts = _ppt_reports(ppt_spectrum(np.stack([linalg.reduce_pure(amps, p) for p in pairs]))) if pairs else []
+    verdicts = _ppt_reports(_pair_spectra([linalg.partial_trace(projector, p) for p in pairs])) if pairs else []
     for (qa, qb), verdict in zip(pairs, verdicts):
         spectrum = ", ".join(_h(x) for x in verdict.spectrum)
         word = _separability_word(vars(verdict))

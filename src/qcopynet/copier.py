@@ -356,7 +356,7 @@ class CopyGrid:
     spectrum of the partially transposed a2a3 pair.  Reading ``scaling``
     raises ValueError if an input state is not pure.  A pair reduction is a
     channel's image of a checked pure state, so positive by construction;
-    ``_pair_spectra`` checks that pairs are finite, Hermitian and unit-trace.
+    ``separability._pair_spectra`` checks that pairs are finite, Hermitian and unit-trace.
     """
 
     variant: CopyVariant
@@ -450,12 +450,7 @@ class CopyGrid:
 
     @functools.cached_property
     def ppt_spectrum(self) -> np.ndarray:
-        return _pair_spectra(self._reduced("a2a3"))
-
-
-def _pair_spectra(pairs: np.ndarray) -> np.ndarray:
-    """Ascending partial-transpose spectra of a stack of the kernel's pairs: ``ppt_spectrum`` short of positivity."""
-    return separability._transposed_spectrum(linalg._check_density(pairs))
+        return separability._pair_spectra(self._reduced("a2a3"))
 
 
 @functools.cache
@@ -531,5 +526,5 @@ def run_copier(input_qubit: InputQubit, variant: CopyVariant) -> CopyReport:
         d1={label: float(d[0]) for label, d in grid.d1.items()},
         d2={label: float(d[0]) for label, d in grid.d2.items()},
         d3=None if grid.d3 is None else float(grid.d3[0]),
-        ppt=dict(zip(PAIR_LABELS, separability._ppt_reports(_pair_spectra(pairs)))),
+        ppt=dict(zip(PAIR_LABELS, separability._ppt_reports(separability._pair_spectra(pairs)))),
     )

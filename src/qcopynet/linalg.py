@@ -6,8 +6,8 @@ qubit 0 as the most significant bit, so a two-qubit basis reads
 descending order (|11>, |10>, |01>, |00>) that some references prefer;
 eigenvalues and traces are unaffected by the choice.  Tensor products,
 eigenvalues, partial traces and transposes, Hilbert-Schmidt distances and
-density checks take stacks of matrices (leading batch axes), and
-``reduce_pure`` stacks of pure states, so a grid is handled in one call.
+density checks take stacks of matrices (leading batch axes), so a grid is
+handled in one call.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "MAX_DIM",
     "kron",
     "partial_trace",
-    "reduce_pure",
     "partial_transpose",
     "hermitian_eigenvalues",
     "hs_distance",
@@ -116,17 +115,13 @@ def _check_keep(keep, n: int) -> tuple[int, ...]:
     return keep
 
 
-def _reduction_letters(keep, n: int) -> tuple[str, str, str, int]:
-    """Einsum letters (kets, bras, kept, kept dimension) of an n-qubit reduction onto ``keep``, checked.
-
-    Qubit q is ket letter q; a kept qubit gets a fresh bra letter and a traced one repeats its ket letter.
-    """
-    return _letters(_check_keep(keep, n), n)
-
-
 @functools.cache
 def _letters(keep: tuple[int, ...], n: int) -> tuple[str, str, str, int]:
-    # keyed on the checked tuple of ints: a raw (0, 1.0) hashes equal to (0, 1) and must not hit the cache
+    """Einsum letters (kets, bras, kept, kept dimension) of an n-qubit reduction onto a ``_check_keep``-ed ``keep``.
+
+    Qubit q is ket letter q; a kept qubit gets a fresh bra letter and a traced one repeats its ket letter.
+    Keyed on the checked tuple of ints: a raw (0, 1.0) hashes equal to (0, 1) and must not hit the cache.
+    """
     ket = "abc"[:n]
     fresh = dict(zip(keep, "def"))
     bra = "".join(fresh.get(q, ket[q]) for q in range(n))
@@ -144,24 +139,11 @@ def partial_trace(rho, keep) -> np.ndarray:
     """
     rho = _stack(rho)
     n = num_qubits_of(rho)
-    ket, bra, kept, d = _reduction_letters(keep, n)
+    ket, bra, kept, d = _letters(_check_keep(keep, n), n)
     batch = rho.shape[:-2]
     reduced = np.einsum(f"...{ket}{bra}->...{kept}", rho.reshape(batch + (2,) * (2 * n)))
     # keeping every qubit sums nothing and leaves a view; + 0.0 copies it and turns -0.0 into 0.0, as a sum does
     return reduced.reshape(batch + (d, d)) + 0.0
-
-
-def reduce_pure(amps, keep) -> np.ndarray:
-    """``partial_trace`` of |psi><psi| for amplitudes of shape (2**n,) or a stack (..., 2**n), by one einsum.
-
-    The letters are ``partial_trace``'s, with the stack as ``n``, so keeping
-    (1, 2) of three qubits reads ``nabc,nade->nbcde``.  The norm is not
-    checked: the trace is the squared norm.
-    """
-    amps = np.asarray(amps, dtype=complex)
-    ket, bra, kept, d = _reduction_letters(keep, num_qubits_of(amps))
-    t = amps.reshape((-1,) + (2,) * len(ket))
-    return np.einsum(f"n{ket},n{bra}->n{kept}", t, t.conj()).reshape(amps.shape[:-1] + (d, d))
 
 
 def partial_transpose(rho, subsystem: int = 1) -> np.ndarray:
@@ -171,12 +153,17 @@ def partial_transpose(rho, subsystem: int = 1) -> np.ndarray:
     stay positive; that loss of positivity is exactly what the separability
     analysis looks for.  Applying the same transposition twice restores the
     input entry for entry.  A stack of matrices (shape (..., 4, 4)) is
-    transposed matrix by matrix.
+    transposed matrix by matrix.  ``subsystem`` must be the integer 0 or 1:
+    a bool or a float raises ValueError, as it does in ``partial_trace``'s ``keep``.
     """
     rho = _stack(rho)
     if rho.shape[-1] != 4:
         raise ValueError("partial transpose is defined here for two-qubit matrices")
-    if subsystem not in (0, 1):
+    try:
+        valid = not isinstance(subsystem, (bool, np.bool_)) and operator.index(subsystem) in (0, 1)
+    except TypeError:
+        valid = False
+    if not valid:
         raise ValueError("subsystem must be 0 or 1")
     swapped = "cbad" if subsystem == 0 else "adcb"
     return np.einsum(f"...abcd->...{swapped}", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))).reshape(rho.shape)

@@ -3,9 +3,10 @@
 For a pair of qubits, positivity of the partial transpose is necessary and
 sufficient for separability, so the minimum eigenvalue of the partially
 transposed matrix settles the question: strictly negative means the pair is
-entangled.  A caller's matrix gets the full check (``ppt_spectrum``); the
-kernel's own pairs, ``copy``'s included, are Gram matrices and so positive by
-construction, and take the route that skips only the positivity eigensolve.
+entangled.  A caller's matrix gets the full check (``ppt_spectrum``).  The
+pairs the program builds itself, for ``copy``, ``network`` and the copier
+grids, are reductions of checked pure states, so Gram matrices and positive
+by construction; ``_pair_spectra`` skips only the positivity eigensolve.
 """
 
 from __future__ import annotations
@@ -41,11 +42,6 @@ class PptReport:
     indeterminate: bool
 
 
-def _transposed_spectrum(rho: np.ndarray) -> np.ndarray:
-    """``ppt_spectrum`` of a complex stack whose density-matrix invariants the caller has checked."""
-    return linalg.hermitian_eigenvalues(linalg.partial_transpose(rho))
-
-
 def _ppt_reports(spectra: np.ndarray) -> list[PptReport]:
     """The verdict on each ascending spectrum of a (k, 4) stack."""
     return [
@@ -61,7 +57,12 @@ def ppt_spectrum(rho) -> np.ndarray:
     a ValueError is raised otherwise.  The low-order qubit is transposed; the
     spectrum would be the same for the high-order one.
     """
-    return _transposed_spectrum(linalg.validate_density(rho))
+    return linalg.hermitian_eigenvalues(linalg.partial_transpose(linalg.validate_density(rho)))
+
+
+def _pair_spectra(pairs) -> np.ndarray:
+    """``ppt_spectrum`` of the program's own pairs, short of the positivity eigensolve (``linalg._check_density``)."""
+    return linalg.hermitian_eigenvalues(linalg.partial_transpose(linalg._check_density(pairs)))
 
 
 def ppt_verdict(rho) -> PptReport:

@@ -11,9 +11,12 @@ import pytest
 import qcopynet
 from qcopynet import CopyVariant, InputQubit, cli, linalg, run_copier
 from qcopynet.cli import main
+from qcopynet.gates import PureState
 from qcopynet.report import CSV_COLUMNS, MAX_GRID_POINTS, GridSpec, SweepSpec, render_csv, render_json, sweep_document, sweep_rows
 from qcopynet.separability import PptReport, ppt_verdict
 from qcopynet.verify import run_verification, verification_document
+
+from conftest import random_pure
 
 
 def run_cli(capsys, *argv):
@@ -84,15 +87,28 @@ def test_reduction_lines_match_the_two_pass_reference(n, rng):
         assert cli._reduction_lines("pair", m) == reference_reduction_lines("pair", m)
 
 
-@pytest.mark.parametrize("fmt", ["human", "json"])
-def test_copy_request_makes_one_eigensolve(fmt, monkeypatch, capsys):
-    # run_copier verdicts the three pairs from one stacked spectrum; the kernel's pairs skip the positivity eigensolve
+THREE_QUBIT_NETWORK = "R 0 0.7\nCNOT 0 1\nR 2 1.1\nCNOT 2 0\nR 1 -0.4\nCNOT 1 2\n"
+COPY_ARGV = ["copy", "--alpha", "0.6", "--beta", "0.8", "--variant", "triplicator", "--format"]
+
+
+@pytest.mark.parametrize("argv, network, shape", [
+    pytest.param([*COPY_ARGV, "human"], None, (3, 4, 4), id="copy-human"),
+    pytest.param([*COPY_ARGV, "json"], None, (3, 4, 4), id="copy-json"),
+    pytest.param(["--state", "0.6,0,0.48j,0,0,0,0,0.64"], THREE_QUBIT_NETWORK, (3, 4, 4), id="network-three-qubits"),
+    pytest.param(["--state", "0.6,0.48j,0,0.64"], "R 0 0.3\nCNOT 0 1\n", (1, 4, 4), id="network-two-qubits"),
+])
+def test_copy_and_network_requests_make_one_eigensolve(argv, network, shape, tmp_path, monkeypatch, capsys):
+    # every pair of a request is verdicted from one stacked spectrum, and the program's
+    # own pairs skip the positivity eigensolve
+    if network is not None:
+        net_file = tmp_path / "net.txt"
+        net_file.write_text(network)
+        argv = ["network", str(net_file), *argv]
     calls = []
     eigensolve = linalg.hermitian_eigenvalues
     monkeypatch.setattr(linalg, "hermitian_eigenvalues", lambda h: calls.append(np.shape(h)) or eigensolve(h))
-    argv = ["copy", "--alpha", "0.6", "--beta", "0.8", "--variant", "triplicator", "--format", fmt]
     code, _, err = run_cli(capsys, *argv)
-    assert (code, err, calls) == (0, "", [(3, 4, 4)])
+    assert (code, err, calls) == (0, "", [shape])
 
 
 def test_copy_json_matches_library(capsys):
@@ -423,8 +439,7 @@ def test_network_output_at_one_and_three_qubits(tmp_path, capsys):
     # The three-qubit text holds a 2.77556e-17 entry, its reductions' rounding.
     cases = [
         ("network-one-qubit.txt", "R 0 0.5\n", "1"),
-        ("network-three-qubits.txt", "R 0 0.7\nCNOT 0 1\nR 2 1.1\nCNOT 2 0\nR 1 -0.4\nCNOT 1 2\n",
-         "0.6,0,0.48j,0,0,0,0,0.64"),
+        ("network-three-qubits.txt", THREE_QUBIT_NETWORK, "0.6,0,0.48j,0,0,0,0,0.64"),
     ]
     for expected, network, state in cases:
         net_file = tmp_path / "net.txt"
@@ -446,7 +461,7 @@ def test_network_state_options(tmp_path, capsys):
 
 def test_network_reductions_of_a_complex_state(tmp_path, capsys):
     # every reduction's diagonal prints a zero imaginary part, as in copy; a partial
-    # trace of the full projector leaves one of order 1e-18 on this state
+    # trace of np.outer's projector leaves one of order 1e-18 on this state
     net_file = tmp_path / "entangler.txt"
     net_file.write_text("R 0 0.3\nCNOT 0 1\n")
     expected = """\
@@ -471,6 +486,56 @@ qubit 1 reduction, reversed order (|1>, |0>):
 pair (0,1) partial-transpose spectrum: [-0.379459, 0.174407, 0.379459, 0.825593] -> inseparable
 """
     assert run_cli(capsys, "network", str(net_file), "--state", "0.6,0.48j,0,0.64") == (0, expected, "")
+
+
+def reference_reduce_pure(amps: np.ndarray, keep: tuple[int, ...]) -> np.ndarray:
+    """The pure-state reduction ``network`` used before it read ``partial_trace``: one einsum over the amplitudes.
+
+    Qubit q is ket letter q; a kept qubit gets a fresh bra letter and a traced one repeats its ket letter.
+    """
+    n = linalg.num_qubits_of(amps)
+    ket = "abc"[:n]
+    fresh = dict(zip(keep, "def"))
+    bra = "".join(fresh.get(q, ket[q]) for q in range(n))
+    kept = "".join(ket[q] for q in keep) + "".join(fresh.values())
+    t = amps.reshape((-1,) + (2,) * n)
+    return np.einsum(f"n{ket},n{bra}->n{kept}", t, t.conj()).reshape(1 << len(keep), 1 << len(keep))
+
+
+def reference_state_tail(amps: np.ndarray) -> list[str]:
+    """The reduction blocks and pair lines of ``network``'s text, built from the reference's reductions."""
+    n = linalg.num_qubits_of(amps)
+    lines = [line for q in range(n) for line in cli._reduction_lines(f"qubit {q}", reference_reduce_pure(amps, (q,)))]
+    for qa in range(n):
+        for qb in range(qa + 1, n):
+            verdict = ppt_verdict(reference_reduce_pure(amps, (qa, qb)))
+            spectrum = ", ".join(cli._h(x) for x in verdict.spectrum)
+            word = cli._separability_word(vars(verdict))
+            lines.append(f"pair ({qa},{qb}) partial-transpose spectrum: [{spectrum}] -> {word}")
+    return lines
+
+
+SIGNED_ZEROS = (0.0, -0.0, complex(0.0, -0.0), complex(-0.0, -0.0))
+# non-zero entries of unit norm, placed among signed zeros
+SIGNED_ENTRIES = (
+    (0.6, 0.8), (-0.6, 0.8j), (0.6j, -0.8), (-0.8j, -0.6j), (0.8, -0.6), (0.6, 0.48j, 0.64), (-0.48j, 0.64, -0.6),
+)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_network_text_matches_the_frozen_pure_state_reduction(n, rng):
+    # the projector's partial traces print what the retired einsum over the amplitudes printed, signed zeros included
+    d = 1 << n
+    states = [random_pure(rng, n) for _ in range(100)]
+    fitting = [entries for entries in SIGNED_ENTRIES if len(entries) <= d]
+    for _ in range(100):
+        entries = fitting[rng.integers(len(fitting))]
+        amps = np.array([SIGNED_ZEROS[i] for i in rng.integers(len(SIGNED_ZEROS), size=d)], dtype=complex)
+        amps[rng.choice(d, len(entries), replace=False)] = entries
+        states.append(amps)
+    for amps in states:
+        got = cli._state_lines(PureState(amps))
+        assert got[1 + d:] == reference_state_tail(amps), amps
 
 
 def test_network_parse_error_reports_line(tmp_path, capsys):

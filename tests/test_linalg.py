@@ -83,59 +83,29 @@ def test_partial_trace_keep_order_swaps_subsystems():
             assert np.array_equal(reduced[index], linalg.partial_trace(stack[index], keep))
 
 
-# each function that takes a keep, with a two-qubit operand; both share one keep check
-KEEP_TAKERS = ((linalg.partial_trace, np.eye(4) / 4.0), (linalg.reduce_pure, np.full(4, 0.5)))
-
-
 def test_partial_trace_rejects_bad_keep():
-    for reduce, operand in KEEP_TAKERS:
-        with pytest.raises(ValueError, match="^keep must name at least one qubit$"):
-            reduce(operand, ())
-        with pytest.raises(ValueError, match=r"^keep \(2,\) out of range for a 2-qubit matrix$"):
-            reduce(operand, (2,))
-        with pytest.raises(ValueError, match=r"^keep contains duplicate qubit indices: \(0, 0\)$"):
-            reduce(operand, (0, 0))
+    rho = np.eye(4) / 4.0
+    with pytest.raises(ValueError, match="^keep must name at least one qubit$"):
+        linalg.partial_trace(rho, ())
+    with pytest.raises(ValueError, match=r"^keep \(2,\) out of range for a 2-qubit matrix$"):
+        linalg.partial_trace(rho, (2,))
+    with pytest.raises(ValueError, match=r"^keep contains duplicate qubit indices: \(0, 0\)$"):
+        linalg.partial_trace(rho, (0, 0))
 
 
 @pytest.mark.parametrize("keep", [(1.9,), (0, 1.0), ("1",), (True,), (0, np.True_)])
 def test_partial_trace_rejects_a_non_integer_qubit(keep):
     # (1.9,) used to be truncated to qubit 1, and True read as qubit 1
-    for reduce, operand in KEEP_TAKERS:
-        with pytest.raises(ValueError, match="integer qubit indices"):
-            reduce(operand, keep)
+    with pytest.raises(ValueError, match="integer qubit indices"):
+        linalg.partial_trace(np.eye(4) / 4.0, keep)
 
 
 def test_a_float_keep_is_rejected_right_after_its_integer_twin():
     # (0, 1.0) hashes equal to (0, 1), so a cache keyed on the unchecked tuple would let it through
-    for reduce, operand in KEEP_TAKERS:
-        reduce(operand, (0, 1))
-        with pytest.raises(ValueError, match="integer qubit indices"):
-            reduce(operand, (0, 1.0))
-
-
-# ------------------------------------------------- pure-state reduction
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_reduce_pure_is_the_partial_trace_of_the_projector(n, rng):
-    # random states, then every basis state, against the projector's partial trace
-    stack = np.concatenate([[random_pure(rng, n) for _ in range(6)], np.eye(1 << n)])
-    keeps = [keep for size in range(1, n + 1) for keep in itertools.permutations(range(n), size)]
-    for keep in keeps:
-        reduced = linalg.reduce_pure(stack, keep)
-        assert reduced.shape == (len(stack),) + (1 << len(keep),) * 2
-        for amps, got in zip(stack, reduced):
-            want = linalg.partial_trace(np.outer(amps, amps.conj()), keep)
-            assert np.max(np.abs(got - want)) <= 1e-15, keep
-            assert np.max(np.abs(linalg.reduce_pure(amps, keep) - want)) <= 1e-15, keep
-    # any leading batch axes are kept
-    assert linalg.reduce_pure(stack.reshape(2, -1, 1 << n), (0,)).shape == (2, len(stack) // 2, 2, 2)
-
-
-def test_reduce_pure_rejects_a_register_it_cannot_hold():
-    with pytest.raises(ValueError, match="unsupported dimension 16"):
-        linalg.reduce_pure(np.eye(16)[0], (0,))
-    with pytest.raises(ValueError, match="got a scalar"):
-        linalg.reduce_pure(1.0, (0,))
+    rho = np.eye(4) / 4.0
+    linalg.partial_trace(rho, (0, 1))
+    with pytest.raises(ValueError, match="integer qubit indices"):
+        linalg.partial_trace(rho, (0, 1.0))
 
 
 @pytest.mark.parametrize("scalar", [np.float64(1.0), np.array(2.0 + 1.0j), np.int64(4)])
@@ -205,6 +175,20 @@ def test_partial_transpose_rejects_wrong_dimension():
         linalg.partial_transpose(np.eye(4) / 4.0, 2)
 
 
+@pytest.mark.parametrize(
+    "subsystem", [True, np.True_, 1.0, 0.0, np.float64(0.0)], ids=["True", "np.True_", "1.0", "0.0", "np.float64(0.0)"]
+)
+def test_partial_transpose_rejects_a_bool_or_float_subsystem(subsystem):
+    # each of these used to transpose a qubit, as partial_trace's keep no longer lets a bool or float do
+    with pytest.raises(ValueError, match="^subsystem must be 0 or 1$"):
+        linalg.partial_transpose(np.eye(4) / 4.0, subsystem)
+
+
+def test_partial_transpose_takes_a_numpy_integer_subsystem(rng):
+    rho = random_density(rng, 2)
+    assert np.array_equal(linalg.partial_transpose(rho, np.int64(1)), linalg.partial_transpose(rho, 1))
+
+
 # ------------------------------------------------ loop references
 # Reductions and transposes written as loops over basis bits, sharing no index
 # arithmetic with linalg's einsum letters; qubit q is bit n-1-q of a basis index.
@@ -247,18 +231,12 @@ def same_bits(got, want):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_reductions_match_the_loop_partial_trace(n, rng):
     d = 1 << n
-    amps = np.array([random_pure(rng, n) for _ in range(6)]).reshape(2, 3, d)
-    projectors = amps[..., :, None] * amps.conj()[..., None, :]
     mixed = np.array([random_density(rng, n) for _ in range(6)]).reshape(2, 3, d, d)
     for size in range(1, n + 1):
         for keep in itertools.permutations(range(n), size):
             # two batch axes, then a single matrix
             for rho in (mixed, mixed[1, 2]):
                 assert np.max(np.abs(linalg.partial_trace(rho, keep) - loop_partial_trace(rho, keep))) <= 1e-15
-            want = loop_partial_trace(projectors, keep)
-            assert np.max(np.abs(linalg.reduce_pure(amps, keep) - want)) <= 1e-15, keep
-            single = linalg.reduce_pure(amps[0, 1], keep)
-            assert np.max(np.abs(single - loop_partial_trace(np.outer(amps[0, 1], amps[0, 1].conj()), keep))) <= 1e-15
 
 
 def test_partial_transpose_matches_the_loop_transpose(rng):
