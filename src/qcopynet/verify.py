@@ -28,7 +28,14 @@ share no code.  The oracle is LAPACK ``dstebz``'s bisection in 64 halvings,
 run on buffers allocated once per call; its output is bit for bit that of
 the plain per-step loop, which the tests keep as a reference.  It raises
 its own ValueError for a 0x0 matrix, a non-finite entry, or a matrix that
-is not Hermitian within ``_ORACLE_HERMITICITY_TOL`` (1e-10).
+is not Hermitian within ``_ORACLE_HERMITICITY_TOL`` (1e-10) times
+max(1, max|H|).
+
+The random inputs come from a counter-based SplitMix64 stream
+(``_uniforms``), one vectorised pass per seed: uniforms in [-1, 1) from
+integer arithmetic and one exact multiply and add.  So the draws, and with
+them every printed deviation, do not depend on the platform or the NumPy
+version, and ``verify`` never imports ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -72,7 +79,8 @@ _GRID_SIZE = _THETAS.size * _PHIS.size
 
 # Halvings of the bracket [-|H|_inf, |H|_inf]; 2**-64 of its width is below double precision.
 _BISECTION_STEPS = 64
-# The oracle's own Hermiticity tolerance, max|H - H^H|; stated here so the oracle shares nothing with linalg.
+# The oracle's own Hermiticity tolerance, on max|H - H^H| over max(1, max|H|) per matrix; stated here so the
+# oracle shares nothing with linalg.
 _ORACLE_HERMITICITY_TOL = 1e-10
 
 _SQRT5 = math.sqrt(5.0)
@@ -370,8 +378,7 @@ def _bound_results(suite: _Suite) -> list:
 
 def _angles_results(suite: _Suite) -> list:
     variants = (CopyVariant.DUPLICATOR, CopyVariant.TRIPLICATOR)
-    rng = np.random.default_rng(20260810)
-    random = rng.normal(size=(100, 4))
+    random = _uniforms(20260810, 400).reshape(100, 4)
     random /= np.linalg.norm(random, axis=1, keepdims=True)
     targets = np.concatenate([[preparation_amplitudes(variant) for variant in variants], random])
     solved = _solve_angles(targets)
@@ -387,26 +394,45 @@ def _angles_results(suite: _Suite) -> list:
     return [*results, (worst, f"{solved_count}/100 solved, worst residual {worst:.3e}")]
 
 
-def _random_densities(rng, count: int, num_qubits: int) -> np.ndarray:
-    """``count`` random densities, each a mix of three random pure states with weights in [0.2, 1].
+def _uniforms(seed: int, count: int) -> np.ndarray:
+    """``count`` uniforms in [-1, 1): outputs 1 to ``count`` of SplitMix64 seeded with ``seed``.
 
-    The weights are one draw of shape (count, 3); the states are one draw of
-    their real and imaginary parts, (count, 3, 2, 2**num_qubits).
+    SplitMix64 (Steele, Lea and Flood, OOPSLA 2014) finalises the state
+    seed + i * 0x9E3779B97F4A7C15 (mod 2**64) of output i with its
+    30/27/31 xor-shift-multiply steps; here all outputs are one vectorised
+    pass.  The top 53 bits give (z >> 11) * 2**-52 - 1, which is exact.
+    Only uint64 array operations wrap (a NumPy scalar product would warn),
+    so the seed is reduced mod 2**64 as a Python int.
     """
-    weights = rng.uniform(0.2, 1.0, size=(count, 3))
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(seed % 2**64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)) * 2.0**-52 - 1.0
+
+
+def _random_densities(uniforms: np.ndarray, count: int, num_qubits: int) -> np.ndarray:
+    """``count`` random densities, each a mix of three random pure states with weights in [0.2, 1).
+
+    ``uniforms`` holds ``count * (3 + 6 * 2**num_qubits)`` draws in [-1, 1):
+    first the weights, shape (count, 3), then the real and imaginary parts
+    of the states, shape (count, 3, 2, 2**num_qubits).
+    """
+    weights = 0.6 + 0.4 * uniforms[: 3 * count].reshape(count, 3)
     weights /= weights.sum(axis=1, keepdims=True)
-    draws = rng.normal(size=(count, 3, 2, 1 << num_qubits))
+    draws = uniforms[3 * count :].reshape(count, 3, 2, 1 << num_qubits)
     amps = draws[:, :, 0] + 1j * draws[:, :, 1]
     amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
     return np.sum(weights[:, :, None, None] * (amps[..., :, None] * amps[..., None, :].conj()), axis=1)
 
 
 def _property_results(suite: _Suite) -> list:
-    rng = np.random.default_rng(1234)
-    draws = rng.normal(size=(100, 2, 8))
+    # one stream, cut in a fixed order: 100 three-qubit states, 100 angles, 50 two-qubit densities, 100 4x4 matrices
+    draws, angles, mixtures, entries = np.split(_uniforms(1234, 6250), [1600, 1700, 3050])
+    draws = draws.reshape(100, 2, 8)
     states = draws[:, 0] + 1j * draws[:, 1]
     states /= np.linalg.norm(states, axis=1, keepdims=True)
-    thetas = rng.uniform(-math.pi, math.pi, size=100)
+    thetas = math.pi * angles
 
     def run(*gates):
         return functools.reduce(lambda amps, gate: _apply_gate(amps, 3, gate), gates, states)
@@ -422,7 +448,7 @@ def _property_results(suite: _Suite) -> list:
     err_involution = _max_dev(restored, states)
     err_commute = _max_dev(commuted[:, 0], commuted[:, 1])
 
-    rhos = _random_densities(rng, 50, 2)
+    rhos = _random_densities(mixtures, 50, 2)
     transposed = [linalg.partial_transpose(rhos, subsystem) for subsystem in (0, 1)]
     err_pt_involution = max(
         _max_dev(linalg.partial_transpose(pt, subsystem), rhos) for subsystem, pt in enumerate(transposed)
@@ -434,7 +460,7 @@ def _property_results(suite: _Suite) -> list:
         _max_dev(np.trace(reduced, axis1=-2, axis2=-1), 1.0),
     )
 
-    draws = rng.normal(size=(100, 2, 4, 4))
+    draws = entries.reshape(100, 2, 4, 4)
     m = draws[:, 0] + 1j * draws[:, 1]
     hermitians = (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
     err_eig = _max_dev(linalg.hermitian_eigenvalues(hermitians), eigenvalues_by_bisection(hermitians))
@@ -538,8 +564,9 @@ def eigenvalues_by_bisection(h) -> np.ndarray:
     ``tests/test_verify.py`` keeps that loop as a frozen reference.
 
     Raises ValueError for a non-square or 0x0 matrix, a non-finite entry, or
-    a Hermiticity deviation max|H - H^H| above 1e-10.  An empty stack, such
-    as shape (0, 4, 4), gives an empty result, shape (0, 4).
+    a matrix whose Hermiticity deviation max|H - H^H| exceeds 1e-10 * max(1,
+    max|H|).  An empty stack, such as shape (0, 4, 4), gives an empty
+    result, shape (0, 4).
     """
     a = np.array(h, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -549,9 +576,9 @@ def eigenvalues_by_bisection(h) -> np.ndarray:
         raise ValueError(f"expected at least one row and column, got shape {a.shape}")
     if not np.isfinite(a).all():  # a complex entry is finite when both its parts are
         raise ValueError("matrix has non-finite entries")
-    deviation = float(np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), initial=0.0))
-    if deviation > _ORACLE_HERMITICITY_TOL:
-        raise ValueError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
+    deviation = np.max(np.abs(a - np.swapaxes(a, -1, -2).conj()), axis=(-2, -1))
+    if not np.all(deviation <= _ORACLE_HERMITICITY_TOL * np.maximum(1.0, np.max(np.abs(a), axis=(-2, -1)))):
+        raise ValueError(f"matrix is not Hermitian (max deviation {float(np.max(deviation)):.3e})")
     hi = np.max(np.sum(np.abs(a), axis=-1), axis=-1, keepdims=True) + np.zeros(n)
     lo = -hi
     for k in range(n - 2):

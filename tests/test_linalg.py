@@ -291,6 +291,12 @@ def test_eigenvalues_reject_a_nan_matrix():
         linalg.hermitian_eigenvalues(np.full((2, 2), np.nan))
 
 
+def test_eigenvalues_reject_an_infinite_entry():
+    # an infinite deviation is not covered by an infinite scale
+    with pytest.raises(ValueError, match="Hermitian"):
+        linalg.hermitian_eigenvalues(np.array([[0.0, math.inf], [0.0, 0.0]]))
+
+
 # -------------------------------------------------------------- distance
 
 def test_hs_distance_zero_on_equal():

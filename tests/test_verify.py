@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -92,12 +96,12 @@ def reference_bisection(h):
 
 
 def property_check_hermitians():
-    """The 100 Hermitian matrices of ``properties.eigenvalue-oracle``, drawn in ``_property_results``' order."""
-    rng = np.random.default_rng(1234)
-    rng.normal(size=(100, 2, 8))  # the states
-    rng.uniform(-math.pi, math.pi, size=100)  # the rotation angles
-    verify._random_densities(rng, 50, 2)
-    draws = rng.normal(size=(100, 2, 4, 4))
+    """The 100 Hermitian matrices of ``properties.eigenvalue-oracle``: the last 3200 of seed 1234's 6250 draws.
+
+    Before them come the 100 states (1600), the 100 rotation angles and the
+    50 densities (150 weights and 1200 state parts).
+    """
+    draws = verify._uniforms(1234, 6250)[1600 + 100 + 150 + 1200 :].reshape(100, 2, 4, 4)
     m = draws[:, 0] + 1j * draws[:, 1]
     return (m + np.swapaxes(m.conj(), -1, -2)) / 2.0
 
@@ -158,12 +162,35 @@ def test_oracle_accepts_an_empty_stack():
 
 
 def test_oracle_hermiticity_tolerance_is_1e_10():
-    nearly = np.diag([1.0, 2.0]).astype(complex)
+    # max|H| <= 1, so the bound is exactly 1e-10
+    nearly = np.diag([0.125, 0.25]).astype(complex)
     nearly[0, 1] = 0.5e-10
     assert eigenvalues_by_bisection(nearly).shape == (2,)
     nearly[0, 1] = 2e-10
     with pytest.raises(ValueError, match="not Hermitian"):
         eigenvalues_by_bisection(nearly)
+
+
+@pytest.mark.parametrize("eigensolver", [linalg.hermitian_eigenvalues, eigenvalues_by_bisection],
+                         ids=["lapack", "oracle"])
+def test_hermiticity_bound_scales_with_the_matrix(rng, eigensolver):
+    # Q (1e6 diag(1, 2, 3, 4)) Q^H is Hermitian up to rounding; both routes rejected it under a flat 1e-10
+    spectrum = 1e6 * np.array([1.0, 2.0, 3.0, 4.0])
+    q = random_unitary(rng, 4)
+    large = q @ np.diag(spectrum) @ q.conj().T
+    assert np.max(np.abs(large - large.conj().T)) > 1e-10
+    assert np.max(np.abs(eigensolver(large) - spectrum)) < 1e-8
+    # in a stack, each matrix is held to its own scale, and one with max|H| <= 1 to exactly 1e-10
+    small = np.eye(4, dtype=complex) / 4.0
+    small[0, 1] = 0.5e-10
+    assert eigensolver(np.stack([large, small])).shape == (2, 4)
+    small[0, 1] = 2e-10
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigensolver(np.stack([large, small]))
+    skewed = large.copy()
+    skewed[0, 1] += 1e-3  # max|H| <= ||H||_2 = 4e6, so the bound is at most 4e-4
+    with pytest.raises(ValueError, match="not Hermitian"):
+        eigensolver(skewed)
 
 
 def test_each_group_alone_matches_its_rows_of_the_full_run():
@@ -191,9 +218,50 @@ def test_random_targets_count_only_the_solved_rows(monkeypatch):
 
 
 def test_random_densities_are_a_stack_of_valid_densities():
-    rhos = verify._random_densities(np.random.default_rng(1234), 50, 2)
+    rhos = verify._random_densities(verify._uniforms(1234, 6250)[1700:3050], 50, 2)  # the property checks' slice
     assert rhos.shape == (50, 4, 4)
     linalg.validate_density(rhos)  # Hermitian, unit trace and positive semidefinite, every matrix
+
+
+def splitmix64(seed, count):
+    """SplitMix64 as a plain loop over Python ints: the reference for ``verify._uniforms``."""
+    state, outputs = seed % 2**64, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        outputs.append(z ^ (z >> 31))
+    return outputs
+
+
+def test_uniforms_are_the_splitmix64_stream():
+    # the generator's usual test vector: the first outputs for seed 1234567
+    assert splitmix64(1234567, 3) == [6457827717110365317, 3203168211198807973, 9817491932198370423]
+    for seed in (0, 1234, 20260810, 2**64 - 1, -1):
+        expected = [(z >> 11) * 2.0**-52 - 1.0 for z in splitmix64(seed, 500)]
+        assert verify._uniforms(seed, 500).tolist() == expected
+
+
+def test_uniforms_are_pinned_and_repeatable():
+    draws = verify._uniforms(1234, 6250)
+    assert [x.hex() for x in draws[:4].tolist()] == [
+        "0x1.d867b0d978c0cp-2", "0x1.7c7a1364df060p-3", "-0x1.3104146d90ff8p-1", "-0x1.8cedf06d697b0p-2",
+    ]
+    assert draws.dtype == np.float64 and np.all((draws >= -1.0) & (draws < 1.0))
+    assert np.array_equal(draws, verify._uniforms(1234, 6250))
+
+
+def test_verify_never_imports_numpy_random():
+    # a fresh interpreter: this one has imported numpy.random for the tests' own draws
+    package_root = str(Path(verify.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    code = "; ".join([
+        "import sys", "from qcopynet import cli", "status = cli.main(['verify'])",
+        "print(status, 'numpy.random' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert proc.stderr == ""
 
 
 def test_commutation_checks_every_cnot_orientation(monkeypatch):
