@@ -7,10 +7,11 @@ sign of the middle preparation angle, so each is one row of a private table;
 a value that is not a CopyVariant member raises ValueError.  ``evaluate_grid`` runs the circuit
 once per variant on the two basis inputs |000> and |100>, then forms the
 outputs of whole (theta, phi) grids as arrays.  The CopyGrid it returns
-computes the reduced states, each a linear map of the input's density
-entries through the label's channel table, and the scaling fits, fidelity
-splits, Hilbert-Schmidt distances and a2a3 partial-transpose spectrum, each
-on first read, so a caller pays only for what it reads.  ``run_copier`` is its one-point case
+computes the distances, scaling fits and fidelity splits in closed form from
+the input's Pauli coordinates and each label's transfer matrix.  It builds a
+reduced state, the input's density entries times the label's channel table,
+only for a caller that reads one, as the a2a3 partial-transpose spectrum
+does.  Each field is computed on first read.  ``run_copier`` is its one-point case
 and returns a CopyReport; sweeps and the verify grids read the same kernel.
 """
 
@@ -53,8 +54,6 @@ _REDUCED_QUBITS = {"a1": (0,), "a2": (1,), "a3": (2,), "a2a3": (1, 2), "a1a2": (
 
 SCALING_RESIDUAL_TOL = 1e-10
 _PURITY_TOL = 1e-10
-_EYE2 = np.eye(2)
-_EYE2.flags.writeable = False
 
 
 class CopyVariant(Enum):
@@ -313,30 +312,27 @@ class CopyReport:
     ppt: dict[str, separability.PptReport]
 
 
-def _scaling_fit(rho_out: np.ndarray, rho_id: np.ndarray) -> np.ndarray:
-    """Least-squares s per 2x2 matrix of a stack (..., 2, 2); NaN where the fit is not exact.
+def _scaling(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Least-squares s of s rho + (1 - s) I/2 to reductions q = (q0, v) (..., 4, N), with p = (1, r) (4, N) for rho.
 
-    ``rho_id`` broadcasts against ``rho_out``.
+    s = v.r / |r|^2, NaN where the residual [(q0 - 1)^2 + |v - s r|^2]/2 exceeds SCALING_RESIDUAL_TOL.
+    Raises ValueError unless every reference is pure: Tr rho^2 = (1 + |r|^2)/2 within _PURITY_TOL of 1.
     """
-    purity = np.einsum("...ij,...ji->...", rho_id, rho_id).real
-    low = float(purity.min())
-    if low < 1.0 - _PURITY_TOL:
-        raise ValueError(f"reference state is not pure (purity {low!r})")
-    eye = _EYE2
-    direction = rho_id - eye / 2.0
-    offset = rho_out - eye / 2.0
-    s = (
-        np.einsum("...ij,...ji->...", offset, direction).real
-        / np.einsum("...ij,...ji->...", direction, direction).real
-    )
-    fitted = s[..., None, None] * rho_id + ((1.0 - s) / 2.0)[..., None, None] * eye
-    residual = linalg.hs_distance(rho_out, fitted)
+    r, v = p[1:], q[..., 1:, :]
+    r2 = (r * r).sum(axis=0)
+    purity = (1.0 + float(r2.min())) / 2.0
+    if purity < 1.0 - _PURITY_TOL:
+        raise ValueError(f"reference state is not pure (purity {purity!r})")
+    s = (v * r).sum(axis=-2) / r2
+    miss = v - s[..., None, :] * r
+    residual = ((q[..., 0, :] - 1.0) ** 2 + (miss * miss).sum(axis=-2)) / 2.0
     return np.where(residual <= SCALING_RESIDUAL_TOL, s, np.nan)
 
 
-def _weight(rho: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """<v|rho|v> per stacked matrix and vector, real part."""
-    return np.einsum("ni,nij,nj->n", vectors.conj(), rho, vectors).real
+def _fidelity(q: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(..., N, 2) weights of reductions q on pure states p, Tr[M rho] = q.p/2, and on their complements."""
+    ideal = (q * p).sum(axis=-2) / 2.0
+    return np.stack([ideal, q[..., 0, :] - ideal], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -344,12 +340,13 @@ class CopyGrid:
     """Copier outputs and metrics on N input points, every array indexed by point first.
 
     ``states`` holds the (N, 8) output amplitudes.  Everything else is
-    computed on first read and cached: reductions keyed as in CopyReport,
-    with shapes (N, 2, 2) and (N, 4, 4), and the metrics.  Each label's
-    reduction is built alone, as one product of the inputs' density entries
-    with the label's channel table (``_channel``), made exactly Hermitian.
-    The three singles and the three pairs are each stacked once, so ``d1``,
-    ``d2`` and ``scaling`` each make one call on their stack.
+    computed on first read and cached.  The metrics are closed forms in the
+    inputs' Pauli coordinates p = (1, r), r the Bloch vector, and each label's
+    q = p R through its transfer matrix (``_transfer``): d1 = |q - p|^2/2,
+    d2 = |Q - p(x)p|^2/4.  A reduction, keyed as in CopyReport with shape
+    (N, 2, 2) or (N, 4, 4), is built only when read, as one product of the
+    inputs' density entries with the label's channel table (``_channel``),
+    made exactly Hermitian; a sweep builds only a2a3, for ``ppt_spectrum``.
     ``d3`` is None for the duplicator.  ``scaling`` is NaN where a qubit has
     no scaled form; ``fidelity`` holds (N, 2) weights on the input state and
     on its orthogonal complement; ``ppt_spectrum`` is the ascending (N, 4)
@@ -375,6 +372,23 @@ class CopyGrid:
         return self._psi[:, :, None] * self._psi.conj()[:, None, :]
 
     @functools.cached_property
+    def _pauli(self) -> np.ndarray:
+        """(4, N) input coordinates Tr[rho sigma_mu], a row per mu: 1, 2 Re ab*, -2 Im ab*, |a|^2 - |b|^2 (b real)."""
+        a, b = self.alpha, self.beta
+        ab = 2.0 * b * a
+        return np.array([np.ones_like(b), ab.real, -ab.imag, a.real**2 + a.imag**2 - b * b])
+
+    def _coordinates(self, labels: tuple[str, ...]) -> np.ndarray:
+        """The labels' coordinates p R, (len(labels), d*d, N): a row per coordinate, so sums over them add rows."""
+        transfer = np.concatenate([_transfer(self.variant, label) for label in labels], axis=1)
+        # an einsum, not @: a real GEMM of grid size pages in BLAS kernels that nothing else here runs
+        return np.einsum("mk,mn->kn", transfer, self._pauli).reshape(len(labels), -1, self.theta.size)
+
+    @functools.cached_property
+    def _single_coordinates(self) -> np.ndarray:
+        return self._coordinates(QUBIT_LABELS)
+
+    @functools.cached_property
     def _reductions(self) -> dict[str, np.ndarray]:
         return {}
 
@@ -389,39 +403,24 @@ class CopyGrid:
             self._reductions[label] = hermitian
         return self._reductions[label]
 
-    def _stacked(self, labels: tuple[str, ...]) -> np.ndarray:
-        """The labels' reductions stacked in order; each label's entry becomes a view of the stack, not a copy."""
-        stack = np.stack([self._reduced(label) for label in labels])
-        self._reductions.update(zip(labels, stack))
-        return stack
-
-    @functools.cached_property
-    def _singles(self) -> np.ndarray:
-        """The (3, N, 2, 2) single-qubit reductions, stacked in QUBIT_LABELS order."""
-        return self._stacked(QUBIT_LABELS)
-
-    @functools.cached_property
-    def _pairs(self) -> np.ndarray:
-        """The (3, N, 4, 4) pair reductions, stacked in PAIR_LABELS order."""
-        return self._stacked(PAIR_LABELS)
-
     @functools.cached_property
     def qubit_reductions(self) -> dict[str, np.ndarray]:
-        return dict(zip(QUBIT_LABELS, self._singles))
+        return {label: self._reduced(label) for label in QUBIT_LABELS}
 
     @functools.cached_property
     def pair_reductions(self) -> dict[str, np.ndarray]:
-        return dict(zip(PAIR_LABELS, self._pairs))
+        return {label: self._reduced(label) for label in PAIR_LABELS}
 
     @functools.cached_property
     def d1(self) -> dict[str, np.ndarray]:
-        singles = self._singles
-        return dict(zip(QUBIT_LABELS, linalg.hs_distance(singles, np.broadcast_to(self._ideal1, singles.shape))))
+        delta = self._single_coordinates - self._pauli
+        return dict(zip(QUBIT_LABELS, (delta * delta).sum(axis=1) / 2.0))
 
     @functools.cached_property
     def d2(self) -> dict[str, np.ndarray]:
-        pairs, ideal2 = self._pairs, linalg.kron(self._ideal1, self._ideal1)
-        return dict(zip(PAIR_LABELS, linalg.hs_distance(pairs, np.broadcast_to(ideal2, pairs.shape))))
+        p = self._pauli
+        delta = self._coordinates(PAIR_LABELS).reshape(-1, 4, 4, p.shape[1]) - p[:, None] * p  # Q_ab - p_a p_b
+        return dict(zip(PAIR_LABELS, (delta * delta).sum(axis=2).sum(axis=1) / 4.0))
 
     @functools.cached_property
     def d3(self) -> np.ndarray | None:
@@ -437,16 +436,11 @@ class CopyGrid:
 
     @functools.cached_property
     def scaling(self) -> dict[str, np.ndarray]:
-        return dict(zip(QUBIT_LABELS, _scaling_fit(self._singles, self._ideal1)))
+        return dict(zip(QUBIT_LABELS, _scaling(self._single_coordinates, self._pauli)))
 
     @functools.cached_property
     def fidelity(self) -> dict[str, np.ndarray]:
-        psi = self._psi
-        perp = np.stack([psi[:, 1].conj(), -psi[:, 0].conj()], axis=1)
-        return {
-            label: np.stack([_weight(m, psi), _weight(m, perp)], axis=1)
-            for label, m in self.qubit_reductions.items()
-        }
+        return dict(zip(QUBIT_LABELS, _fidelity(self._single_coordinates, self._pauli)))
 
     @functools.cached_property
     def ppt_spectrum(self) -> np.ndarray:
@@ -482,6 +476,25 @@ def _channel(variant: CopyVariant, label: str) -> np.ndarray:
     return table
 
 
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI.flags.writeable = False
+
+
+@functools.cache
+def _transfer(variant: CopyVariant, label: str) -> np.ndarray:
+    """Read-only real (4, d*d) Pauli transfer matrix R of the label's reduction, row mu the image of sigma_mu/2.
+
+    An input's coordinates p_mu = Tr[rho sigma_mu] map to q = p R, q_nu = Tr[M sigma_nu]; for a pair,
+    nu = 4a + b indexes sigma_a (x) sigma_b, a on the first-listed qubit.
+    """
+    table = _channel(variant, label)
+    basis = _PAULI if table.shape[1] == 4 else linalg.kron(_PAULI[:, None], _PAULI).reshape(16, 4, 4)
+    images = (_PAULI.reshape(4, 4) / 2.0) @ table
+    transfer = (images @ basis.swapaxes(-1, -2).reshape(len(basis), -1).T).real
+    transfer.flags.writeable = False
+    return transfer
+
+
 def evaluate_grid(variant: CopyVariant, thetas, phis) -> CopyGrid:
     """Run the copier on the theta-major product grid thetas x phis, all points at once.
 
@@ -514,12 +527,12 @@ def run_copier(input_qubit: InputQubit, variant: CopyVariant) -> CopyReport:
     This is the one-point case of ``evaluate_grid``; one stacked spectrum verdicts its three pairs.
     """
     grid = evaluate_grid(variant, [input_qubit.theta], [input_qubit.phi])
-    pairs = grid._pairs[:, 0]
+    pairs = np.stack([m[0] for m in grid.pair_reductions.values()])
     return CopyReport(
         variant=variant,
         input=input_qubit,
         output_state=PureState(grid.states[0]),
-        qubit_reductions=dict(zip(QUBIT_LABELS, grid._singles[:, 0])),
+        qubit_reductions={label: m[0] for label, m in grid.qubit_reductions.items()},
         pair_reductions=dict(zip(PAIR_LABELS, pairs)),
         scaling={label: None if math.isnan(s[0]) else float(s[0]) for label, s in grid.scaling.items()},
         fidelity={label: (float(f[0, 0]), float(f[0, 1])) for label, f in grid.fidelity.items()},

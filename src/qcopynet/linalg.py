@@ -182,7 +182,8 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     """
     h = _stack(h)
     hc = h.swapaxes(-1, -2).conj()
-    deviation = np.abs(h - hc)
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the flat bound; the scale then raises
+        deviation = np.abs(h - hc)
     worst = float(deviation.max())
     if not worst <= _EIG_HERMITICITY_TOL:  # only a stack past the flat bound pays for the per-matrix scales
         scale = np.abs(h).max(axis=(-2, -1))

@@ -22,10 +22,11 @@ from qcopynet import (
 from qcopynet.copier import (
     PAIR_LABELS,
     _DEGENERATE_GAP,
+    _PAULI,
     _amplitudes_from_angles,
-    _scaling_fit,
+    _fidelity,
+    _scaling,
     _solve_angles,
-    _weight,
 )
 from qcopynet.gates import PureState, run_network as run
 
@@ -42,6 +43,11 @@ def input_state(qubit: InputQubit) -> PureState:
 def input_density(qubit: InputQubit) -> np.ndarray:
     amps = input_state(qubit).amplitudes
     return np.outer(amps, amps.conj())
+
+
+def pauli(*matrices) -> np.ndarray:
+    """Pauli coordinates Tr[m sigma_mu] of 2x2 matrices, a column per matrix (4, k)."""
+    return np.einsum("kij,mji->mk", np.array(matrices, dtype=complex), _PAULI).real
 
 
 @pytest.fixture(scope="module")
@@ -475,34 +481,36 @@ def test_triplicator_output_pure(trip_reports):
 
 def test_scaling_decompose_identity_cases():
     rho_id = input_density(InputQubit(0.7, 1.1))
-    s = _scaling_fit(np.array([rho_id, np.eye(2) / 2.0]), rho_id)
+    s = _scaling(pauli(rho_id, np.eye(2) / 2.0), pauli(rho_id))
     assert np.max(np.abs(s - [1.0, 0.0])) < 1e-12
 
 
 def test_scaling_decompose_duplicator_copy():
     report = run_copier(InputQubit(0.4, 5.0), CopyVariant.DUPLICATOR)
-    s = _scaling_fit(report.qubit_reductions["a2"][None], input_density(report.input))
+    s = _scaling(pauli(report.qubit_reductions["a2"]), pauli(input_density(report.input)))
     assert abs(s[0] - 2.0 / 3.0) < 1e-10
 
 
 def test_scaling_decompose_returns_none_off_form():
     # triplicator copy with a complex amplitude has no scaled form
     report = run_copier(InputQubit(0.8, 1.0), CopyVariant.TRIPLICATOR)
-    s = _scaling_fit(report.qubit_reductions["a2"][None], input_density(report.input))
-    assert np.isnan(s[0])
+    rho_id = input_density(report.input)
+    # and a matrix off the form by its trace alone: 2 rho has v = 2r, so s = 2, but q0 = 2
+    s = _scaling(pauli(report.qubit_reductions["a2"], 2.0 * rho_id), pauli(rho_id, rho_id))
+    assert np.isnan(s).all()
 
 
 def test_scaling_decompose_rejects_impure_reference():
     with pytest.raises(ValueError, match="pure"):
-        _scaling_fit(np.eye(2)[None] / 2.0, np.eye(2) / 2.0)
+        _scaling(pauli(np.eye(2) / 2.0), pauli(np.eye(2) / 2.0))
 
 
 def test_fidelity_split_pure_and_mixed():
-    qubit = InputQubit(1.1, 0.3)
-    vectors = np.array([input_state(qubit).amplitudes, [np.conj(qubit.beta), -np.conj(qubit.alpha)]])
-    for rho, expected in ((input_density(qubit), (1.0, 0.0)), (np.eye(2) / 2.0, (0.5, 0.5))):
-        split = _weight(np.array([rho, rho], dtype=complex), vectors)
-        assert np.allclose(split, expected, atol=1e-12)
+    rho_id = input_density(InputQubit(1.1, 0.3))
+    # the complement's weight is Tr M less the input's, so twice the input puts 2 on it and 0 on the rest
+    for rho, expected in ((rho_id, (1.0, 0.0)), (np.eye(2) / 2.0, (0.5, 0.5)), (2.0 * rho_id, (2.0, 0.0))):
+        split = _fidelity(pauli(rho), pauli(rho_id))
+        assert np.allclose(split, [expected], atol=1e-12)
 
 
 # ------------------------------------------------------ original-qubit law

@@ -7,9 +7,13 @@ import pytest
 
 from qcopynet import linalg
 from qcopynet.copier import (
+    PAIR_LABELS,
     QUBIT_LABELS,
+    SCALING_RESIDUAL_TOL,
     CopyVariant,
     InputQubit,
+    _PAULI,
+    _transfer,
     evaluate_grid,
     full_network,
     run_copier,
@@ -126,6 +130,93 @@ def test_sweep_rows_match_per_point_reference(variant):
                 assert column not in table.dtype.names or math.isnan(record[column]), column
             else:
                 assert abs(record[column] - value) <= SWEEP_BOUND, column
+
+
+def matrix_route(grid) -> dict:
+    """Every label's d1, d2, fidelity and scaling from the output projector's partial traces, as ``reference_row``."""
+    rho = grid.states[:, :, None] * grid.states.conj()[:, None, :]
+    psi = np.stack([grid.alpha, grid.beta.astype(complex)], axis=1)
+    perp = np.stack([psi[:, 1].conj(), -psi[:, 0].conj()], axis=1)
+    ideal1 = psi[:, :, None] * psi.conj()[:, None, :]
+    half = np.eye(2) / 2.0
+    direction = ideal1 - half
+    routes = {}
+    for q, label in enumerate(QUBIT_LABELS):
+        m = linalg.partial_trace(rho, (q,))
+        s = np.einsum("nij,nji->n", m - half, direction).real / np.einsum("nij,nji->n", direction, direction).real
+        fitted = s[:, None, None] * ideal1 + (1.0 - s)[:, None, None] * half
+        routes["d1", label] = linalg.hs_distance(m, ideal1)
+        routes["scaling", label] = np.where(linalg.hs_distance(m, fitted) <= SCALING_RESIDUAL_TOL, s, np.nan)
+        routes["fidelity", label] = np.stack(
+            [np.einsum("ni,nij,nj->n", v.conj(), m, v).real for v in (psi, perp)], axis=1
+        )
+    ideal2 = linalg.kron(ideal1, ideal1)
+    for label, keep in PAIR_QUBITS.items():
+        routes["d2", label] = linalg.hs_distance(linalg.partial_trace(rho, keep), ideal2)
+    return routes
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_closed_form_metrics_match_the_matrix_route(variant, rng):
+    readme = (np.linspace(0.0, math.pi / 2.0, 20), np.linspace(0.0, 2.0 * math.pi, 40))
+    for thetas, phis in (readme, rng.uniform(-7.0, 7.0, size=(2, 30))):
+        grid = evaluate_grid(variant, thetas, phis)
+        for (field, label), want in matrix_route(grid).items():
+            got = getattr(grid, field)[label]
+            assert got.shape == want.shape and np.array_equal(np.isnan(got), np.isnan(want)), (field, label)
+            assert np.max(np.abs(got - want), initial=0.0, where=~np.isnan(want)) <= 2e-15, (field, label)
+
+
+def pair_transfer(t, u, v) -> np.ndarray:
+    """ROADMAP's pair table (1/4)[II + sum t_i s_i s_i + sum r_i (u_i s_i I + v_i I s_i)] as a (4, 16) map."""
+    table = np.zeros((4, 16))
+    table[0, 0] = 1.0
+    for i in (1, 2, 3):
+        table[0, 5 * i], table[i, 4 * i], table[i, i] = t[i - 1], u[i - 1], v[i - 1]
+    return table
+
+
+# The machines' Pauli transfer matrices, in the basis (I, X, Y, Z), as ROADMAP item 8 states them.
+TRANSFERS = {
+    CopyVariant.DUPLICATOR: {
+        "a1": np.diag([1.0, 1.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0]),
+        "a2": np.diag([1.0, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0]),
+        "a3": np.diag([1.0, 2.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0]),
+        "a2a3": pair_transfer((1.0 / 3.0,) * 3, (2.0 / 3.0,) * 3, (2.0 / 3.0,) * 3),
+        "a1a2": pair_transfer((2.0 / 3.0, -2.0 / 3.0, 2.0 / 3.0), (1.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0), (2.0 / 3.0,) * 3),
+        "a1a3": pair_transfer((2.0 / 3.0, -2.0 / 3.0, 2.0 / 3.0), (1.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0), (2.0 / 3.0,) * 3),
+    },
+    CopyVariant.TRIPLICATOR: {
+        **{label: np.diag([1.0, 2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0]) for label in QUBIT_LABELS},
+        **{
+            label: pair_transfer((2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0), (2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0),
+                                 (2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0))
+            for label in PAIR_LABELS
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_transfer_matrices_are_the_stated_tables(variant, rng):
+    for label, want in TRANSFERS[variant].items():
+        got = _transfer(variant, label)
+        assert got.dtype == np.float64 and not got.flags.writeable, label
+        assert np.max(np.abs(got - want)) <= 1e-15, label
+    # the coordinates the tables act on are Tr[rho sigma_mu], with sigma_y = [[0, -i], [i, 0]]
+    grid = evaluate_grid(variant, rng.uniform(-7.0, 7.0, 9), rng.uniform(-7.0, 7.0, 11))
+    psi = np.stack([grid.alpha, grid.beta.astype(complex)], axis=1)
+    rho = psi[:, :, None] * psi.conj()[:, None, :]
+    assert np.max(np.abs(grid._pauli - np.einsum("nij,mji->mn", rho, _PAULI).real)) <= 1e-15
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_metrics_build_no_reduction_matrix(variant):
+    grid = evaluate_grid(variant, [0.0, 0.3, 1.1], [0.0, 0.4, 2.0])
+    for name in ("d1", "d2", "d3", "scaling", "fidelity"):
+        getattr(grid, name)
+    assert grid._reductions == {}
+    assert "qubit_reductions" not in vars(grid) and "pair_reductions" not in vars(grid)
 
 
 LAZY_FIELDS = ("qubit_reductions", "pair_reductions", "d1", "d2", "d3", "scaling", "fidelity", "ppt_spectrum")

@@ -292,9 +292,12 @@ def test_eigenvalues_reject_a_nan_matrix():
 
 
 def test_eigenvalues_reject_an_infinite_entry():
-    # an infinite deviation is not covered by an infinite scale
-    with pytest.raises(ValueError, match="Hermitian"):
-        linalg.hermitian_eigenvalues(np.array([[0.0, math.inf], [0.0, 0.0]]))
+    # an infinite deviation is not covered by an infinite scale; where the deviation is inf - inf,
+    # NaN, the ValueError comes with no RuntimeWarning, which pytest turns into an error
+    inf = math.inf
+    for m in ([[0.0, inf], [0.0, 0.0]], [[0.0, inf], [inf, 0.0]], [[inf, 0.0], [0.0, 0.0]]):
+        with pytest.raises(ValueError, match="Hermitian"):
+            linalg.hermitian_eigenvalues(np.array(m))
 
 
 # -------------------------------------------------------------- distance
