@@ -7,12 +7,13 @@ sign of the middle preparation angle, so each is one row of a private table;
 a value that is not a CopyVariant member raises ValueError.  ``evaluate_grid`` runs the circuit
 once per variant on the two basis inputs |000> and |100>, then forms the
 outputs of whole (theta, phi) grids as arrays.  The CopyGrid it returns
-computes the distances, scaling fits and fidelity splits in closed form from
-the input's Pauli coordinates and each label's transfer matrix.  It builds a
-reduced state, the input's density entries times the label's channel table,
-only for a caller that reads one, as the a2a3 partial-transpose spectrum
-does.  Each field is computed on first read.  ``run_copier`` is its one-point case
-and returns a CopyReport; sweeps and the verify grids read the same kernel.
+reads each input only through its Pauli coordinates, but for d3.  It computes
+the distances, scaling fits and fidelity splits in closed form from them and
+each label's transfer matrix, and builds a reduced state, the coordinates
+times the label's channel table, only for a caller that reads one, as the
+a2a3 partial-transpose spectrum does.  Each field is computed on first read.
+``run_copier`` is its one-point case and returns a CopyReport; sweeps and the
+verify grids read the same kernel.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ _REDUCED_QUBITS = {"a1": (0,), "a2": (1,), "a3": (2,), "a2a3": (1, 2), "a1a2": (
 
 SCALING_RESIDUAL_TOL = 1e-10
 _PURITY_TOL = 1e-10
+_AMPLITUDE_NORM_TOL = 1e-9  # the norm deviation InputQubit.from_amplitudes accepts
+_PHASE_CUTOFF = 1e-15  # the modulus at or below which it takes an amplitude to have no phase
 
 
 class CopyVariant(Enum):
@@ -90,16 +93,16 @@ class InputQubit:
         alpha = complex(alpha)
         beta = complex(beta)
         norm = linalg._scaled_norm(np.array([alpha, beta]), lambda v: math.sqrt(sum(abs(complex(z)) ** 2 for z in v)))
-        if not abs(norm - 1.0) <= 1e-9:
+        if not abs(norm - 1.0) <= _AMPLITUDE_NORM_TOL:
             raise ValueError(f"amplitudes are not normalized (norm {norm!r})")
         alpha /= norm
         beta /= norm
-        if abs(beta) > 1e-15:
+        if abs(beta) > _PHASE_CUTOFF:
             phase = beta / abs(beta)
             alpha *= np.conj(phase)
             beta = abs(beta)
         theta = math.atan2(abs(alpha), beta.real)
-        phi = cmath.phase(alpha) if abs(alpha) > 1e-15 else 0.0
+        phi = cmath.phase(alpha) if abs(alpha) > _PHASE_CUTOFF else 0.0
         return cls(theta=theta, phi=phi)
 
 
@@ -164,6 +167,7 @@ def amplitudes_from_angles(angles: PreparationAngles) -> np.ndarray:
 # (see solve_preparation_angles): the even split then reproduces it within
 # half the gap, inside the 1e-10 residual contract.
 _DEGENERATE_GAP = 1e-11
+_TARGET_NORM_TOL = 1e-12  # the deviation of a target's sum of squares from 1 that the solver accepts
 
 _TWO_PI = 2.0 * math.pi
 
@@ -200,7 +204,7 @@ def _solve_angles(c) -> np.ndarray:
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[1] != 4:
         raise ValueError(f"expected a stack of four-amplitude targets, got shape {c.shape}")
-    if not (np.abs((c * c).sum(axis=1) - 1.0) <= 1e-12).all():
+    if not (np.abs((c * c).sum(axis=1) - 1.0) <= _TARGET_NORM_TOL).all():
         raise ValueError("target amplitudes must have unit sum of squares")
 
     m00, m01, m10, m11 = c.T
@@ -345,8 +349,8 @@ class CopyGrid:
     q = p R through its transfer matrix (``_transfer``): d1 = |q - p|^2/2,
     d2 = |Q - p(x)p|^2/4.  A reduction, keyed as in CopyReport with shape
     (N, 2, 2) or (N, 4, 4), is built only when read, as one product of the
-    inputs' density entries with the label's channel table (``_channel``),
-    made exactly Hermitian; a sweep builds only a2a3, for ``ppt_spectrum``.
+    same coordinates with the label's channel table (``_channel``), made
+    exactly Hermitian; a sweep builds only a2a3, for ``ppt_spectrum``.
     ``d3`` is None for the duplicator.  ``scaling`` is NaN where a qubit has
     no scaled form; ``fidelity`` holds (N, 2) weights on the input state and
     on its orthogonal complement; ``ppt_spectrum`` is the ascending (N, 4)
@@ -362,14 +366,6 @@ class CopyGrid:
     alpha: np.ndarray
     beta: np.ndarray
     states: np.ndarray
-
-    @functools.cached_property
-    def _psi(self) -> np.ndarray:
-        return np.stack([self.alpha, self.beta.astype(complex)], axis=1)
-
-    @functools.cached_property
-    def _ideal1(self) -> np.ndarray:
-        return self._psi[:, :, None] * self._psi.conj()[:, None, :]
 
     @functools.cached_property
     def _pauli(self) -> np.ndarray:
@@ -393,11 +389,11 @@ class CopyGrid:
         return {}
 
     def _reduced(self, label: str) -> np.ndarray:
-        """The reduction keyed ``label``, built on its first request: (X + X^dagger)/2 of the channel product X."""
+        """The reduction keyed ``label``, built on its first request: (X + X^dagger)/2 of X = p^T (channel table)."""
         if label not in self._reductions:
             table = _channel(self.variant, label)
             d = math.isqrt(table.shape[1])
-            m = (self._ideal1.reshape(-1, 4) @ table).reshape(-1, d, d)
+            m = (self._pauli.T @ table).reshape(-1, d, d)
             hermitian = m.conj().swapaxes(-1, -2) + m
             hermitian *= 0.5  # exact, and cheaper than dividing complex numbers
             self._reductions[label] = hermitian
@@ -427,7 +423,7 @@ class CopyGrid:
         if self.variant is not CopyVariant.TRIPLICATOR:
             return None
         # Tr[(rho - sigma)^2] for pure rho = |s><s|, sigma = |v><v|: |s|^4 + |v|^4 - 2|<v|s>|^2
-        psi, states = self._psi, self.states
+        psi, states = np.stack([self.alpha, self.beta.astype(complex)], axis=1), self.states
         ideal3 = np.einsum("ni,nj,nk->nijk", psi, psi, psi).reshape(-1, 8)
         norm_s = np.sum(np.abs(states) ** 2, axis=1)
         norm_v = np.sum(np.abs(ideal3) ** 2, axis=1)
@@ -460,24 +456,24 @@ def _basis_outputs(variant: CopyVariant) -> np.ndarray:
     return rows
 
 
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI.flags.writeable = False
+
+
 @functools.cache
 def _channel(variant: CopyVariant, label: str) -> np.ndarray:
-    """Read-only (4, d*d) channel table: row 2i + j is the label's reduction of |u_i><u_j|, flattened.
+    """Read-only (4, d*d) channel table: row mu is the label's reduction of the input sigma_mu/2, flattened.
 
-    With u_0, u_1 the rows of ``_basis_outputs``, the output for the input
-    psi = (alpha, beta) has the projector sum_ij psi_i conj(psi_j) |u_i><u_j|,
-    so each reduction is the input's density entries (|alpha|^2,
-    alpha conj(beta), conj(alpha) beta, |beta|^2) times this table.
+    With u_0, u_1 the rows of ``_basis_outputs``, the network maps an input
+    operator A to sum_ij A_ij |u_i><u_j|, linearly.  An input
+    rho = sum_mu p_mu sigma_mu/2, p its Pauli coordinates (``CopyGrid._pauli``),
+    therefore has each reduction p^T times this table.
     """
     u = _basis_outputs(variant)
-    operators = (u[:, None, :, None] * u.conj()[None, :, None, :]).reshape(4, 8, 8)
+    operators = np.einsum("mij,ia,jb->mab", _PAULI / 2.0, u, u.conj())
     table = linalg.partial_trace(operators, _REDUCED_QUBITS[label]).reshape(4, -1)
     table.flags.writeable = False
     return table
-
-
-_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_PAULI.flags.writeable = False
 
 
 @functools.cache
@@ -489,8 +485,7 @@ def _transfer(variant: CopyVariant, label: str) -> np.ndarray:
     """
     table = _channel(variant, label)
     basis = _PAULI if table.shape[1] == 4 else linalg.kron(_PAULI[:, None], _PAULI).reshape(16, 4, 4)
-    images = (_PAULI.reshape(4, 4) / 2.0) @ table
-    transfer = (images @ basis.swapaxes(-1, -2).reshape(len(basis), -1).T).real
+    transfer = (table @ basis.swapaxes(-1, -2).reshape(len(basis), -1).T).real
     transfer.flags.writeable = False
     return transfer
 

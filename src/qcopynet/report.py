@@ -61,6 +61,7 @@ METRICS = frozenset({"d1", "d2", "d3", "s", "fidelity", "E"})
 # A sweep is evaluated as one batch of arrays, a few kilobytes per point
 # from evaluation to rendering; the cap keeps a typo from exhausting memory.
 MAX_GRID_POINTS = 100_000
+_GRID_EDGE_SLACK = 1e-12  # how far past 2*pi a grid edge may lie, so a decimal 2*pi is accepted
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class GridSpec:
         if not 1 <= self.count <= MAX_GRID_POINTS:
             raise ValueError(f"grid count must be between 1 and {MAX_GRID_POINTS}, got {self.count:.6g}")
         for edge in (self.start, self.stop):
-            if not 0.0 <= edge <= 2.0 * math.pi + 1e-12:
+            if not 0.0 <= edge <= 2.0 * math.pi + _GRID_EDGE_SLACK:
                 raise ValueError(f"grid edge {edge!r} outside [0, 2*pi]")
 
     def values(self) -> np.ndarray:

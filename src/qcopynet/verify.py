@@ -31,6 +31,11 @@ its own ValueError for a 0x0 matrix, a non-finite entry, or a matrix that
 is not Hermitian within ``_ORACLE_HERMITICITY_TOL`` (1e-10) times
 max(1, max|H|).
 
+The expected reduced matrices come from each machine's transfer table in the
+Pauli basis, stated once, and one builder, ``_stated_reductions``, that applies
+a table to the Bloch vector of each grid point.  It computes that vector from
+the amplitudes with its own Pauli matrices, not from the kernel's coordinates.
+
 The random inputs come from a counter-based SplitMix64 stream
 (``_uniforms``), one vectorised pass per seed: uniforms in [-1, 1) from
 integer arithmetic and one exact multiply and add.  So the draws, and with
@@ -89,6 +94,15 @@ _DUP_PAIR_SPECTRUM = np.sort([(2.0 - _SQRT5) / 6.0, 1.0 / 6.0, 1.0 / 6.0, (2.0 +
 _TRIP_PAIR_SPECTRUM = np.sort(
     [-1.0 / 6.0, (5.0 - _SQRT17) / 12.0, 1.0 / 3.0, (5.0 + _SQRT17) / 12.0]
 )
+
+# Pauli X, Y, Z, stated here so the expected matrices share nothing with the kernel.
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# Each machine's channel on an input with Bloch vector r, first-listed qubit high-order.  A qubit table a gives
+# (1/2)[I + sum_k a_k r_k sigma_k]; a pair table (t, u, v) gives
+# (1/4)[I(x)I + sum_k t_k sigma_k(x)sigma_k + sum_k r_k (u_k sigma_k(x)I + v_k I(x)sigma_k)].
+_DUPLICATOR_ORIGINAL = (1.0 / 3.0, -1.0 / 3.0, 1.0 / 3.0)  # transpose(rho)/3 + I/3
+_TRIPLICATOR_QUBIT = (2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0)
+_TRIPLICATOR_PAIR = ((2.0 / 3.0, -1.0 / 3.0, 2.0 / 3.0), _TRIPLICATOR_QUBIT, _TRIPLICATOR_QUBIT)
 
 # Every check in canonical verify order: (check_id, description, expected, tolerance).
 _LAWS = (
@@ -224,27 +238,19 @@ def _scaling_error(s: np.ndarray) -> float | tuple[float, str]:
     return (math.inf, f"{missing} copies without a scaling fit") if missing else _max_dev(s, 2.0 / 3.0)
 
 
-def _triplicator_single_expected(grid: CopyGrid) -> np.ndarray:
-    a, b = grid.alpha, grid.beta.astype(complex)
-    off_low = 3.0 * a * np.conj(b) + np.conj(a) * b
-    descending = np.array([[4.0 * np.abs(b) ** 2 + 1.0, np.conj(off_low)], [off_low, 4.0 * np.abs(a) ** 2 + 1.0]])
-    return descending.transpose(2, 0, 1)[:, ::-1, ::-1] / 6.0
-
-
-def _triplicator_pair_expected_real(grid: CopyGrid) -> np.ndarray:
-    a, b = grid.alpha.real, grid.beta
-    ab = 4.0 * a * b
-    one = np.ones_like(a)
-    descending = np.array(
-        [[8.0 * b * b + 1.0, ab, ab, 3.0 * one], [ab, one, one, ab],
-         [ab, one, one, ab], [3.0 * one, ab, ab, 8.0 * a * a + 1.0]]
-    )
-    return descending.transpose(2, 0, 1)[:, ::-1, ::-1] / 12.0
-
-
-def _triplicator_output_expected(grid: CopyGrid) -> np.ndarray:
-    a, b = grid.alpha, grid.beta
-    return np.stack([3.0 * a, b, b, a, b, a, a, 3.0 * b], axis=1) / math.sqrt(12.0)
+def _stated_reductions(grid: CopyGrid, table) -> np.ndarray:
+    """A table (see ``_SIGMA``) applied to each grid point's Bloch vector: (N, 2, 2), or (N, 4, 4) for a pair."""
+    psi = np.stack([grid.alpha, grid.beta.astype(complex)], axis=1)
+    r = np.einsum("kni,ni->nk", psi.conj() @ _SIGMA, psi).real
+    if np.ndim(table) == 1:
+        fixed, local = np.eye(2), np.array(table)[:, None, None] * _SIGMA
+    else:
+        t, u, v = np.array(table)[:, :, None, None]
+        first = np.einsum("kij,ab->kiajb", _SIGMA, np.eye(2)).reshape(3, 4, 4)  # sigma_k (x) I
+        second = np.einsum("ij,kab->kiajb", np.eye(2), _SIGMA).reshape(3, 4, 4)  # I (x) sigma_k
+        fixed, local = np.eye(4) + (t * first @ second).sum(axis=0), u * first + v * second
+    d = len(fixed)
+    return (fixed + (r @ local.reshape(3, -1)).reshape(-1, d, d)) / d
 
 
 class _Suite:
@@ -301,7 +307,7 @@ def _distance_results(suite: _Suite) -> list:
 def _original_results(suite: _Suite) -> list:
     grid = suite.duplicator_grid
     return [
-        _max_dev(grid.qubit_reductions["a1"], np.swapaxes(grid._ideal1, 1, 2) / 3.0 + np.eye(2) / 3.0),
+        _max_dev(grid.qubit_reductions["a1"], _stated_reductions(grid, _DUPLICATOR_ORIGINAL)),
         _max_dev(grid.d1["a1"], (2.0 / 9.0) * (1.0 + 12.0 * _phase_weight(grid))),
     ]
 
@@ -318,40 +324,37 @@ def _ppt_results(suite: _Suite) -> list:
 
 def _trip_prep_results(suite: _Suite) -> list:
     spots = evaluate_grid(CopyVariant.TRIPLICATOR, (0.0, math.pi / 8.0, math.pi / 4.0), (0.0, math.pi / 2.0))
-    return [_prep_error(CopyVariant.TRIPLICATOR), _max_dev(spots.states, _triplicator_output_expected(spots))]
+    a, b = spots.alpha, spots.beta
+    expected = np.stack([3.0 * a, b, b, a, b, a, a, 3.0 * b], axis=1) / math.sqrt(12.0)
+    return [_prep_error(CopyVariant.TRIPLICATOR), _max_dev(spots.states, expected)]
 
 
 def _trip_real_results(suite: _Suite) -> list:
     grid = suite.triplicator_real_grid
-    singles, pairs = grid.qubit_reductions, grid.pair_reductions
-    expected_pair = _triplicator_pair_expected_real(grid)
+    singles, pairs = grid.qubit_reductions, np.stack([grid.pair_reductions[label] for label in PAIR_LABELS])
     return [
         max(_max_dev(singles["a1"], singles[label]) for label in ("a2", "a3")),
         _scaling_error(np.concatenate([grid.scaling[label] for label in QUBIT_LABELS])),
-        max(_max_dev(pairs[label], expected_pair) for label in PAIR_LABELS),
+        _max_dev(pairs, _stated_reductions(grid, _TRIPLICATOR_PAIR)),
         max(_max_dev(grid.d1[label], 1.0 / 18.0) for label in QUBIT_LABELS),
         max(_max_dev(grid.d2[label], 2.0 / 9.0) for label in PAIR_LABELS),
         _max_dev(grid.d3, 0.5),
-        _max_dev(ppt_spectrum(np.stack([pairs[label] for label in PAIR_LABELS])), _TRIP_PAIR_SPECTRUM),
+        _max_dev(ppt_spectrum(pairs), _TRIP_PAIR_SPECTRUM),
     ]
 
 
 def _trip_complex_results(suite: _Suite) -> list:
     grid = suite.triplicator_grid
     weight = _phase_weight(grid)
-    expected_single = _triplicator_single_expected(grid)
+    singles = np.stack([grid.qubit_reductions[label] for label in QUBIT_LABELS])
     wrongly_scaled = int(np.count_nonzero((weight > 1e-6) & ~np.isnan(grid.scaling["a2"])))
     return [
-        max(_max_dev(grid.qubit_reductions[label], expected_single) for label in QUBIT_LABELS),
+        _max_dev(singles, _stated_reductions(grid, _TRIPLICATOR_QUBIT)),
         max(_max_dev(grid.d1[label], (1.0 + 12.0 * weight) / 18.0) for label in QUBIT_LABELS),
         max(_max_dev(grid.d2[label], (2.0 / 9.0) * (1.0 + 12.0 * weight)) for label in PAIR_LABELS),
         _max_dev(grid.d3, 0.5 * (1.0 + 12.0 * weight)),
-        _flag(
-            wrongly_scaled == 0,
-            "scaling absent on all such grid points"
-            if wrongly_scaled == 0
-            else f"{wrongly_scaled} grid points wrongly admit a scaling fit",
-        ),
+        _flag(wrongly_scaled == 0, "scaling absent on all such grid points" if wrongly_scaled == 0
+              else f"{wrongly_scaled} grid points wrongly admit a scaling fit"),
     ]
 
 

@@ -715,6 +715,14 @@ def test_gridspec_validation():
     assert list(GridSpec(0.5, 0.5, 1).values()) == [0.5]
 
 
+def test_gridspec_edge_slack_is_1e_12_above_two_pi():
+    assert GridSpec(0.0, 2.0 * math.pi + 0.9e-12, 2).stop == 2.0 * math.pi + 0.9e-12
+    with pytest.raises(ValueError, match="outside"):
+        GridSpec(0.0, 2.0 * math.pi + 1.1e-12, 2)
+    with pytest.raises(ValueError, match="outside"):
+        GridSpec(-1e-13, 1.0, 2)  # no slack below 0
+
+
 @pytest.mark.parametrize("count", [2.5, 3.0, True])
 def test_gridspec_rejects_a_non_integer_count(count):
     with pytest.raises(ValueError, match="grid count must be an integer"):

@@ -115,6 +115,20 @@ def test_input_qubit_from_amplitudes_rejects_non_finite(part):
         InputQubit.from_amplitudes(part, 0.5)
 
 
+def test_input_qubit_norm_tolerance_is_1e_9():
+    assert InputQubit.from_amplitudes(0.0, 1.0 + 0.9e-9) == InputQubit(0.0, 0.0)
+    with pytest.raises(ValueError, match="normalized"):
+        InputQubit.from_amplitudes(0.0, 1.0 + 1.1e-9)
+
+
+def test_input_qubit_phase_cutoffs_are_1e_15():
+    # a modulus at or below 1e-15 carries no phase: beta's is not factored out, and alpha's is not read
+    assert InputQubit.from_amplitudes(1.0, 0.9e-15j).phi == 0.0
+    assert InputQubit.from_amplitudes(1.0, 1.1e-15j).phi == -math.pi / 2.0
+    assert InputQubit.from_amplitudes(0.9e-15j, 1.0).phi == 0.0
+    assert InputQubit.from_amplitudes(1.1e-15j, 1.0).phi == math.pi / 2.0
+
+
 # ------------------------------------------------------------ angle solver
 
 def test_solver_duplicator_target():
@@ -145,6 +159,12 @@ def test_solver_random_targets(rng):
 def test_solver_rejects_unnormalized_target():
     with pytest.raises(ValueError, match="unit"):
         solve_preparation_angles(np.array([1.0, 1.0, 0.0, 0.0]))
+
+
+def test_solver_unit_norm_tolerance_is_1e_12():
+    assert solve_preparation_angles([math.sqrt(1.0 + 0.9e-12), 0.0, 0.0, 0.0]) == PreparationAngles(0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="unit sum of squares"):
+        solve_preparation_angles([math.sqrt(1.0 + 1.1e-12), 0.0, 0.0, 0.0])
 
 
 # Normalized normal draws 271, 324, 933, 1022 and 1124 of default_rng(0):

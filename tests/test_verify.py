@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qcopynet import linalg, verify
+from qcopynet.copier import CopyGrid
 from qcopynet.gates import CNOT
 from qcopynet.report import render_json
 from qcopynet.verify import eigenvalues_by_bisection
@@ -347,6 +348,16 @@ def test_a_copy_without_a_scaling_fit_is_counted(monkeypatch, group, grid_name, 
     assert check.observed == "1 copies without a scaling fit"
     assert check.error == math.inf
     assert not check.passed
+
+
+def test_conjugated_input_coordinates_fail_exactly_the_complex_matrix_laws(monkeypatch):
+    # r_y negated conjugates every reduction.  Distances, weights, fits and spectra are blind to that, and the real
+    # grid has r_y = 0, so only the two laws that compare complex matrices with the stated tables can fail.
+    pauli = CopyGrid._pauli.func
+    flip = np.array([[1.0], [1.0], [-1.0], [1.0]])
+    monkeypatch.setattr(CopyGrid, "_pauli", property(lambda grid: pauli(grid) * flip))
+    failed = [c.check_id for c in verify.run_verification() if not c.passed]
+    assert failed == ["original.transpose-law", "trip-complex.single-matrix"]
 
 
 @pytest.mark.parametrize("tolerance", [None, 1e-15], ids=["default", "strict"])
