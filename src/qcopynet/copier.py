@@ -6,11 +6,12 @@ the original qubit (a1) over all three.  The two variants differ only in the
 sign of the middle preparation angle, so each is one row of a private table;
 a value that is not a CopyVariant member raises ValueError.  ``evaluate_grid`` runs the circuit
 once per variant on the two basis inputs |000> and |100>, then forms the
-outputs of whole (theta, phi) grids as arrays.  The CopyGrid it returns
+outputs of whole (theta, phi) grids as arrays.  Each machine is held only as
+one real Pauli transfer matrix per output label.  The CopyGrid it returns
 reads each input only through its Pauli coordinates, but for d3.  It computes
 the distances, scaling fits and fidelity splits in closed form from them and
-each label's transfer matrix, and builds a reduced state, the coordinates
-times the label's channel table, only for a caller that reads one, as the
+each label's transfer matrix, and builds a reduced state, the label's
+coordinates over its Pauli basis, only for a caller that reads one, as the
 a2a3 partial-transpose spectrum does.  Each field is computed on first read.
 ``run_copier`` is its one-point case and returns a CopyReport; sweeps and the
 verify grids read the same kernel.
@@ -98,10 +99,9 @@ class InputQubit:
         alpha /= norm
         beta /= norm
         if abs(beta) > _PHASE_CUTOFF:
-            phase = beta / abs(beta)
-            alpha *= np.conj(phase)
-            beta = abs(beta)
-        theta = math.atan2(abs(alpha), beta.real)
+            alpha *= np.conj(beta / abs(beta))
+        beta = abs(beta)  # below the cut-off too, so beta >= 0 and theta <= pi/2 whatever its sign
+        theta = math.atan2(abs(alpha), beta)
         phi = cmath.phase(alpha) if abs(alpha) > _PHASE_CUTOFF else 0.0
         return cls(theta=theta, phi=phi)
 
@@ -348,14 +348,14 @@ class CopyGrid:
     inputs' Pauli coordinates p = (1, r), r the Bloch vector, and each label's
     q = p R through its transfer matrix (``_transfer``): d1 = |q - p|^2/2,
     d2 = |Q - p(x)p|^2/4.  A reduction, keyed as in CopyReport with shape
-    (N, 2, 2) or (N, 4, 4), is built only when read, as one product of the
-    same coordinates with the label's channel table (``_channel``), made
-    exactly Hermitian; a sweep builds only a2a3, for ``ppt_spectrum``.
-    ``d3`` is None for the duplicator.  ``scaling`` is NaN where a qubit has
-    no scaled form; ``fidelity`` holds (N, 2) weights on the input state and
-    on its orthogonal complement; ``ppt_spectrum`` is the ascending (N, 4)
-    spectrum of the partially transposed a2a3 pair.  Reading ``scaling``
-    raises ValueError if an input state is not pure.  A pair reduction is a
+    (N, 2, 2) or (N, 4, 4), is built only when read, as M = sum_nu q_nu P_nu / d
+    over the label's Pauli basis; q is real and P_nu / d has entries 0, +-1/d
+    and +-i/d, so M is Hermitian bit for bit.  A sweep builds only a2a3, for
+    ``ppt_spectrum``.  ``d3`` is None for the duplicator.  ``scaling`` is NaN
+    where a qubit has no scaled form; ``fidelity`` holds (N, 2) weights on the
+    input state and on its orthogonal complement; ``ppt_spectrum`` is the
+    ascending (N, 4) spectrum of the partially transposed a2a3 pair.  Reading
+    ``scaling`` raises ValueError if an input state is not pure.  A pair reduction is a
     channel's image of a checked pure state, so positive by construction;
     ``separability._pair_spectra`` checks that pairs are finite, Hermitian and unit-trace.
     """
@@ -389,14 +389,13 @@ class CopyGrid:
         return {}
 
     def _reduced(self, label: str) -> np.ndarray:
-        """The reduction keyed ``label``, built on its first request: (X + X^dagger)/2 of X = p^T (channel table)."""
+        """The reduction keyed ``label``, built on its first request: M = sum_nu q_nu P_nu / d with q = p R."""
         if label not in self._reductions:
-            table = _channel(self.variant, label)
-            d = math.isqrt(table.shape[1])
-            m = (self._pauli.T @ table).reshape(-1, d, d)
-            hermitian = m.conj().swapaxes(-1, -2) + m
-            hermitian *= 0.5  # exact, and cheaper than dividing complex numbers
-            self._reductions[label] = hermitian
+            transfer = _transfer(self.variant, label)
+            basis = _PAULI_BASES[transfer.shape[1]]
+            d = basis.shape[-1]
+            flat = basis.reshape(len(basis), -1) / d  # entries 0, +-1/d, +-i/d: products with them are exact
+            self._reductions[label] = (self._pauli.T @ (transfer @ flat)).reshape(-1, d, d)
         return self._reductions[label]
 
     @functools.cached_property
@@ -457,35 +456,28 @@ def _basis_outputs(variant: CopyVariant) -> np.ndarray:
 
 
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# Each reduction's Pauli basis P_nu, keyed by its size d*d: sigma_nu, or sigma_a (x) sigma_b at nu = 4a + b with
+# a on the first-listed qubit.
+_PAULI_BASES = {4: _PAULI, 16: linalg.kron(_PAULI[:, None], _PAULI).reshape(16, 4, 4)}
 _PAULI.flags.writeable = False
-
-
-@functools.cache
-def _channel(variant: CopyVariant, label: str) -> np.ndarray:
-    """Read-only (4, d*d) channel table: row mu is the label's reduction of the input sigma_mu/2, flattened.
-
-    With u_0, u_1 the rows of ``_basis_outputs``, the network maps an input
-    operator A to sum_ij A_ij |u_i><u_j|, linearly.  An input
-    rho = sum_mu p_mu sigma_mu/2, p its Pauli coordinates (``CopyGrid._pauli``),
-    therefore has each reduction p^T times this table.
-    """
-    u = _basis_outputs(variant)
-    operators = np.einsum("mij,ia,jb->mab", _PAULI / 2.0, u, u.conj())
-    table = linalg.partial_trace(operators, _REDUCED_QUBITS[label]).reshape(4, -1)
-    table.flags.writeable = False
-    return table
+_PAULI_BASES[16].flags.writeable = False
 
 
 @functools.cache
 def _transfer(variant: CopyVariant, label: str) -> np.ndarray:
-    """Read-only real (4, d*d) Pauli transfer matrix R of the label's reduction, row mu the image of sigma_mu/2.
+    """Read-only real (4, d*d) Pauli transfer matrix R of the label's reduction: R_mu,nu = Tr[M_mu P_nu].
 
-    An input's coordinates p_mu = Tr[rho sigma_mu] map to q = p R, q_nu = Tr[M sigma_nu]; for a pair,
-    nu = 4a + b indexes sigma_a (x) sigma_b, a on the first-listed qubit.
+    With u_0, u_1 the rows of ``_basis_outputs``, the network maps an input
+    operator A to sum_ij A_ij |u_i><u_j|, linearly, and M_mu is the label's
+    partial trace of the image of sigma_mu/2.  An input's coordinates
+    p_mu = Tr[rho sigma_mu] (``CopyGrid._pauli``) then map to q = p R,
+    q_nu = Tr[M P_nu], with P_nu the label's basis in ``_PAULI_BASES``.
     """
-    table = _channel(variant, label)
-    basis = _PAULI if table.shape[1] == 4 else linalg.kron(_PAULI[:, None], _PAULI).reshape(16, 4, 4)
-    transfer = (table @ basis.swapaxes(-1, -2).reshape(len(basis), -1).T).real
+    u = _basis_outputs(variant)
+    images = np.einsum("mij,ia,jb->mab", _PAULI / 2.0, u, u.conj())
+    reduced = linalg.partial_trace(images, _REDUCED_QUBITS[label]).reshape(4, -1)
+    basis = _PAULI_BASES[reduced.shape[1]]
+    transfer = (reduced @ basis.swapaxes(-1, -2).reshape(len(basis), -1).T).real
     transfer.flags.writeable = False
     return transfer
 

@@ -12,8 +12,9 @@ results, one per row of the group and in table order: a float error, shown
 as ``max deviation``, or an ``(error, observed)`` pair for a check with its
 own observed text.  ``run_verification`` pairs each group's rows with its
 results, and a count mismatch raises, so no result can land on the wrong row.
-The tolerance, pinned or overridden, is applied there too.  A new law is one
-table row plus its error in the group function.
+A group function that raises fails its rows instead (error inf, the exception
+as observed text).  The tolerance, pinned or overridden, is applied there too.
+A new law is one table row plus its error in the group function.
 
 Checks run on stacks.  The angle solver takes all of its targets in one
 call, and the three shared copier grids compute each metric when a check
@@ -495,7 +496,8 @@ def run_verification(groups=None, tolerance: float | None = None) -> list[Verify
     useful for demonstrating where the numerics saturate; it must be finite
     and non-negative.  Raises ValueError for an unknown group or a bad
     tolerance, before any check runs, and when a group's results do not
-    match its rows of the table one for one.
+    match its rows of the table one for one.  A group that raises fails its
+    checks instead, with error inf and ``observed`` "<Type>: <message>".
     """
     if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
@@ -507,7 +509,11 @@ def run_verification(groups=None, tolerance: float | None = None) -> list[Verify
     checks: list[VerifyCheck] = []
     for group in (g for g in GROUP_ORDER if g in requested):
         laws = [law for law in _LAWS if law[0].startswith(group + ".")]
-        for (check_id, description, expected, pinned), result in zip(laws, _GROUPS[group](suite), strict=True):
+        try:
+            results = _GROUPS[group](suite)
+        except Exception as exc:  # a computation that raised fails each of its group's checks
+            results = [(math.inf, f"{type(exc).__name__}: {exc}")] * len(laws)
+        for (check_id, description, expected, pinned), result in zip(laws, results, strict=True):
             error, observed = result if isinstance(result, tuple) else (result, f"max deviation {result:.3e}")
             limit, error = pinned if tolerance is None else tolerance, float(error)
             checks.append(VerifyCheck(check_id=check_id, group=group, description=description, expected=expected,

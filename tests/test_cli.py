@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qcopynet
-from qcopynet import CopyVariant, InputQubit, cli, linalg, run_copier
+from qcopynet import CopyVariant, InputQubit, cli, copier, linalg, run_copier
 from qcopynet.cli import main
 from qcopynet.gates import PureState
 from qcopynet.report import CSV_COLUMNS, MAX_GRID_POINTS, GridSpec, SweepSpec, render_csv, render_json, sweep_document, sweep_rows
@@ -154,6 +154,12 @@ def test_copy_amplitude_input_equivalent_to_angles(capsys):
     ang = json.loads(out_ang)
     assert abs(amp["input"]["theta"] - ang["input"]["theta"]) < 1e-12
     assert amp["metrics"]["d1"] == ang["metrics"]["d1"]
+
+
+def test_copy_takes_a_negative_beta_below_the_phase_cutoff_as_its_modulus(capsys):
+    code, out, _ = run_cli(capsys, "copy", "--alpha", "1", "--beta=-0.9e-15")
+    assert code == 0
+    assert "beta=9.49411e-16\n" in out
 
 
 def test_copy_renormalizes_with_warning(capsys):
@@ -404,6 +410,27 @@ def test_verify_rejects_bad_tolerance(capsys, tolerance, fmt):
     assert code == 2
     assert out == ""
     assert err.startswith("error: tolerance must be finite and non-negative")
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_verify_reports_a_check_that_raised_as_a_failure(capsys, monkeypatch, fmt):
+    # a 1e-9 bias on every image of sigma_z/2 makes trip-real's computation raise
+    transfer = copier._transfer
+    bias = np.array([[1.0], [1.0], [1.0], [1.0 + 1e-9]])
+    monkeypatch.setattr(copier, "_transfer", lambda variant, label: transfer(variant, label) * bias)
+    code, out, err = run_cli(capsys, "verify", "--format", fmt)
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        doc = json.loads(out)
+        assert doc["summary"] == {"total": 39, "passed": 21, "failed": 18}
+        # every trip-real row fails with the exception, and the groups after it still ran
+        assert {(row["error"], row["passed"], row["observed"]) for row in doc["rows"] if row["group"] == "trip-real"} == {
+            (None, False, "ValueError: density matrix is not positive semidefinite (min eigenvalue -2.667e-10)")
+        }
+        assert doc["rows"][-1]["check_id"] == "properties.eigenvalue-oracle"
+    else:
+        assert out.endswith("39 checks: 21 passed, 18 failed\n")
+        assert "FAIL  trip-real.pair-spectrum" in out and "observed ValueError: density matrix" in out
 
 
 def test_verify_json_deterministic(capsys):

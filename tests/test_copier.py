@@ -129,6 +129,13 @@ def test_input_qubit_phase_cutoffs_are_1e_15():
     assert InputQubit.from_amplitudes(1.1e-15j, 1.0).phi == math.pi / 2.0
 
 
+@pytest.mark.parametrize("beta", [-0.9e-15, 0.9e-15j, -0.9e-15j], ids=["negative", "imaginary", "negative-imaginary"])
+def test_input_qubit_beta_below_the_phase_cutoff_is_taken_as_its_modulus(beta):
+    q = InputQubit.from_amplitudes(1.0, beta)
+    assert q.beta >= 0.0 and q.theta <= math.pi / 2.0
+    assert q == InputQubit.from_amplitudes(1.0, abs(beta))
+
+
 # ------------------------------------------------------------ angle solver
 
 def test_solver_duplicator_target():

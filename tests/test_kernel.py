@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qcopynet import linalg
+from qcopynet import linalg, verify
 from qcopynet.copier import (
     PAIR_LABELS,
     QUBIT_LABELS,
@@ -105,14 +105,16 @@ def reference_row(theta: float, phi: float, variant: CopyVariant) -> dict:
 def test_every_reduction_is_the_partial_trace_on_its_register_qubits(variant, rng):
     # the kets' order matters: the duplicator's a1a2 and a1a3 are not symmetric under a swap
     readme = evaluate_grid(variant, np.linspace(0.0, math.pi / 2.0, 20), np.linspace(0.0, 2.0 * math.pi, 40))
+    verify_grid = evaluate_grid(variant, verify._THETAS, verify._PHIS)
     points = rng.uniform((0.0, 0.0), (math.pi / 2.0, 2.0 * math.pi), size=(200, 2))
     qubits = {**{label: (q,) for q, label in enumerate(QUBIT_LABELS)}, **PAIR_QUBITS}
-    for grids in ([readme], [evaluate_grid(variant, [theta], [phi]) for theta, phi in points]):
+    for grids in ([readme], [verify_grid], [evaluate_grid(variant, [theta], [phi]) for theta, phi in points]):
         states = np.concatenate([grid.states for grid in grids])
         rho = states[:, :, None] * states.conj()[:, None, :]
         for label, keep in qubits.items():
             m = np.concatenate([{**grid.qubit_reductions, **grid.pair_reductions}[label] for grid in grids])
-            # the channel product is symmetrized, so Hermitian bit for bit with real diagonals
+            # q = pR is real and the Pauli basis over d has entries 0, +-1/d, +-i/d, so every product with it is
+            # exact and conjugate entries are summed alike: Hermitian bit for bit, with real diagonals
             assert np.array_equal(m, m.conj().swapaxes(-1, -2)), label
             assert np.all(np.diagonal(m, axis1=-2, axis2=-1).imag == 0.0), label
             assert np.max(np.abs(m - linalg.partial_trace(rho, keep))) <= 1e-15, label

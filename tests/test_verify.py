@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcopynet import linalg, verify
+from qcopynet import copier, linalg, verify
 from qcopynet.copier import CopyGrid
 from qcopynet.gates import CNOT
 from qcopynet.report import render_json
@@ -358,6 +358,22 @@ def test_conjugated_input_coordinates_fail_exactly_the_complex_matrix_laws(monke
     monkeypatch.setattr(CopyGrid, "_pauli", property(lambda grid: pauli(grid) * flip))
     failed = [c.check_id for c in verify.run_verification() if not c.passed]
     assert failed == ["original.transpose-law", "trip-complex.single-matrix"]
+
+
+# sigma_y^T = -sigma_y, so a column of R with an odd number of sigma_y factors changes sign when the image transposes
+ODD_SIGMA_Y = {4: np.array([1.0, 1.0, -1.0, 1.0])}
+ODD_SIGMA_Y[16] = np.array([-1.0 if (a == 2) != (b == 2) else 1.0 for a in range(4) for b in range(4)])
+
+
+@pytest.mark.parametrize(
+    "defect",
+    [lambda r: r[[0, 2, 1, 3]], lambda r: r * ODD_SIGMA_Y[r.shape[1]]],
+    ids=["rows-1-and-2-swapped", "every-image-transposed"],
+)
+def test_a_defective_transfer_matrix_fails_verify(monkeypatch, defect):
+    transfer = copier._transfer
+    monkeypatch.setattr(copier, "_transfer", lambda variant, label: defect(transfer(variant, label)))
+    assert any(not c.passed for c in verify.run_verification())
 
 
 @pytest.mark.parametrize("tolerance", [None, 1e-15], ids=["default", "strict"])
