@@ -35,7 +35,7 @@ from .report import (
     sweep_rows,
 )
 from .separability import _pair_spectra, _ppt_reports
-from .verify import GROUP_ORDER, render_human, run_verification, verification_document
+from .verify import GROUP_ORDER, _check_request, render_human, run_verification, verification_document
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -223,9 +223,14 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     groups = [g.strip() for g in args.only.split(",")] if args.only else None
     try:
-        checks = run_verification(groups, tolerance=args.tolerance)
+        _check_request(groups, args.tolerance)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    try:
+        checks = run_verification(groups, tolerance=args.tolerance)
+    except ValueError as exc:  # the arguments passed, so a group's results do not match its checks
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     doc = verification_document(checks, tolerance=args.tolerance)
     print((render_json if args.format == "json" else render_human)(doc), end="")
     return EXIT_OK if doc["summary"]["failed"] == 0 else EXIT_FAILURE

@@ -489,6 +489,17 @@ _GROUPS = {
 }
 
 
+def _check_request(groups, tolerance: float | None) -> list[str]:
+    """The requested group names; ValueError for an unknown group or a tolerance that is not finite and non-negative."""
+    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
+    requested = list(GROUP_ORDER if groups is None else groups)
+    unknown = set(requested) - set(GROUP_ORDER)
+    if unknown:
+        raise ValueError(f"unknown check groups: {sorted(unknown)}")
+    return requested
+
+
 def run_verification(groups=None, tolerance: float | None = None) -> list[VerifyCheck]:
     """Run the selected check groups (all by default) in canonical order.
 
@@ -499,12 +510,7 @@ def run_verification(groups=None, tolerance: float | None = None) -> list[Verify
     match its rows of the table one for one.  A group that raises fails its
     checks instead, with error inf and ``observed`` "<Type>: <message>".
     """
-    if tolerance is not None and not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tolerance!r}")
-    requested = GROUP_ORDER if groups is None else list(groups)
-    unknown = set(requested) - set(GROUP_ORDER)
-    if unknown:
-        raise ValueError(f"unknown check groups: {sorted(unknown)}")
+    requested = _check_request(groups, tolerance)
     suite = _Suite()
     checks: list[VerifyCheck] = []
     for group in (g for g in GROUP_ORDER if g in requested):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qcopynet
-from qcopynet import CopyVariant, InputQubit, cli, copier, linalg, run_copier
+from qcopynet import CopyVariant, InputQubit, cli, copier, linalg, run_copier, verify
 from qcopynet.cli import main
 from qcopynet.gates import PureState
 from qcopynet.report import CSV_COLUMNS, MAX_GRID_POINTS, GridSpec, SweepSpec, render_csv, render_json, sweep_document, sweep_rows
@@ -431,6 +431,19 @@ def test_verify_reports_a_check_that_raised_as_a_failure(capsys, monkeypatch, fm
     else:
         assert out.endswith("39 checks: 21 passed, 18 failed\n")
         assert "FAIL  trip-real.pair-spectrum" in out and "observed ValueError: density matrix" in out
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_verify_exits_1_when_a_group_is_short_of_one_result(capsys, monkeypatch, fmt):
+    # only the arguments are usage errors (exit 2), and they are checked before any group runs
+    distance = verify._GROUPS["distance"]
+    monkeypatch.setitem(verify._GROUPS, "distance", lambda suite: distance(suite)[:-1])
+    code, out, err = run_cli(capsys, "verify", "--only", "prep,distance", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "shorter" in err
+    code, out, err = run_cli(capsys, "verify", "--only", "prep,nosuch", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == "error: unknown check groups: ['nosuch']\n"
 
 
 def test_verify_json_deterministic(capsys):

@@ -343,6 +343,26 @@ def test_validate_density_rejects_negative():
         linalg.validate_density(np.diag([1.5, -0.5]))
 
 
+def test_validate_density_hermiticity_tolerance_is_1e_12():
+    m = np.array([[0.5, 0.9e-12], [0.0, 0.5]])
+    assert linalg.validate_density(m) is not None
+    m[0, 1] = 1.1e-12
+    with pytest.raises(ValueError, match="not Hermitian"):
+        linalg.validate_density(m)
+
+
+def test_validate_density_trace_tolerance_is_1e_12():
+    assert linalg.validate_density(np.diag([0.5, 0.5 + 0.9e-12])) is not None
+    with pytest.raises(ValueError, match="trace"):
+        linalg.validate_density(np.diag([0.5, 0.5 + 1.1e-12]))
+
+
+def test_validate_density_psd_tolerance_is_1e_10():
+    assert linalg.validate_density(np.diag([1.0 + 0.9e-10, -0.9e-10])) is not None
+    with pytest.raises(ValueError, match="positive semidefinite"):
+        linalg.validate_density(np.diag([1.0 + 1.1e-10, -1.1e-10]))
+
+
 def test_validate_density_rejects_non_hermitian():
     m = np.array([[0.5, 0.5], [0.0, 0.5]])
     with pytest.raises(ValueError, match="Hermitian"):

@@ -190,3 +190,13 @@ def test_eigenvalue_phase_profile_dense_grid():
     assert abs(eigs[25] - bottom) < 1e-12  # phi = pi/2
     assert abs(eigs[75] - bottom) < 1e-12  # phi = 3*pi/2
     assert bottom < top - 1e-3
+
+
+@pytest.mark.parametrize(("depth", "inseparable"), [(0.9e-10, False), (1.1e-10, True)])
+def test_inseparability_tolerance_is_1e_10(depth, inseparable):
+    # a Werner state p |Phi+><Phi+| + (1 - p) I/4: its partial transpose has least eigenvalue (1 - 3p)/4 = -depth
+    p = (1.0 + 4.0 * depth) / 3.0
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+    verdict = ppt_verdict(p * np.outer(bell, bell) + (1.0 - p) * np.eye(4) / 4.0)
+    assert verdict.min_eigenvalue == pytest.approx(-depth, rel=1e-4)
+    assert (verdict.inseparable, verdict.indeterminate) == (inseparable, not inseparable)
