@@ -32,11 +32,8 @@ from .gates import (
 )
 from .linalg import (
     hermitian_eigenvalues,
-    hs_distance,
-    kron,
     partial_trace,
     partial_transpose,
-    reverse_basis,
     validate_density,
 )
 from .separability import PptReport, ppt_verdict
@@ -59,8 +56,6 @@ __all__ = [
     "evaluate_grid",
     "full_network",
     "hermitian_eigenvalues",
-    "hs_distance",
-    "kron",
     "parse_network",
     "partial_trace",
     "partial_transpose",
@@ -68,7 +63,6 @@ __all__ = [
     "preparation_amplitudes",
     "preparation_angles",
     "preparation_network",
-    "reverse_basis",
     "run_copier",
     "run_network",
     "solve_preparation_angles",

@@ -104,7 +104,7 @@ def _reduction_lines(label: str, reduced: np.ndarray) -> list[str]:
     """A reduced matrix in both basis orders (ascending, then descending).
 
     Each entry is formatted once: the descending block is the ascending
-    block's cells with rows and columns reversed, as ``linalg.reverse_basis``
+    block's cells with rows and columns reversed, as ``reduced[::-1, ::-1]``
     reindexes the matrix.
     """
     n = linalg.num_qubits_of(reduced)

@@ -167,7 +167,6 @@ def amplitudes_from_angles(angles: PreparationAngles) -> np.ndarray:
 # (see solve_preparation_angles): the even split then reproduces it within
 # half the gap, inside the 1e-10 residual contract.
 _DEGENERATE_GAP = 1e-11
-_TARGET_NORM_TOL = 1e-12  # the deviation of a target's sum of squares from 1 that the solver accepts
 
 _TWO_PI = 2.0 * math.pi
 
@@ -198,14 +197,13 @@ def _solve_angles(c) -> np.ndarray:
 
     Each row is solved as ``solve_preparation_angles`` (the one-target view)
     describes, by the same formulas for every target; a degenerate one only
-    has its smaller part zeroed.  Raises ValueError unless every target has
-    unit sum of squares.
+    has its smaller part zeroed.  Raises ValueError unless every target is
+    finite with unit sum of squares, within ``gates.NORM_TOL`` as for a state.
     """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[1] != 4:
         raise ValueError(f"expected a stack of four-amplitude targets, got shape {c.shape}")
-    if not (np.abs((c * c).sum(axis=1) - 1.0) <= _TARGET_NORM_TOL).all():
-        raise ValueError("target amplitudes must have unit sum of squares")
+    _check_normalized(c)
 
     m00, m01, m10, m11 = c.T
     # rotation part (ux, uy) = p e^{i(theta3 - theta1)}, reflection part (vx, vy) = q e^{i(theta3 + theta1)}
@@ -458,7 +456,7 @@ def _basis_outputs(variant: CopyVariant) -> np.ndarray:
 _PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # Each reduction's Pauli basis P_nu, keyed by its size d*d: sigma_nu, or sigma_a (x) sigma_b at nu = 4a + b with
 # a on the first-listed qubit.
-_PAULI_BASES = {4: _PAULI, 16: linalg.kron(_PAULI[:, None], _PAULI).reshape(16, 4, 4)}
+_PAULI_BASES = {4: _PAULI, 16: np.einsum("aij,bkl->abikjl", _PAULI, _PAULI).reshape(16, 4, 4)}
 _PAULI.flags.writeable = False
 _PAULI_BASES[16].flags.writeable = False
 

@@ -2,12 +2,11 @@
 
 Matrices are plain complex ndarrays indexed in ascending binary order with
 qubit 0 as the most significant bit, so a two-qubit basis reads
-|00>, |01>, |10>, |11>.  ``reverse_basis`` flips a matrix to the
-descending order (|11>, |10>, |01>, |00>) that some references prefer;
-eigenvalues and traces are unaffected by the choice.  Tensor products,
-eigenvalues, partial traces and transposes, Hilbert-Schmidt distances and
-density checks take stacks of matrices (leading batch axes), so a grid is
-handled in one call.
+|00>, |01>, |10>, |11>.  ``m[::-1, ::-1]`` is the descending order
+(|11>, |10>, |01>, |00>) that some references prefer; eigenvalues and
+traces are unaffected by the choice.  Partial traces and transposes,
+eigenvalues and density checks take stacks of matrices (leading batch
+axes), so a grid is handled in one call.
 """
 
 from __future__ import annotations
@@ -20,13 +19,10 @@ import numpy as np
 
 __all__ = [
     "MAX_DIM",
-    "kron",
     "partial_trace",
     "partial_transpose",
     "hermitian_eigenvalues",
-    "hs_distance",
     "validate_density",
-    "reverse_basis",
     "num_qubits_of",
 ]
 
@@ -76,22 +72,6 @@ def num_qubits_of(m: np.ndarray) -> int:
     if dim < 2 or dim > MAX_DIM or 2**n != dim:
         raise ValueError(f"unsupported dimension {dim}; expected 2, 4 or 8")
     return n
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor product; the left factor becomes the high-order subsystem.
-
-    Two stacks of matrices (equal leading axes) are multiplied matrix by matrix.
-    """
-    a = _stack(a)
-    b = _stack(b)
-    num_qubits_of(a)
-    num_qubits_of(b)
-    dim = a.shape[-1] * b.shape[-1]
-    if dim > MAX_DIM:
-        raise ValueError(f"tensor product dimension {dim} exceeds the supported maximum {MAX_DIM}")
-    out = np.einsum("...ij,...kl->...ikjl", a, b)
-    return out.reshape(out.shape[:-4] + (dim, dim))
 
 
 def _check_keep(keep, n: int) -> tuple[int, ...]:
@@ -190,22 +170,7 @@ def hermitian_eigenvalues(h) -> np.ndarray:
         within = deviation.max(axis=(-2, -1)) <= _EIG_HERMITICITY_TOL * np.maximum(1.0, scale)
         if not np.all(np.isfinite(scale) & within):
             raise ValueError(f"matrix is not Hermitian (max deviation {worst:.3e})")
-    return np.linalg.eigvalsh((h + hc) / 2.0)
-
-
-def hs_distance(rho1, rho2):
-    """Squared Hilbert-Schmidt norm of the difference, Tr[(rho1 - rho2)^2].
-
-    A float for two matrices; for two equally shaped stacks, an array of
-    one distance per matrix.
-    """
-    rho1 = _stack(rho1)
-    rho2 = _stack(rho2)
-    if rho1.shape != rho2.shape:
-        raise ValueError(f"dimension mismatch: {rho1.shape} vs {rho2.shape}")
-    delta = rho1 - rho2
-    distance = np.einsum("...ij,...ji->...", delta, delta).real
-    return float(distance) if rho1.ndim == 2 else distance
+    return np.linalg.eigvalsh(h / 2.0 + hc / 2.0)  # halves first, so a sum past the float range does not overflow
 
 
 def _check_density(rho) -> np.ndarray:
@@ -238,15 +203,3 @@ def validate_density(rho) -> np.ndarray:
     if low < -PSD_TOL:
         raise ValueError(f"density matrix is not positive semidefinite (min eigenvalue {low:.3e})")
     return rho
-
-
-def reverse_basis(m) -> np.ndarray:
-    """Reindex a square matrix between ascending and descending basis order.
-
-    For two qubits this swaps |00> <-> |11> and |01> <-> |10>.  The map is
-    its own inverse.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2:
-        raise ValueError(f"expected a matrix, got shape {m.shape}")
-    return m[::-1, ::-1].copy()

@@ -26,3 +26,17 @@ def random_hermitian(rng, dim):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20250101)
+
+
+def kron(a, b):
+    """Tensor product of two matrices or of two equally stacked stacks; the left factor is the high-order subsystem."""
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    out = np.einsum("...ij,...kl->...ikjl", a, b)
+    return out.reshape(out.shape[:-4] + (a.shape[-1] * b.shape[-1],) * 2)
+
+
+def hs_distance(rho1, rho2):
+    """Squared Hilbert-Schmidt norm of the difference, Tr[(rho1 - rho2)^2]: a float for two matrices, else an array."""
+    delta = np.asarray(rho1, dtype=complex) - np.asarray(rho2, dtype=complex)
+    distance = np.einsum("...ij,...ji->...", delta, delta).real
+    return float(distance) if delta.ndim == 2 else distance

@@ -61,7 +61,7 @@ def test_copy_human_output(capsys):
 
 
 def reference_reduction_lines(label: str, m: np.ndarray) -> list[str]:
-    """The two-pass form the renderer replaced: ``reverse_basis``, then every entry of both blocks formatted."""
+    """The two-pass form the renderer replaced: ``m[::-1, ::-1]``, then every entry of both blocks formatted."""
     n = linalg.num_qubits_of(m)
     kets = [f"|{i:0{n}b}>" for i in range(1 << n)]
 
@@ -72,7 +72,7 @@ def reference_reduction_lines(label: str, m: np.ndarray) -> list[str]:
         f"{label} reduction ({', '.join(kets)}):",
         *block(m),
         f"{label} reduction, reversed order ({', '.join(reversed(kets))}):",
-        *block(linalg.reverse_basis(m)),
+        *block(m[::-1, ::-1]),
     ]
 
 
@@ -162,17 +162,32 @@ def test_copy_takes_a_negative_beta_below_the_phase_cutoff_as_its_modulus(capsys
     assert "beta=9.49411e-16\n" in out
 
 
+def alpha_for_norm(norm: float) -> str:
+    """--alpha that, beside --beta 0.8, gives amplitudes of the given norm."""
+    return repr(math.sqrt(norm * norm - 0.64))
+
+
 def test_copy_renormalizes_with_warning(capsys):
     code, _, err = run_cli(
         capsys, "copy", "--alpha", "0.70710678", "--beta", "0.70710678", "--format", "json"
     )
     assert code == 0
     assert "renormalizing" in err
+    # silent up to _NORMALIZATION_WARN_TOL = 1e-12 on the norm, and renormalized with a warning up to
+    # _NORMALIZATION_ERROR_TOL = 1e-6: 10% inside and outside the first, 10% inside the second
+    for deviation, warns in ((0.9e-12, False), (1.1e-12, True), (0.9e-6, True)):
+        code, _, err = run_cli(capsys, "copy", "--alpha", alpha_for_norm(1.0 + deviation), "--beta", "0.8")
+        assert code == 0, deviation
+        assert ("renormalizing" in err) is warns, deviation
 
 
 def test_copy_rejects_unnormalizable(capsys):
     code, _, err = run_cli(capsys, "copy", "--alpha", "1", "--beta", "1")
     assert code == 2
+    assert "not normalizable" in err
+    # 10% outside _NORMALIZATION_ERROR_TOL = 1e-6
+    code, out, err = run_cli(capsys, "copy", "--alpha", alpha_for_norm(1.0 + 1.1e-6), "--beta", "0.8")
+    assert (code, out) == (2, "")
     assert "not normalizable" in err
 
 

@@ -164,13 +164,14 @@ def test_solver_random_targets(rng):
 
 
 def test_solver_rejects_unnormalized_target():
-    with pytest.raises(ValueError, match="unit"):
+    with pytest.raises(ValueError, match="not normalized"):
         solve_preparation_angles(np.array([1.0, 1.0, 0.0, 0.0]))
 
 
 def test_solver_unit_norm_tolerance_is_1e_12():
+    # the solver holds its targets to gates.NORM_TOL on the sum of squares, as it does a state
     assert solve_preparation_angles([math.sqrt(1.0 + 0.9e-12), 0.0, 0.0, 0.0]) == PreparationAngles(0.0, 0.0, 0.0)
-    with pytest.raises(ValueError, match="unit sum of squares"):
+    with pytest.raises(ValueError, match="not normalized"):
         solve_preparation_angles([math.sqrt(1.0 + 1.1e-12), 0.0, 0.0, 0.0])
 
 
@@ -217,9 +218,9 @@ def test_solver_degenerate_targets_split_evenly(target, expected):
 
 def test_solver_rejects_a_nan_target():
     # NaN once slipped past the unit-norm test into the factorization ("SVD did not converge")
-    with pytest.raises(ValueError, match="unit"):
+    with pytest.raises(ValueError, match="finite"):
         solve_preparation_angles([math.nan, 0.0, 0.0, 1.0])
-    with pytest.raises(ValueError, match="unit"):
+    with pytest.raises(ValueError, match="finite"):
         _solve_angles([[1.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 1.0]])
 
 
@@ -525,11 +526,21 @@ def test_scaling_decompose_returns_none_off_form():
     # and a matrix off the form by its trace alone: 2 rho has v = 2r, so s = 2, but q0 = 2
     s = _scaling(pauli(report.qubit_reductions["a2"], 2.0 * rho_id), pauli(rho_id, rho_id))
     assert np.isnan(s).all()
+    # SCALING_RESIDUAL_TOL = 1e-10 on the residual (q0 - 1)^2 / 2 of q = (q0, r): 10% inside fits, 10% outside does not
+    r = np.array([[1.0], [0.0], [0.0]])
+    q0 = 1.0 + np.sqrt(2.0 * np.array([0.9e-10, 1.1e-10]))
+    s = _scaling(np.concatenate([q0[None], np.repeat(r, 2, axis=1)]), np.concatenate([[[1.0]], r]))
+    assert s[0] == 1.0 and np.isnan(s[1])
 
 
 def test_scaling_decompose_rejects_impure_reference():
     with pytest.raises(ValueError, match="pure"):
         _scaling(pauli(np.eye(2) / 2.0), pauli(np.eye(2) / 2.0))
+    # _PURITY_TOL = 1e-10 on Tr rho^2 = (1 + |r|^2)/2: 10% inside passes, 10% outside raises
+    inside, outside = (np.array([[1.0], [math.sqrt(1.0 - 2.0 * gap)], [0.0], [0.0]]) for gap in (0.9e-10, 1.1e-10))
+    assert _scaling(inside, inside).shape == (1,)
+    with pytest.raises(ValueError, match="pure"):
+        _scaling(outside, outside)
 
 
 def test_fidelity_split_pure_and_mixed():

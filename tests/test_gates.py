@@ -205,6 +205,10 @@ def test_random_networks_preserve_norm(seed, num_qubits):
 def test_purestate_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         PureState(np.array([1.0, 1.0]))
+    # NORM_TOL = 1e-12 on the sum of squares: 10% inside passes, 10% outside raises
+    PureState(np.array([math.sqrt(1.0 + 0.9e-12), 0.0]))
+    with pytest.raises(ValueError, match="normalized"):
+        PureState(np.array([math.sqrt(1.0 + 1.1e-12), 0.0]))
 
 
 def test_purestate_rejects_bad_sizes():

@@ -13,6 +13,7 @@ from qcopynet.copier import (
     CopyVariant,
     InputQubit,
     _PAULI,
+    _PAULI_BASES,
     _transfer,
     evaluate_grid,
     full_network,
@@ -21,6 +22,8 @@ from qcopynet.copier import (
 from qcopynet.gates import PureState, run_network
 from qcopynet.report import GridSpec, SweepSpec, sweep_rows
 from qcopynet.separability import ppt_spectrum
+
+from conftest import hs_distance, kron
 
 # register qubits of each output pair, keyed as in CopyReport
 PAIR_QUBITS = {"a2a3": (1, 2), "a1a2": (0, 1), "a1a3": (0, 2)}
@@ -85,17 +88,17 @@ def reference_row(theta: float, phi: float, variant: CopyVariant) -> dict:
     ideal1 = np.outer(psi, psi.conj())
     ideal = [ideal1, np.kron(ideal1, ideal1), np.kron(np.kron(ideal1, ideal1), ideal1)]
     row = {
-        f"d1_{label}": linalg.hs_distance(linalg.partial_trace(rho, (q,)), ideal[0])
+        f"d1_{label}": hs_distance(linalg.partial_trace(rho, (q,)), ideal[0])
         for q, label in enumerate(QUBIT_LABELS)
     }
     pairs = {label: linalg.partial_trace(rho, qubits) for label, qubits in PAIR_QUBITS.items()}
-    row.update({f"d2_{label}": linalg.hs_distance(m, ideal[1]) for label, m in pairs.items()})
-    row["d3"] = linalg.hs_distance(rho, ideal[2]) if variant is CopyVariant.TRIPLICATOR else None
+    row.update({f"d2_{label}": hs_distance(m, ideal[1]) for label, m in pairs.items()})
+    row["d3"] = hs_distance(rho, ideal[2]) if variant is CopyVariant.TRIPLICATOR else None
     copy = linalg.partial_trace(rho, (1,))
     direction = ideal[0] - np.eye(2) / 2.0
     s = np.trace((copy - np.eye(2) / 2.0) @ direction).real / np.trace(direction @ direction).real
     fitted = s * ideal[0] + (1.0 - s) / 2.0 * np.eye(2)
-    row["s_a2"] = s if linalg.hs_distance(copy, fitted) <= 1e-10 else None
+    row["s_a2"] = s if hs_distance(copy, fitted) <= 1e-10 else None
     row["fid_a2"] = float((psi.conj() @ copy @ psi).real)
     row["E_a2a3"] = float(np.linalg.eigvalsh(linalg.partial_transpose(pairs["a2a3"]))[0])
     return row
@@ -147,14 +150,14 @@ def matrix_route(grid) -> dict:
         m = linalg.partial_trace(rho, (q,))
         s = np.einsum("nij,nji->n", m - half, direction).real / np.einsum("nij,nji->n", direction, direction).real
         fitted = s[:, None, None] * ideal1 + (1.0 - s)[:, None, None] * half
-        routes["d1", label] = linalg.hs_distance(m, ideal1)
-        routes["scaling", label] = np.where(linalg.hs_distance(m, fitted) <= SCALING_RESIDUAL_TOL, s, np.nan)
+        routes["d1", label] = hs_distance(m, ideal1)
+        routes["scaling", label] = np.where(hs_distance(m, fitted) <= SCALING_RESIDUAL_TOL, s, np.nan)
         routes["fidelity", label] = np.stack(
             [np.einsum("ni,nij,nj->n", v.conj(), m, v).real for v in (psi, perp)], axis=1
         )
-    ideal2 = linalg.kron(ideal1, ideal1)
+    ideal2 = kron(ideal1, ideal1)
     for label, keep in PAIR_QUBITS.items():
-        routes["d2", label] = linalg.hs_distance(linalg.partial_trace(rho, keep), ideal2)
+        routes["d2", label] = hs_distance(linalg.partial_trace(rho, keep), ideal2)
     return routes
 
 
@@ -210,6 +213,14 @@ def test_transfer_matrices_are_the_stated_tables(variant, rng):
     psi = np.stack([grid.alpha, grid.beta.astype(complex)], axis=1)
     rho = psi[:, :, None] * psi.conj()[:, None, :]
     assert np.max(np.abs(grid._pauli - np.einsum("nij,mji->mn", rho, _PAULI).real)) <= 1e-15
+
+
+def test_pair_pauli_basis_is_the_kron_of_each_pauli_pair():
+    # P_nu = sigma_a (x) sigma_b at nu = 4a + b, a on the first-listed qubit; np.kron signs some zeros otherwise
+    want = np.array([np.kron(a, b) for a in _PAULI for b in _PAULI])
+    assert np.array_equal(_PAULI_BASES[16], want)
+    assert np.array_equal(_PAULI_BASES[4], _PAULI)
+    assert not any(basis.flags.writeable for basis in _PAULI_BASES.values())
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

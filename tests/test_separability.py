@@ -7,14 +7,13 @@ from qcopynet import (
     CopyVariant,
     InputQubit,
     evaluate_grid,
-    kron,
     ppt_verdict,
     run_copier,
 )
 from qcopynet.separability import ppt_spectrum
 from qcopynet.verify import _negativity_bound
 
-from conftest import random_density
+from conftest import kron, random_density
 
 SQRT5 = math.sqrt(5.0)
 SQRT17 = math.sqrt(17.0)

@@ -181,13 +181,15 @@ def test_hermiticity_bound_scales_with_the_matrix(rng, eigensolver):
     large = q @ np.diag(spectrum) @ q.conj().T
     assert np.max(np.abs(large - large.conj().T)) > 1e-10
     assert np.max(np.abs(eigensolver(large) - spectrum)) < 1e-8
-    # in a stack, each matrix is held to its own scale, and one with max|H| <= 1 to exactly 1e-10
-    small = np.eye(4, dtype=complex) / 4.0
-    small[0, 1] = 0.5e-10
-    assert eigensolver(np.stack([large, small])).shape == (2, 4)
-    small[0, 1] = 2e-10
-    with pytest.raises(ValueError, match="not Hermitian"):
-        eigensolver(np.stack([large, small]))
+    # in a stack, each matrix is held to its own scale, 1e-10 * max(1, max|H|) (linalg._EIG_HERMITICITY_TOL):
+    # 10% inside passes and 10% outside raises, for max|H| <= 1 and for max|H| = 1e3
+    for top in (0.25, 1e3):
+        small = np.diag([top, 0.25, 0.25, 0.25]).astype(complex)
+        small[0, 1] = 0.9e-10 * max(1.0, top)
+        assert eigensolver(np.stack([large, small])).shape == (2, 4)
+        small[0, 1] = 1.1e-10 * max(1.0, top)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            eigensolver(np.stack([large, small]))
     skewed = large.copy()
     skewed[0, 1] += 1e-3  # max|H| <= ||H||_2 = 4e6, so the bound is at most 4e-4
     with pytest.raises(ValueError, match="not Hermitian"):
