@@ -72,8 +72,8 @@ def _parse_complex(text: str, what: str) -> complex:
 def _normalized(values: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise UsageError(f"{what} must be finite")
-    norm = linalg._scaled_norm(values, lambda v: float(np.linalg.norm(v)))
-    if abs(norm - 1.0) > _NORMALIZATION_ERROR_TOL:
+    norm = linalg._norm(values)
+    if not abs(norm - 1.0) <= _NORMALIZATION_ERROR_TOL:
         raise UsageError(f"{what} are not normalizable: norm {norm!r} deviates by more than 1e-6")
     if abs(norm - 1.0) > _NORMALIZATION_WARN_TOL:
         print(f"warning: renormalizing {what} (norm deviated by {abs(norm - 1.0):.3e})", file=sys.stderr)
@@ -241,15 +241,14 @@ def _state_from_spec(spec: str | None, needed_qubits: int) -> PureState:
         return PureState.computational(max(needed_qubits, 1), 0)
     spec = spec.strip()
     if set(spec) <= {"0", "1"} and spec:
-        n = len(spec)
-        if n > MAX_QUBITS:
+        if len(spec) > MAX_QUBITS:
             raise UsageError(f"at most {MAX_QUBITS} qubits are supported")
-        return PureState.computational(n, int(spec, 2))
-    parts = [p for p in spec.split(",")]
-    amps = np.array([_parse_complex(p, "amplitude") for p in parts], dtype=complex)
-    n = (amps.size - 1).bit_length()
-    if amps.size < 2 or 2**n != amps.size or n > MAX_QUBITS:
-        raise UsageError(f"amplitude count {amps.size} is not a power of two within 2..{1 << MAX_QUBITS}")
+        return PureState.computational(len(spec), int(spec, 2))
+    amps = np.array([_parse_complex(p, "amplitude") for p in spec.split(",")], dtype=complex)
+    try:
+        linalg.num_qubits_of(amps)
+    except ValueError:
+        raise UsageError(f"amplitude count {amps.size} is not a power of two within 2..{1 << MAX_QUBITS}") from None
     amps = _normalized(amps, "amplitudes")
     return PureState(amps)
 

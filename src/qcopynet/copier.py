@@ -93,7 +93,7 @@ class InputQubit:
         """
         alpha = complex(alpha)
         beta = complex(beta)
-        norm = linalg._scaled_norm(np.array([alpha, beta]), lambda v: math.sqrt(sum(abs(complex(z)) ** 2 for z in v)))
+        norm = linalg._norm(np.array([alpha, beta]))
         if not abs(norm - 1.0) <= _AMPLITUDE_NORM_TOL:
             raise ValueError(f"amplitudes are not normalized (norm {norm!r})")
         alpha /= norm

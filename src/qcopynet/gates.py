@@ -5,18 +5,19 @@ full matrices, so unitarity properties like the CNOT involution hold
 structurally.  A network is a tuple of gates, applied first to last, so
 networks join with ``+``.  Qubit 0 occupies the most significant bit of
 the basis index; states are immutable values and every operation returns
-a fresh state.
+a fresh state.  Register sizes and qubit indices follow ``linalg``'s rules.
 """
 
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 from math import cos, isfinite, sin
 from typing import Iterable, Union
 
 import numpy as np
+
+from .linalg import MAX_QUBITS, _qubit_index, num_qubits_of
 
 __all__ = [
     "MAX_QUBITS",
@@ -30,7 +31,6 @@ __all__ = [
     "NetworkParseError",
 ]
 
-MAX_QUBITS = 3
 NORM_TOL = 1e-12
 
 
@@ -81,16 +81,16 @@ class PureState:
 
     def __post_init__(self) -> None:
         amps = np.array(self.amplitudes, dtype=complex)
-        n = (amps.size - 1).bit_length()
-        if amps.ndim != 1 or amps.size < 2 or 2**n != amps.size or n > MAX_QUBITS:
-            raise ValueError(f"amplitude count {amps.size} does not describe 1..{MAX_QUBITS} qubits")
+        if amps.ndim != 1:
+            raise ValueError(f"expected one state's amplitudes, got shape {amps.shape}")
+        num_qubits_of(amps)
         _check_normalized(amps)
         amps.flags.writeable = False
         object.__setattr__(self, "amplitudes", amps)
 
     @property
     def num_qubits(self) -> int:
-        return (self.amplitudes.size - 1).bit_length()
+        return num_qubits_of(self.amplitudes)
 
     @classmethod
     def computational(cls, num_qubits: int, index: int = 0) -> "PureState":
@@ -119,19 +119,6 @@ def max_qubit(gates: Iterable[Gate]) -> int:
     return max(qubits, default=-1)
 
 
-def _check_index(num_qubits: int, qubit, role: str) -> int:
-    """``qubit`` as the int index of a register qubit; ValueError for a bool, a non-integer or one out of range."""
-    try:
-        if isinstance(qubit, (bool, np.bool_)):
-            raise TypeError
-        index = operator.index(qubit)
-    except TypeError:
-        raise ValueError(f"{role} qubit must be an integer, got {qubit!r}") from None
-    if not 0 <= index < num_qubits:
-        raise ValueError(f"{role} qubit {index} out of range for a {num_qubits}-qubit state")
-    return index
-
-
 @functools.cache
 def _index_pair(num_qubits: int, target: int, control: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Read-only basis indices a gate moves amplitudes between, built once per register size and qubits.
@@ -155,10 +142,10 @@ def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
     """Fresh amplitudes after one gate, for one state or a stack (shape (..., 2**num_qubits)).
 
     A rotation angle may be an array with one angle per state of the stack.
-    Qubit indices must be integers and not bools (``_check_index``): they key the index cache.
+    Qubit indices must be integers and not bools (``linalg._qubit_index``): they key the index cache.
     """
     if isinstance(gate, Rotation):
-        lo, hi = _index_pair(num_qubits, _check_index(num_qubits, gate.target, "target"))
+        lo, hi = _index_pair(num_qubits, _qubit_index(num_qubits, gate.target, "target"))
         if np.ndim(gate.theta):
             theta = np.asarray(gate.theta)[..., None]
             c, s = np.cos(theta), np.sin(theta)
@@ -169,8 +156,8 @@ def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
         out[..., hi] = s * amps[..., lo] + c * amps[..., hi]
         return out
     if isinstance(gate, CNOT):
-        control = _check_index(num_qubits, gate.control, "control")
-        src, dst = _index_pair(num_qubits, _check_index(num_qubits, gate.target, "target"), control)
+        control = _qubit_index(num_qubits, gate.control, "control")
+        src, dst = _index_pair(num_qubits, _qubit_index(num_qubits, gate.target, "target"), control)
         out = amps.copy()
         out[..., dst] = amps[..., src]
         return out

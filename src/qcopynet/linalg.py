@@ -6,7 +6,8 @@ qubit 0 as the most significant bit, so a two-qubit basis reads
 (|11>, |10>, |01>, |00>) that some references prefer; eigenvalues and
 traces are unaffected by the choice.  Partial traces and transposes,
 eigenvalues and density checks take stacks of matrices (leading batch
-axes), so a grid is handled in one call.
+axes), so a grid is handled in one call.  The register contract is stated
+here once: ``num_qubits_of``, ``_qubit_index`` and the amplitude norm ``_norm``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import operator
 import numpy as np
 
 __all__ = [
-    "MAX_DIM",
     "partial_trace",
     "partial_transpose",
     "hermitian_eigenvalues",
@@ -26,7 +26,7 @@ __all__ = [
     "num_qubits_of",
 ]
 
-MAX_DIM = 8
+MAX_QUBITS = 3
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -37,21 +37,19 @@ _EIG_HERMITICITY_TOL = 1e-10
 _UNDERFLOW_NORM = math.sqrt(np.finfo(float).tiny)
 
 
-def _scaled_norm(values: np.ndarray, norm) -> float:
-    """``norm(values)``; where its squares overflow or underflow, ``norm`` of values scaled by their largest part.
+def _norm(values: np.ndarray) -> float:
+    """``np.linalg.norm`` of amplitudes; where its squares overflow or underflow, that of their parts over the largest.
 
-    Finite results of at least sqrt(tiny) are kept as they are, so ordinary
-    inputs keep every bit of ``norm``'s own formula.
+    Finite results of at least sqrt(tiny) keep every bit.  The real and imaginary
+    parts are divided apart: a complex division by a subnormal scale gives NaN.
     """
-    try:
-        with np.errstate(over="ignore"):
-            result = norm(values)
-    except OverflowError:  # Python's float ** raises where numpy returns inf
-        result = math.inf
+    with np.errstate(over="ignore"):
+        result = float(np.linalg.norm(values))
     if math.isinf(result) or result < _UNDERFLOW_NORM:
-        scale = float(np.max(np.abs(np.concatenate([values.real, values.imag]))))
+        parts = np.concatenate([values.real, values.imag])
+        scale = float(np.max(np.abs(parts)))
         if 0.0 < scale < math.inf:
-            result = scale * norm(values / scale)
+            result = scale * float(np.linalg.norm(parts / scale))
     return result
 
 
@@ -64,34 +62,42 @@ def _stack(m) -> np.ndarray:
 
 
 def num_qubits_of(m: np.ndarray) -> int:
-    """Number of qubits of amplitudes or a square matrix (or a stack); rejects dims outside {2, 4, 8}."""
+    """Qubits of amplitudes or a square matrix (or a stack): the one size rule, 1 to MAX_QUBITS qubits."""
     if np.ndim(m) == 0:
         raise ValueError("expected amplitudes, a matrix or a stack of them, got a scalar")
     dim = m.shape[-1]
     n = (dim - 1).bit_length()
-    if dim < 2 or dim > MAX_DIM or 2**n != dim:
+    if dim < 2 or n > MAX_QUBITS or 1 << n != dim:
         raise ValueError(f"unsupported dimension {dim}; expected 2, 4 or 8")
     return n
 
 
-def _check_keep(keep, n: int) -> tuple[int, ...]:
-    """``keep`` as a tuple of distinct integer qubit indices of an n-qubit register; ValueError otherwise.
+def _qubit_index(num_qubits: int, qubit, role: str) -> int:
+    """``qubit`` as the int index of a register qubit; ValueError for a bool, a non-integer or one out of range.
 
     A bool is not a qubit index, Python's or numpy's.
     """
     try:
-        indices = tuple(keep)
-        if any(isinstance(q, (bool, np.bool_)) for q in indices):
+        if isinstance(qubit, (bool, np.bool_)):
             raise TypeError
-        keep = tuple(map(operator.index, indices))
+        index = operator.index(qubit)
     except TypeError:
+        raise ValueError(f"{role} qubit must be an integer, got {qubit!r}") from None
+    if not 0 <= index < num_qubits:
+        raise ValueError(f"{role} qubit {index} out of range for a {num_qubits}-qubit state")
+    return index
+
+
+def _check_keep(keep, n: int) -> tuple[int, ...]:
+    """``keep`` as a tuple of distinct ``_qubit_index``-checked indices of an n-qubit register; ValueError otherwise."""
+    try:
+        keep = tuple(_qubit_index(n, q, "kept") for q in keep)
+    except TypeError:  # not iterable; _qubit_index raises only ValueError
         raise ValueError(f"keep must hold integer qubit indices, got {keep!r}") from None
     if not keep:
         raise ValueError("keep must name at least one qubit")
     if len(set(keep)) != len(keep):
         raise ValueError(f"keep contains duplicate qubit indices: {keep}")
-    if any(q < 0 or q >= n for q in keep):
-        raise ValueError(f"keep {keep} out of range for a {n}-qubit matrix")
     return keep
 
 
@@ -134,18 +140,12 @@ def partial_transpose(rho, subsystem: int = 1) -> np.ndarray:
     analysis looks for.  Applying the same transposition twice restores the
     input entry for entry.  A stack of matrices (shape (..., 4, 4)) is
     transposed matrix by matrix.  ``subsystem`` must be the integer 0 or 1:
-    a bool or a float raises ValueError, as it does in ``partial_trace``'s ``keep``.
+    a bool or a float raises ValueError (``_qubit_index``), as in ``partial_trace``'s ``keep``.
     """
     rho = _stack(rho)
     if rho.shape[-1] != 4:
         raise ValueError("partial transpose is defined here for two-qubit matrices")
-    try:
-        valid = not isinstance(subsystem, (bool, np.bool_)) and operator.index(subsystem) in (0, 1)
-    except TypeError:
-        valid = False
-    if not valid:
-        raise ValueError("subsystem must be 0 or 1")
-    swapped = "cbad" if subsystem == 0 else "adcb"
+    swapped = "cbad" if _qubit_index(2, subsystem, "transposed") == 0 else "adcb"
     return np.einsum(f"...abcd->...{swapped}", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))).reshape(rho.shape)
 
 
@@ -164,7 +164,7 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     hc = h.swapaxes(-1, -2).conj()
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the flat bound; the scale then raises
         deviation = np.abs(h - hc)
-    worst = float(deviation.max())
+    worst = float(deviation.max(initial=0.0))
     if not worst <= _EIG_HERMITICITY_TOL:  # only a stack past the flat bound pays for the per-matrix scales
         scale = np.abs(h).max(axis=(-2, -1))
         within = deviation.max(axis=(-2, -1)) <= _EIG_HERMITICITY_TOL * np.maximum(1.0, scale)
@@ -179,14 +179,13 @@ def _check_density(rho) -> np.ndarray:
     num_qubits_of(rho)
     if not np.isfinite(rho).all():  # a complex entry is finite when both its parts are
         raise ValueError("density matrix has non-finite entries")
-    dev = float(np.abs(rho - rho.swapaxes(-1, -2).conj()).max())
+    dev = float(np.abs(rho - rho.swapaxes(-1, -2).conj()).max(initial=0.0))
     if dev > HERMITICITY_TOL:
         raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
     traces = rho.trace(axis1=-2, axis2=-1).reshape(-1)
-    worst = int(np.abs(traces - 1.0).argmax())
-    tr = complex(traces[worst])
-    if abs(tr - 1.0) > TRACE_TOL:
-        raise ValueError(f"density matrix trace {tr} is not 1")
+    deviations = np.abs(traces - 1.0)
+    if deviations.max(initial=0.0) > TRACE_TOL:
+        raise ValueError(f"density matrix trace {complex(traces[deviations.argmax()])} is not 1")
     return rho
 
 
@@ -199,7 +198,7 @@ def validate_density(rho) -> np.ndarray:
     passes only if every matrix does; the error names the worst one.
     """
     rho = _check_density(rho)
-    low = float(np.min(hermitian_eigenvalues(rho)[..., 0]))
+    low = float(np.min(hermitian_eigenvalues(rho)[..., 0], initial=np.inf))
     if low < -PSD_TOL:
         raise ValueError(f"density matrix is not positive semidefinite (min eigenvalue {low:.3e})")
     return rho

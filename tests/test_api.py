@@ -22,7 +22,7 @@ PUBLIC = {
         "NetworkParseError",
     ],
     "qcopynet.linalg": [
-        "MAX_DIM", "partial_trace", "partial_transpose", "hermitian_eigenvalues", "validate_density", "num_qubits_of",
+        "partial_trace", "partial_transpose", "hermitian_eigenvalues", "validate_density", "num_qubits_of",
     ],
     "qcopynet.report": [
         "CSV_COLUMNS", "METRICS", "MAX_GRID_POINTS", "SCHEMA_VERSION", "GridSpec", "SweepSpec", "sweep_rows",

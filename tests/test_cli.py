@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qcopynet
 from qcopynet import CopyVariant, InputQubit, cli, copier, linalg, run_copier, verify
@@ -28,11 +31,13 @@ def run_cli(capsys, *argv):
 # Amplitudes whose squares overflow or underflow, and zero, with the norm the
 # error line must report for two of them; each case is asserted inside the one
 # test per command, so the test ids stay those of the overflow-only tests.
+# 1e-320 is itself subnormal: dividing complex amplitudes by it gave NaN and a traceback.
 EXTREME_AMPLITUDES = (
     ("1e200", "1.414213562373095e+200"),
     ("1e-200", "1.414213562373095e-200"),
     ("1e-160", "1.4142135623730952e-160"),
     ("0", "0.0"),
+    ("1e-320", "1.414e-320"),
 )
 
 
@@ -708,6 +713,80 @@ def test_angles_command_rejects_huge_target_with_one_error_line(capsys):
     for value, norm in EXTREME_AMPLITUDES:
         result = run_cli(capsys, "angles", "--", value, value, "0", "0")
         assert result == (2, "", not_normalizable("target amplitudes", norm)), value
+
+
+# ------------------------------------------------------- drawn amplitudes
+# Every command that reads typed amplitudes, on drawn parts: NaN, +-inf, +-0, subnormals, 1e+-300 and any float.
+
+SPECIAL_PARTS = (
+    math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e-320, -1e-320, 2.2250738585072014e-308, 1e-300, -1e-300, 1e300,
+    -1e300, 1.0, -1.0, 0.6, 0.8, 0.7071067811865476, 0.5,
+)
+PARTS = st.one_of(st.sampled_from(SPECIAL_PARTS), st.floats())
+AMPLITUDE_TEXT = st.one_of(PARTS.map(repr), st.builds(complex, PARTS, PARTS).map(repr))
+FORMATS = st.sampled_from(["human", "json"])
+
+
+@st.composite
+def unit_amplitudes(draw, count: int, real: bool = False) -> list[str]:
+    """``count`` amplitudes of unit 2-norm times 1 + a slack that crosses the warning and error bounds, as text."""
+    width = count if real else 2 * count
+    parts = draw(st.lists(st.floats(-1.0, 1.0), min_size=width, max_size=width))
+    slack = draw(st.sampled_from([0.0, 1e-13, 1e-9, 1e-7, 1e-5]))
+    scale = (1.0 + slack) / (math.sqrt(sum(p * p for p in parts)) or 1.0)
+    parts = [p * scale for p in parts]
+    return [repr(p) for p in parts] if real else [repr(complex(re, im)) for re, im in zip(parts[::2], parts[1::2])]
+
+
+def amplitude_lists(count: int):
+    return st.one_of(st.lists(AMPLITUDE_TEXT, min_size=count, max_size=count), unit_amplitudes(count))
+
+
+AMPLITUDE_COMMANDS = st.one_of(
+    st.tuples(st.just("copy"), amplitude_lists(2), FORMATS),
+    st.tuples(st.just("network"), st.sampled_from([2, 4, 8]).flatmap(amplitude_lists), st.just("human")),
+    st.tuples(
+        st.just("angles"), st.one_of(st.lists(PARTS.map(repr), min_size=4, max_size=4), unit_amplitudes(4, real=True)),
+        FORMATS,
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def rotation_file(tmp_path_factory):
+    # one rotation on qubit 0 runs on a register of any size
+    path = tmp_path_factory.mktemp("drawn") / "rotation.txt"
+    path.write_text("R 0 0.5\n")
+    return path
+
+
+def amplitude_argv(command, net_file) -> list[str]:
+    kind, values, fmt = command
+    if kind == "copy":
+        return ["copy", f"--alpha={values[0]}", f"--beta={values[1]}", "--format", fmt]
+    if kind == "network":
+        return ["network", str(net_file), f"--state={','.join(values)}"]
+    return ["angles", "--format", fmt, "--", *values]
+
+
+@given(command=AMPLITUDE_COMMANDS)
+@example(command=("copy", ["1e-320", "0"], "human"))
+@example(command=("copy", ["1e-320", "1e-320"], "json"))
+@example(command=("network", ["1e-320", "0"], "human"))
+@example(command=("network", ["1e-320", "0", "0", "0"], "human"))
+@example(command=("angles", ["1e-320", "1e-320", "0", "0"], "human"))
+@settings(derandomize=True, deadline=None, max_examples=80)
+def test_drawn_amplitudes_exit_0_or_2_with_the_promised_streams(rotation_file, command):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(amplitude_argv(command, rotation_file))
+    lines = err.getvalue().splitlines()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    else:
+        assert code == 0
+        assert len(lines) <= 1 and all(line.startswith("warning: renormalizing ") for line in lines), lines
 
 
 # ------------------------------------------------------------- module runs

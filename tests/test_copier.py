@@ -98,13 +98,15 @@ def test_input_qubit_from_amplitudes_rejects_unnormalized():
         InputQubit.from_amplitudes(1.0, 1.0)
 
 
-@pytest.mark.parametrize("part", [1e200, 1e-200, 1e-160, 0.0])
+@pytest.mark.parametrize("part", [1e200, 1e-200, 1e-160, 0.0, 1e-320])
 def test_input_qubit_from_amplitudes_names_the_true_norm_at_extreme_amplitudes(part):
-    # the squares of these parts overflow (1e200) or underflow (1e-200, 1e-160 to a subnormal)
+    # the squares of these parts overflow (1e200) or underflow (1e-200, 1e-160 to a subnormal); 1e-320 is itself
+    # subnormal, so its norm is exact only to the subnormal grid, and it used to read NaN
     with pytest.raises(ValueError, match="normalized") as excinfo:
         InputQubit.from_amplitudes(part, part)
     norm = float(re.search(r"norm (\S+)\)", str(excinfo.value)).group(1))
-    assert norm == pytest.approx(math.sqrt(2.0) * part, rel=1e-15, abs=0.0)
+    grid = np.finfo(float).smallest_subnormal if part < np.finfo(float).tiny else 0.0
+    assert norm == pytest.approx(math.sqrt(2.0) * part, rel=1e-15, abs=grid)
     if part == 1e200:
         assert "norm 1.414213562373095e+200" in str(excinfo.value)
 

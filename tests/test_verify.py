@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcopynet import copier, linalg, verify
+from qcopynet import copier, linalg, separability, verify
 from qcopynet.copier import CopyGrid
 from qcopynet.gates import CNOT
 from qcopynet.report import render_json
@@ -159,7 +159,13 @@ def test_oracle_rejects_inputs_outside_its_contract(h, message):
 
 
 def test_oracle_accepts_an_empty_stack():
-    assert eigenvalues_by_bisection(np.zeros((0, 4, 4))).shape == (0, 4)
+    # and so do the LAPACK route and the density checks, which raised NumPy's
+    # "zero-size array to reduction operation maximum"
+    empty = np.zeros((0, 4, 4))
+    assert eigenvalues_by_bisection(empty).shape == (0, 4)
+    assert linalg.hermitian_eigenvalues(empty).shape == (0, 4)
+    assert linalg.validate_density(empty).shape == (0, 4, 4)
+    assert separability.ppt_spectrum(empty).shape == (0, 4)
 
 
 def test_oracle_hermiticity_tolerance_is_1e_10():
