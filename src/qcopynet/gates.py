@@ -17,7 +17,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .linalg import MAX_QUBITS, _qubit_index, num_qubits_of
+from .linalg import MAX_QUBITS, _integer, _qubit_index, num_qubits_of
 
 __all__ = [
     "MAX_QUBITS",
@@ -94,7 +94,8 @@ class PureState:
 
     @classmethod
     def computational(cls, num_qubits: int, index: int = 0) -> "PureState":
-        """Basis state |index> on the given number of qubits."""
+        """Basis state |index> on the given number of qubits; a bool or a non-integer argument raises ValueError."""
+        num_qubits, index = _integer(num_qubits, "num_qubits"), _integer(index, "basis index")
         if not 1 <= num_qubits <= MAX_QUBITS:
             raise ValueError(f"num_qubits must be 1..{MAX_QUBITS}")
         dim = 1 << num_qubits

@@ -72,17 +72,19 @@ def num_qubits_of(m: np.ndarray) -> int:
     return n
 
 
-def _qubit_index(num_qubits: int, qubit, role: str) -> int:
-    """``qubit`` as the int index of a register qubit; ValueError for a bool, a non-integer or one out of range.
-
-    A bool is not a qubit index, Python's or numpy's.
-    """
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ValueError naming ``what`` for a bool, Python's or numpy's, or a non-integer."""
     try:
-        if isinstance(qubit, (bool, np.bool_)):
+        if isinstance(value, (bool, np.bool_)):
             raise TypeError
-        index = operator.index(qubit)
+        return operator.index(value)
     except TypeError:
-        raise ValueError(f"{role} qubit must be an integer, got {qubit!r}") from None
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _qubit_index(num_qubits: int, qubit, role: str) -> int:
+    """``qubit`` as the int index of a register qubit; ValueError for a bool, a non-integer or one out of range."""
+    index = _integer(qubit, f"{role} qubit")
     if not 0 <= index < num_qubits:
         raise ValueError(f"{role} qubit {index} out of range for a {num_qubits}-qubit state")
     return index

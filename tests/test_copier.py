@@ -105,7 +105,7 @@ def test_input_qubit_from_amplitudes_names_the_true_norm_at_extreme_amplitudes(p
     with pytest.raises(ValueError, match="normalized") as excinfo:
         InputQubit.from_amplitudes(part, part)
     norm = float(re.search(r"norm (\S+)\)", str(excinfo.value)).group(1))
-    grid = np.finfo(float).smallest_subnormal if part < np.finfo(float).tiny else 0.0
+    grid = np.finfo(float).smallest_subnormal if 0.0 < part < np.finfo(float).tiny else 0.0
     assert norm == pytest.approx(math.sqrt(2.0) * part, rel=1e-15, abs=grid)
     if part == 1e200:
         assert "norm 1.414213562373095e+200" in str(excinfo.value)

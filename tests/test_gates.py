@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -212,10 +213,32 @@ def test_purestate_rejects_unnormalized():
 
 
 def test_purestate_rejects_bad_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unsupported dimension"):
         PureState(np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unsupported dimension"):
         PureState(np.zeros(16, dtype=complex))
+    with pytest.raises(ValueError, match="^expected one state"):
+        PureState(np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        ((1.5,), "num_qubits must be an integer, got 1.5"),
+        ((True,), "num_qubits must be an integer, got True"),
+        ((2, 1.0), "basis index must be an integer, got 1.0"),
+        ((2, np.True_), "basis index must be an integer, got "),
+        ((2, 4), "basis index 4 out of range for 2 qubits"),
+        ((4,), "num_qubits must be 1..3"),
+    ],
+)
+def test_computational_rejects_a_bool_or_non_integer_argument(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        PureState.computational(*args)
+
+
+def test_computational_takes_numpy_integers():
+    assert PureState.computational(np.int64(2), np.int64(3)).amplitudes.tolist() == [0, 0, 0, 1]
 
 
 def test_purestate_amplitudes_read_only():
