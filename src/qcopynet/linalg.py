@@ -160,19 +160,22 @@ def hermitian_eigenvalues(h) -> np.ndarray:
     max|H|): rounding grows with the entries, so a large matrix that is
     Hermitian up to rounding passes, and a NaN deviation fails.  The
     spectrum is that of the Hermitian part, taken with LAPACK
-    (``np.linalg.eigvalsh``).
+    (``np.linalg.eigvalsh``); ``h`` itself is never written.
     """
     h = _stack(h)
     hc = h.swapaxes(-1, -2).conj()
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the flat bound; the scale then raises
-        deviation = np.abs(h - hc)
+        deviation = np.abs(work := h - hc)
     worst = float(deviation.max(initial=0.0))
     if not worst <= _EIG_HERMITICITY_TOL:  # only a stack past the flat bound pays for the per-matrix scales
         scale = np.abs(h).max(axis=(-2, -1))
         within = deviation.max(axis=(-2, -1)) <= _EIG_HERMITICITY_TOL * np.maximum(1.0, scale)
         if not np.all(np.isfinite(scale) & within):
             raise ValueError(f"matrix is not Hermitian (max deviation {worst:.3e})")
-    return np.linalg.eigvalsh(h / 2.0 + hc / 2.0)  # halves first, so a sum past the float range does not overflow
+    # the Hermitian part h / 2 + hc / 2, halves first so that no sum overflows, in work and hc, never in h
+    np.divide(h, 2.0, out=work)
+    hc /= 2.0
+    return np.linalg.eigvalsh(np.add(work, hc, out=work))
 
 
 def _check_density(rho) -> np.ndarray:
@@ -181,7 +184,8 @@ def _check_density(rho) -> np.ndarray:
     num_qubits_of(rho)
     if not np.isfinite(rho).all():  # a complex entry is finite when both its parts are
         raise ValueError("density matrix has non-finite entries")
-    dev = float(np.abs(rho - rho.swapaxes(-1, -2).conj()).max(initial=0.0))
+    hc = rho.swapaxes(-1, -2).conj()
+    dev = float(np.abs(np.subtract(rho, hc, out=hc)).max(initial=0.0))
     if dev > HERMITICITY_TOL:
         raise ValueError(f"density matrix is not Hermitian (max deviation {dev:.3e})")
     traces = rho.trace(axis1=-2, axis2=-1).reshape(-1)

@@ -6,9 +6,9 @@ and round-trip to the same doubles.  A sweep's rows are one typed table, a
 float64 field per numeric column, and both formats write it by column into
 one ``%`` template per row, with the variant and blank columns written into
 the template once.  The table is read only as a sweep document's ``rows``,
-beside a ``meta`` that names the variant.  JSON writes any other dict field
-by field, a list item by item, and a complex scalar or array with one ``%``
-over a template cached per shape and indent.
+beside a ``meta`` that names the variant.  JSON appends its pieces to one
+list, joined once: any other dict field by field, a list item by item, and
+a complex value by one ``%`` over a template cached per shape and indent.
 """
 
 from __future__ import annotations
@@ -221,25 +221,22 @@ def render_csv(document: dict) -> str:
     if not _is_table(document.get("rows")):
         raise TypeError("a sweep document's rows must be the typed table of sweep_rows")
     specs, cells = _table_columns(document, "", str)
-    return "\n".join([",".join(CSV_COLUMNS), *map(",".join(specs).__mod__, zip(*cells))]) + "\n"
+    return "".join([f"{','.join(CSV_COLUMNS)}\n", *map(f"{','.join(specs)}\n".__mod__, zip(*cells))])
 
 
-def _json_objects(keys, specs, cells, indent: int) -> list[str]:
-    """JSON objects with one key sequence, one per row of ``cells``, each field written by its ``%`` conversion."""
-    pad = "  " * indent
-    fields = ",\n".join(f"{pad}  {encode_basestring_ascii(k).replace('%', '%%')}: {c}" for k, c in zip(keys, specs))
-    return list(map(f"{{\n{fields}\n{pad}}}".__mod__, zip(*cells)))
-
-
-def _json_list(items, indent: int) -> str:
-    pad = "  " * indent
-    return "[\n" + ",\n".join(f"{pad}  {item}" for item in items) + "\n" + pad + "]"
-
-
-def _table_json(document: dict, indent: int) -> str:
-    """A sweep document's typed table as a JSON list of objects keyed by the CSV columns, null for a blank."""
+def _write_table(document: dict, indent: int, out: list) -> None:
+    """Append a sweep's typed table as a JSON list of objects keyed by the CSV columns, one ``%`` template a row."""
     specs, cells = _table_columns(document, "null", encode_basestring_ascii)
-    return _json_list(_json_objects(CSV_COLUMNS, specs, cells, indent + 1), indent)
+    pad = "  " * (indent + 1)
+    keys = (encode_basestring_ascii(column).replace("%", "%%") for column in CSV_COLUMNS)
+    fields = ",\n".join(f"{pad}  {k}: {c}" for k, c in zip(keys, specs))
+    row, rows = f"{pad}{{\n{fields}\n{pad}}}", zip(*cells)
+    if (first := next(rows, None)) is None:  # no records, or no CSV column among the fields: no cells, as in the CSV
+        out.append("[]")
+        return
+    out.append(f"[\n{row}" % first)
+    out.extend(map(f",\n{row}".__mod__, rows))
+    out.append(f"\n{pad[2:]}]")
 
 
 @functools.lru_cache(maxsize=64)
@@ -258,39 +255,45 @@ def _complex_template(shape: tuple[int, ...], indent: int) -> str:
     return f'{{\n{pad}  "re": {part},\n{pad}  "im": {part}\n{pad}}}'
 
 
-def _json_value(value, indent: int) -> str:
-    """JSON text of one value: a dict field by field, a list item by item, a complex value by its cached template."""
+def _write_json(value, indent: int, out: list) -> None:
+    """Append a value's JSON text to ``out``: a dict field by field, a list item by item, complex by its template."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, float):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, float):
         if not math.isfinite(value):
             _check_finite([value])
-        return "%.17g" % value
-    if value is None:
-        return "null"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
+        out.append("%.17g" % value)
+    elif isinstance(value, dict) and value:
+        pad, slots = "  " * indent, []
+        for key, item in value.items():
+            out.append(",\n" if slots else "{\n")
+            slots.append(len(out) - 1)
+            if key == "rows" and _is_table(item):  # a sweep's typed table, read with the meta beside it
+                _write_table(value, indent + 1, out)
+            else:
+                _write_json(item, indent + 1, out)
+        for slot, key in zip(slots, value):  # keys only after every value, so a value's error comes first
+            out[slot] += f"{pad}  {encode_basestring_ascii(key)}: "
+        out.append(f"\n{pad}}}")
+    elif isinstance(value, (list, tuple)) and value:
         pad = "  " * indent
-        # every value before any key, as lists do; a typed table at "rows" is a sweep's, read with the meta beside it
-        texts = [
-            _table_json(value, indent + 1) if key == "rows" and _is_table(item) else _json_value(item, indent + 1)
-            for key, item in value.items()
-        ]
-        fields = (f"{pad}  {encode_basestring_ascii(k)}: {text}" for k, text in zip(value, texts))
-        return "{\n" + ",\n".join(fields) + "\n" + pad + "}"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return _json_list([_json_value(item, indent + 1) for item in value], indent) if value else "[]"
-    if isinstance(value, (complex, np.complexfloating, np.ndarray)) and np.iscomplexobj(value):
+        for number, item in enumerate(value):
+            out.append(f"{',' if number else '['}\n{pad}  ")
+            _write_json(item, indent + 1, out)
+        out.append(f"\n{pad}]")
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(str(value))
+    elif isinstance(value, (dict, list, tuple)):
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, (complex, np.complexfloating, np.ndarray)) and np.iscomplexobj(value):
         z = np.asarray(value)
         parts = z.real.ravel().tolist() + z.imag.ravel().tolist()
         _check_finite(parts)
-        return _complex_template(z.shape, indent) % tuple(parts)
-    raise TypeError(_TABLE_CONTRACT if _is_table(value) else f"cannot serialize {type(value).__name__}")
+        out.append(_complex_template(z.shape, indent) % tuple(parts))
+    else:
+        raise TypeError(_TABLE_CONTRACT if _is_table(value) else f"cannot serialize {type(value).__name__}")
 
 
 def render_json(document: dict) -> str:
@@ -298,4 +301,6 @@ def render_json(document: dict) -> str:
 
     A complex scalar or array becomes ``{"re": ..., "im": ...}``; a real array is rejected.
     """
-    return _json_value(document, 0) + "\n"
+    out = []
+    _write_json(document, 0, out)
+    return "".join([*out, "\n"])

@@ -1152,6 +1152,25 @@ def test_render_json_names_the_first_non_finite_value_as_the_reference_does(doc)
     assert str(raised.value) == str(expected.value) == "non-finite value nan in report"
 
 
+@pytest.mark.parametrize(
+    "doc, error, message",
+    [
+        ({1: math.nan}, ValueError, "non-finite value nan in report"),
+        ({5: object()}, TypeError, "cannot serialize object"),
+        ({"list": [{1: math.nan}]}, ValueError, "non-finite value nan in report"),
+        ({"list": [0.5, {5: object()}]}, TypeError, "cannot serialize object"),
+        # a dict's keys are encoded when its own values are done, before the values after it
+        ({"inner": {5: 1.0}, "after": math.nan}, TypeError, "first argument must be a string, not int"),
+    ],
+    ids=["nan-under-int-key", "object-under-int-key", "in-a-list", "in-a-list-after-a-float", "inner-key-first"],
+)
+def test_render_json_raises_a_values_error_before_its_keys(doc, error, message):
+    # the reference encodes each key before its value, so it is not the model here
+    with pytest.raises(error) as raised:
+        render_json(doc)
+    assert str(raised.value) == message
+
+
 def test_an_all_float_column_under_a_key_with_percent_and_newline_matches_the_reference():
     records = [{"50%\nof %s": 1.0 / (i + 3), "%%": -2.0**-i, "%d\t": "%s text"} for i in range(6)]
     doc = {"rows": records, "100%": {"%s": 0.1, "a\nb": [0.5, 1e-300, -3.0]}}
@@ -1207,6 +1226,17 @@ def test_a_table_cell_edit_changes_its_row_and_nothing_else(column):
     assert json_after.count("\n") == json_before.count("\n")
     assert sum(a != b for a, b in zip(json_before.split("\n"), json_after.split("\n"))) == 1
     assert render_csv(doc) == reference_csv(doc) and render_json(doc) == reference_render_json(doc)
+
+
+def test_a_table_with_no_records_renders_as_the_reference():
+    # a filtered table: the CSV header alone, and an empty JSON list as for any other empty list
+    doc = sweep_document(SMALL_SWEEP, sweep_rows(SMALL_SWEEP)[:0])
+    assert render_csv(doc) == reference_csv(doc) == ",".join(CSV_COLUMNS) + "\n"
+    assert render_json(doc) == reference_render_json(doc)
+    assert json.loads(render_json(doc))["rows"] == []
+    # a table none of whose fields is a CSV column has no cells either
+    doc = {"meta": {"variant": "duplicator"}, "rows": np.zeros(2, dtype=[("other", float)])}
+    assert render_csv(doc) == ",".join(CSV_COLUMNS) + "\n" and json.loads(render_json(doc))["rows"] == []
 
 
 def test_an_s_a2_nan_is_blank_and_null_an_infinity_raises_and_a_negative_zero_keeps_its_sign():

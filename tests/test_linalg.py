@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcopynet import linalg
+from qcopynet.separability import _pair_spectra, ppt_spectrum
 from qcopynet.verify import eigenvalues_by_bisection
 
 from conftest import hs_distance, kron, random_density, random_hermitian
@@ -287,10 +288,31 @@ def test_eigenvalues_reject_a_nan_matrix():
 def test_eigenvalues_of_a_matrix_near_the_float_limit():
     # the Hermitian part was taken as (H + H^H)/2, whose sum overflowed here to a NaN spectrum
     h = np.array([[1e308, 1e300 + 1e292j], [1e300, 1.5e308]])
+    h.flags.writeable = False
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         eigs = linalg.hermitian_eigenvalues(h)
     assert eigs.tolist() == [1e308, 1.5e308]
+
+
+def test_eigenvalues_are_those_of_the_halves_first_hermitian_part_bit_for_bit(rng):
+    # a deviation of 1e-13 is within the bound, and makes H differ from its Hermitian part
+    h = np.array([random_hermitian(rng, 4) for _ in range(50)])
+    h += 1e-13 * (rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape))
+    want = np.linalg.eigvalsh(h / 2.0 + h.swapaxes(-1, -2).conj() / 2.0)
+    assert linalg.hermitian_eigenvalues(h).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("route", [linalg.hermitian_eigenvalues, linalg.validate_density, ppt_spectrum, _pair_spectra])
+@pytest.mark.parametrize("writeable", [True, False], ids=["writeable", "read-only"])
+def test_eigen_and_density_routes_never_write_to_the_callers_stack(route, writeable, rng):
+    # each route forms its Hermiticity deviation and Hermitian part in buffers of its own
+    stack = np.array([random_density(rng, 2) for _ in range(50)])
+    stack[0] += 1e-13j * rng.normal(size=(4, 4))  # Hermitian within 1e-12, but not bit for bit
+    before = stack.copy()
+    stack.flags.writeable = writeable
+    route(stack)
+    assert stack.tobytes() == before.tobytes()
 
 
 def test_eigenvalues_reject_an_infinite_entry():
