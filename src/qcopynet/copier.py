@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg, separability
-from .gates import CNOT, Gate, PureState, Rotation, _check_normalized, run_network
+from .gates import CNOT, Gate, PureState, Rotation, _check_normalized, _run, run_network
 
 __all__ = [
     "CopyVariant",
@@ -145,22 +145,11 @@ def preparation_angles(variant: CopyVariant) -> PreparationAngles:
     return PreparationAngles(math.pi / 8.0, sign * _THETA2_MAGNITUDE, math.pi / 8.0)
 
 
-def _amplitudes_from_angles(angles: np.ndarray) -> np.ndarray:
-    """Amplitudes produced on |00> by the preparation stage: (3,) angles give (4,), (N, 3) give (N, 4)."""
-    (c1, c2, c3), (s1, s2, s3) = np.cos(angles).T, np.sin(angles).T
-    return np.array(
-        [
-            c1 * c2 * c3 + s1 * s2 * s3,
-            -c1 * s2 * s3 + s1 * c2 * c3,
-            c1 * c2 * s3 - s1 * s2 * c3,
-            c1 * s2 * c3 + s1 * c2 * s3,
-        ]
-    ).T
-
-
 def amplitudes_from_angles(angles: PreparationAngles) -> np.ndarray:
-    """Amplitudes produced on |00> by the preparation stage with the given angles."""
-    return _amplitudes_from_angles(angles.as_array())
+    """The preparation network run on a real |00> by ``gates._run``: float angles give (4,), length-N arrays (N, 4)."""
+    start = np.zeros(np.shape(angles.theta1) + (4,))
+    start[..., 0] = 1.0
+    return _run(start, 2, preparation_network(angles))
 
 
 # Singular-value gap 2 min(p, q) below which a target counts as degenerate

@@ -165,15 +165,19 @@ def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
     raise TypeError(f"unknown gate type {type(gate).__name__}")
 
 
-def run_network(state: PureState, net: Iterable[Gate]) -> PureState:
-    """Left-fold the gates over the state, in listed order; the result is validated once."""
-    amps, n = state.amplitudes, state.num_qubits
+def _run(amps: np.ndarray, num_qubits: int, net: Iterable[Gate]) -> np.ndarray:
+    """Left-fold the gates over one state or a stack, in listed order; a gate's ValueError names its position."""
     for pos, gate in enumerate(net):
         try:
-            amps = _apply_gate(amps, n, gate)
+            amps = _apply_gate(amps, num_qubits, gate)
         except ValueError as exc:
             raise ValueError(f"gate {pos + 1} ({gate!r}): {exc}") from None
-    return PureState(amps)
+    return amps
+
+
+def run_network(state: PureState, net: Iterable[Gate]) -> PureState:
+    """The gates folded over the state by ``_run``; the result is validated once."""
+    return PureState(_run(state.amplitudes, state.num_qubits, net))
 
 
 def parse_network(text: str) -> tuple[Gate, ...]:

@@ -17,20 +17,22 @@ as observed text).  The tolerance, pinned or overridden, is applied there too.
 A new law is one table row plus its error in the group function.
 
 Checks run on stacks.  The angle solver takes all of its targets in one
-call, and the three shared copier grids compute each metric when a check
-first reads it.  The randomized property checks draw each random quantity
-once, as a stack: 100 states, 100 angles, the densities and the Hermitian
-matrices.  Every gate law runs on every drawn state, for all six CNOT
-wirings and a rotation of each qubit, and the partial-transpose and
-eigenvalue checks take stacks of matrices.  The eigenvalue cross-check
-deliberately avoids the production eigensolver: it finds every eigenvalue
-by inertia bisection (``eigenvalues_by_bisection``), so the two routes
-share no code.  The oracle is LAPACK ``dstebz``'s bisection in 64 halvings,
-run on buffers allocated once per call; its output is bit for bit that of
-the plain per-step loop, which the tests keep as a reference.  It raises
-its own ValueError for a 0x0 matrix, a non-finite entry, or a matrix that
-is not Hermitian within ``_ORACLE_HERMITICITY_TOL`` (1e-10) times
-max(1, max|H|).
+call, and the stage's one forward map, ``amplitudes_from_angles``, maps
+the solved angles back in one fold of the gate kernel (``gates._run``), as
+it does for ``prep`` and the CLI's ``angles``.  The three shared copier
+grids compute each metric when a check first reads it.  The randomized
+property checks draw each random quantity once, as a stack: 100 states,
+100 angles, the densities and the Hermitian matrices.  Every gate law runs
+on every drawn state in that fold, for all six CNOT wirings and a rotation
+of each qubit, and the partial-transpose and eigenvalue checks take stacks
+of matrices.  The eigenvalue cross-check deliberately avoids the production
+eigensolver: it finds every eigenvalue by inertia bisection
+(``eigenvalues_by_bisection``), so the two routes share no code.  The
+oracle is LAPACK ``dstebz``'s bisection in 64 halvings, run on buffers
+allocated once per call; its output is bit for bit that of the plain
+per-step loop, which the tests keep as a reference.  It raises its own
+ValueError for a 0x0 matrix, a non-finite entry, or a matrix that is not
+Hermitian within ``_ORACLE_HERMITICITY_TOL`` (1e-10) times max(1, max|H|).
 
 The expected reduced matrices come from each machine's transfer table in the
 Pauli basis, stated once, and one builder, ``_stated_reductions``, that applies
@@ -58,15 +60,15 @@ from .copier import (
     QUBIT_LABELS,
     CopyGrid,
     CopyVariant,
-    _amplitudes_from_angles,
+    PreparationAngles,
     _basis_outputs,
     _solve_angles,
+    amplitudes_from_angles,
     evaluate_grid,
     preparation_amplitudes,
     preparation_angles,
-    preparation_network,
 )
-from .gates import CNOT, PureState, Rotation, _apply_gate, _check_normalized, run_network
+from .gates import CNOT, Rotation, _check_normalized, _run
 from .report import _document_meta
 from .separability import INSEPARABILITY_TOL, ppt_spectrum
 
@@ -229,8 +231,7 @@ def _flag(holds: bool, observed: str) -> tuple[float, str]:
 
 
 def _prep_error(variant: CopyVariant) -> float:
-    state = run_network(PureState.computational(2, 0), preparation_network(preparation_angles(variant)))
-    return _max_dev(state.amplitudes, preparation_amplitudes(variant))
+    return _max_dev(amplitudes_from_angles(preparation_angles(variant)), preparation_amplitudes(variant))
 
 
 def _scaling_error(s: np.ndarray) -> float | tuple[float, str]:
@@ -386,7 +387,7 @@ def _angles_results(suite: _Suite) -> list:
     random /= np.linalg.norm(random, axis=1, keepdims=True)
     targets = np.concatenate([[preparation_amplitudes(variant) for variant in variants], random])
     solved = _solve_angles(targets)
-    residuals = np.max(np.abs(_amplitudes_from_angles(solved) - targets), axis=1)
+    residuals = np.max(np.abs(amplitudes_from_angles(PreparationAngles(*solved.T)) - targets), axis=1)
 
     results = []
     for variant, angles, residual in zip(variants, solved, residuals.tolist()):
@@ -439,7 +440,7 @@ def _property_results(suite: _Suite) -> list:
     thetas = math.pi * angles
 
     def run(*gates):
-        return functools.reduce(lambda amps, gate: _apply_gate(amps, 3, gate), gates, states)
+        return _run(states, 3, gates)
 
     cnots = [CNOT(c, t) for c in range(3) for t in range(3) if c != t]
     turns = [(Rotation(q, thetas), Rotation(q, -thetas)) for q in range(3)]

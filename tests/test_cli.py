@@ -680,6 +680,20 @@ def test_angles_command_solves_target_a_local_search_missed(capsys):
     assert float(out.rsplit("max residual: ", 1)[1]) <= 1e-10
 
 
+def test_angles_output(capsys):
+    # README's two commands in human text, and the target a local search missed in JSON, pinned byte for byte
+    readme = ["0.8164965809277261", "0.4082482904638631", "0.4082482904638631", "0"]
+    cases = [
+        ("angles-readme.txt", *readme),
+        ("angles-readme-negative.txt", "--", *ANGLES_SEARCH_FAILURE),
+        ("angles-search-failure.json", "--format", "json", "--", *ANGLES_SEARCH_FAILURE),
+    ]
+    for expected, *argv in cases:
+        code, out, err = run_cli(capsys, "angles", *argv)
+        assert (code, err) == (0, "")
+        assert out == (EXPECTED / expected).read_text(), expected
+
+
 ANGLES_TARGETS = [
     ["0.8164965809277261", "0.4082482904638631", "0.4082482904638631", "0"],
     ANGLES_SEARCH_FAILURE,

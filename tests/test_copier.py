@@ -23,7 +23,6 @@ from qcopynet.copier import (
     PAIR_LABELS,
     _DEGENERATE_GAP,
     _PAULI,
-    _amplitudes_from_angles,
     _fidelity,
     _scaling,
     _solve_angles,
@@ -337,14 +336,32 @@ def test_stacked_solver_matches_the_scalar_reference(name):
         assert np.max(np.abs(solved - expected)) <= 1e-14
     else:
         # near degeneracy the reference is the less accurate one; the drift test above holds accuracy
-        assert np.max(np.abs(_amplitudes_from_angles(solved) - targets)) <= 1e-15
+        assert np.max(np.abs(amplitudes_from_angles(PreparationAngles(*solved.T)) - targets)) <= 1e-15
+
+
+def product_formula(cos, sin) -> np.ndarray:
+    """The stage's image of |00> expanded by hand, a frozen reference: (3,) or (3, N) cosines and sines."""
+    (c1, c2, c3), (s1, s2, s3) = cos, sin
+    return np.array(
+        [
+            c1 * c2 * c3 + s1 * s2 * s3,
+            -c1 * s2 * s3 + s1 * c2 * c3,
+            c1 * c2 * s3 - s1 * s2 * c3,
+            c1 * s2 * c3 + s1 * c2 * s3,
+        ]
+    ).T
 
 
 def test_stacked_amplitudes_match_the_one_point_view():
-    angles = np.random.default_rng(3).uniform(-math.pi, math.pi, size=(200, 3))
-    stacked = _amplitudes_from_angles(angles)
-    assert stacked.shape == (200, 4)
-    assert np.array_equal(stacked, [amplitudes_from_angles(PreparationAngles(*row)) for row in angles.tolist()])
+    # the network's fold takes np.cos/np.sin for an angle stack and math.cos/math.sin for one angle
+    angles = np.random.default_rng(3).uniform(-2.0 * math.pi, 2.0 * math.pi, size=(10_000, 3))
+    stacked = amplitudes_from_angles(PreparationAngles(*angles.T))
+    assert stacked.shape == (10_000, 4)
+    assert stacked.tobytes() == product_formula(np.cos(angles).T, np.sin(angles).T).tobytes()
+    for row in angles[:200].tolist():
+        one = amplitudes_from_angles(PreparationAngles(*row))
+        assert one.shape == (4,)
+        assert one.tobytes() == product_formula([math.cos(t) for t in row], [math.sin(t) for t in row]).tobytes()
 
 
 # ---------------------------------------------------------------- networks

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcopynet import copier, linalg, separability, verify
+from qcopynet import copier, gates, linalg, separability, verify
 from qcopynet.copier import CopyGrid
 from qcopynet.gates import CNOT
 from qcopynet.report import render_json
@@ -275,14 +275,14 @@ def test_verify_never_imports_numpy_random():
 
 def test_commutation_checks_every_cnot_orientation(monkeypatch):
     # a CNOT(1, 0) that also applies Z to qubit 2 is still an involution, but fails to commute with R on qubit 2
-    apply_gate = verify._apply_gate
+    apply_gate = gates._apply_gate  # the binding gates._run folds
     z2 = np.array([1, -1, 1, -1, 1, -1, 1, -1])
 
     def signed_cnot(amps, num_qubits, gate):
         out = apply_gate(amps, num_qubits, gate)
         return out * z2 if gate == CNOT(1, 0) else out
 
-    monkeypatch.setattr(verify, "_apply_gate", signed_cnot)
+    monkeypatch.setattr(gates, "_apply_gate", signed_cnot)
     checks = {c.check_id: c for c in verify.run_verification(["properties"])}
     assert checks["properties.gate-involution"].passed
     assert not checks["properties.gate-commutation"].passed
@@ -366,6 +366,27 @@ def test_conjugated_input_coordinates_fail_exactly_the_complex_matrix_laws(monke
     monkeypatch.setattr(CopyGrid, "_pauli", property(lambda grid: pauli(grid) * flip))
     failed = [c.check_id for c in verify.run_verification() if not c.passed]
     assert failed == ["original.transpose-law", "trip-complex.single-matrix"]
+
+
+def test_a_preparation_network_with_theta1_and_theta3_swapped_fails_only_the_random_targets(monkeypatch):
+    # both machines have theta1 = theta3 = pi/8, so only the solved, general angle triples run through the network
+    # see the swap; every qcopynet binding of the network is patched, and the machines' cached forms are rebuilt
+    original = copier.preparation_network
+
+    def swapped(angles, qubits=(0, 1)):
+        return original(copier.PreparationAngles(angles.theta3, angles.theta2, angles.theta1), qubits)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qcopynet" and getattr(module, "preparation_network", None) is original:
+            monkeypatch.setattr(module, "preparation_network", swapped)
+    copier._basis_outputs.cache_clear()
+    copier._transfer.cache_clear()
+    try:
+        failed = {c.check_id for c in verify.run_verification() if not c.passed}
+    finally:
+        copier._basis_outputs.cache_clear()
+        copier._transfer.cache_clear()
+    assert failed == {"angles.random-targets"}
 
 
 # sigma_y^T = -sigma_y, so a column of R with an odd number of sigma_y factors changes sign when the image transposes
