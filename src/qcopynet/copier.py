@@ -4,17 +4,17 @@ Both machines share one three-qubit circuit: a five-gate preparation stage
 acting on the two blank qubits (a2, a3), followed by four CNOTs that spread
 the original qubit (a1) over all three.  The two variants differ only in the
 sign of the middle preparation angle, so each is one row of a private table;
-a value that is not a CopyVariant member raises ValueError.  ``evaluate_grid`` runs the circuit
-once per variant on the two basis inputs |000> and |100>, then forms the
-outputs of whole (theta, phi) grids as arrays.  Each machine is held only as
-one real Pauli transfer matrix per output label.  The CopyGrid it returns
-reads each input only through its Pauli coordinates, but for d3.  It computes
-the distances, scaling fits and fidelity splits in closed form from them and
-each label's transfer matrix, and builds a reduced state, the label's
-coordinates over its Pauli basis, only for a caller that reads one, as the
-a2a3 partial-transpose spectrum does.  Each field is computed on first read.
-``run_copier`` is its one-point case and returns a CopyReport; sweeps and the
-verify grids read the same kernel.
+a value that is not a CopyVariant member raises ValueError.  ``evaluate_grid``
+runs the circuit once per variant, one fold over the stacked basis inputs
+|000> and |100>, then forms the outputs of whole (theta, phi) grids as arrays.
+Each machine is held only as one real Pauli transfer matrix per output label.
+The CopyGrid it returns reads each input only through its Pauli coordinates,
+but for d3.  It computes the distances, scaling fits and fidelity splits in
+closed form from them and each label's transfer matrix, and builds a reduced
+state, the label's coordinates over its Pauli basis, only for a caller that
+reads one, as the a2a3 partial-transpose spectrum does.  Each field is computed
+on first read.  ``run_copier`` is its one-point case and returns a CopyReport;
+sweeps and the verify grids read the same kernel.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg, separability
-from .gates import CNOT, Gate, PureState, Rotation, _check_normalized, _run, run_network
+from .gates import CNOT, Gate, PureState, Rotation, _check_normalized, _run
 
 __all__ = [
     "CopyVariant",
@@ -146,10 +146,10 @@ def preparation_angles(variant: CopyVariant) -> PreparationAngles:
 
 
 def amplitudes_from_angles(angles: PreparationAngles) -> np.ndarray:
-    """The preparation network run on a real |00> by ``gates._run``: float angles give (4,), length-N arrays (N, 4)."""
-    start = np.zeros(np.shape(angles.theta1) + (4,))
+    """The preparation network on a real |00> by ``gates._run``, batched as the angles broadcast: (4,) or (N, 4)."""
+    start = np.zeros(np.broadcast(angles.theta1, angles.theta2, angles.theta3).shape + (4,))
     start[..., 0] = 1.0
-    return _run(start, 2, preparation_network(angles))
+    return _run(start, preparation_network(angles))
 
 
 # Singular-value gap 2 min(p, q) below which a target counts as degenerate
@@ -431,13 +431,12 @@ class CopyGrid:
 
 @functools.cache
 def _basis_outputs(variant: CopyVariant) -> np.ndarray:
-    """Read-only (2, 8) rows U|000> and U|100> of the variant's network U.
+    """Read-only (2, 8) rows U|000> and U|100> of the variant's network U, one fold over the two basis states.
 
-    The blanks start in |00> and the input enters only through a1, so by
-    linearity every output is alpha * U|000> + beta * U|100>.
+    The blanks start in |00> and the input enters only via a1: by linearity every output is alpha U|000> + beta U|100>.
     """
-    net = full_network(variant)
-    rows = np.array([run_network(PureState.computational(3, index), net).amplitudes for index in (0b000, 0b100)])
+    rows = _run(np.eye(8, dtype=complex)[[0b000, 0b100]], full_network(variant))
+    _check_normalized(rows)
     rows.flags.writeable = False
     return rows
 

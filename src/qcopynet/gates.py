@@ -165,8 +165,9 @@ def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
     raise TypeError(f"unknown gate type {type(gate).__name__}")
 
 
-def _run(amps: np.ndarray, num_qubits: int, net: Iterable[Gate]) -> np.ndarray:
-    """Left-fold the gates over one state or a stack, in listed order; a gate's ValueError names its position."""
+def _run(amps: np.ndarray, net: Iterable[Gate]) -> np.ndarray:
+    """Left-fold the gates over one state or a stack, sized by its last axis; a gate's ValueError names its position."""
+    num_qubits = num_qubits_of(amps)
     for pos, gate in enumerate(net):
         try:
             amps = _apply_gate(amps, num_qubits, gate)
@@ -177,7 +178,7 @@ def _run(amps: np.ndarray, num_qubits: int, net: Iterable[Gate]) -> np.ndarray:
 
 def run_network(state: PureState, net: Iterable[Gate]) -> PureState:
     """The gates folded over the state by ``_run``; the result is validated once."""
-    return PureState(_run(state.amplitudes, state.num_qubits, net))
+    return PureState(_run(state.amplitudes, net))
 
 
 def parse_network(text: str) -> tuple[Gate, ...]:

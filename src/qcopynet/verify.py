@@ -440,7 +440,7 @@ def _property_results(suite: _Suite) -> list:
     thetas = math.pi * angles
 
     def run(*gates):
-        return _run(states, 3, gates)
+        return _run(states, gates)
 
     cnots = [CNOT(c, t) for c in range(3) for t in range(3) if c != t]
     turns = [(Rotation(q, thetas), Rotation(q, -thetas)) for q in range(3)]

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from qcopynet import (
     CopyVariant,
@@ -269,16 +270,16 @@ def rotation(t):
     return np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
 
 
-def gap_targets(gap: float, count: int = 20) -> np.ndarray:
-    """Targets R(a) diag(s0, +-s1) R(b)^T whose singular values differ by about ``gap``."""
-    rng = np.random.default_rng(7)
+def gap_target(gap: float, a: float, b: float, reflection: bool) -> np.ndarray:
+    """R(a) diag(s0, +-s1) R(b)^T, singular values about ``gap`` apart: near a rotation (+s1) or a reflection (-s1)."""
     s0, s1 = math.sqrt(0.5) + gap / 2.0, math.sqrt(0.5) - gap / 2.0
-    targets = []
-    for k in range(count):
-        a, b = rng.uniform(-math.pi, math.pi, size=2)
-        m = rotation(a) @ np.diag([s0, s1 if k % 2 else -s1]) @ rotation(b).T
-        targets.append(m.reshape(4))
-    return np.array(targets)
+    return (rotation(a) @ np.diag([s0, -s1 if reflection else s1]) @ rotation(b).T).reshape(4)
+
+
+def gap_targets(gap: float, count: int = 20) -> np.ndarray:
+    """Targets whose singular values differ by about ``gap``, alternately near a reflection and a rotation."""
+    rng = np.random.default_rng(7)
+    return np.array([gap_target(gap, *rng.uniform(-math.pi, math.pi, size=2), k % 2 == 0) for k in range(count)])
 
 
 def near_rotation_targets() -> np.ndarray:
@@ -362,6 +363,56 @@ def test_stacked_amplitudes_match_the_one_point_view():
         one = amplitudes_from_angles(PreparationAngles(*row))
         assert one.shape == (4,)
         assert one.tobytes() == product_formula([math.cos(t) for t in row], [math.sin(t) for t in row]).tobytes()
+
+
+@pytest.mark.parametrize("field", range(3))
+def test_forward_map_batches_as_its_three_angles_broadcast(field):
+    # an array in any one angle field, floats in the other two: once a shape error at gate 3
+    floats, column = [0.1, -0.7, 0.4], [0.3, 2.9]
+
+    def forward_map(value):
+        return amplitudes_from_angles(PreparationAngles(*(value if i == field else f for i, f in enumerate(floats))))
+
+    got = forward_map(np.array(column))
+    assert got.shape == (2, 4)
+    for row, t in zip(got, column):
+        assert row.tobytes() == forward_map(t).tobytes()
+
+
+@pytest.mark.parametrize("angles", [(np.zeros(2), np.zeros(3), 0.4), (np.zeros(3), 0.1, np.zeros(2))])
+def test_forward_map_rejects_angle_lengths_that_do_not_broadcast(angles):
+    with pytest.raises(ValueError):
+        amplitudes_from_angles(PreparationAngles(*angles))
+
+
+def unit(c) -> np.ndarray:
+    return np.asarray(c) / math.hypot(*c)
+
+
+UNIT_TARGETS = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4).filter(lambda c: math.hypot(*c) > 1e-3).map(unit)
+# near a rotation or a reflection, singular values 10^-k apart: the degenerate gap 1e-11 lies inside k = 6..16
+NEAR_DEGENERATE_TARGETS = st.builds(
+    lambda k, a, b, reflection: unit(gap_target(10.0**-k, a, b, reflection)),
+    st.integers(6, 16), st.floats(-math.pi, math.pi), st.floats(-math.pi, math.pi), st.booleans(),
+)
+
+
+@given(st.lists(st.one_of(UNIT_TARGETS, NEAR_DEGENERATE_TARGETS), min_size=1, max_size=8))
+# inside the degenerate band: the even split drops a reflection part of 3.5e-12, more than a flat 1e-12 allows
+@example([np.array([1.0, 1e-16, 1e-11, 1.0]) / math.sqrt(2.0)])
+@settings(derandomize=True, deadline=None)
+def test_solved_angles_round_trip_through_the_forward_map(targets):
+    c = np.array(targets)
+    solved = _solve_angles(c)
+    assert np.all((-math.pi < solved) & (solved <= math.pi))
+    stacked = amplitudes_from_angles(PreparationAngles(*solved.T))
+    for row, angles in zip(stacked, solved.tolist()):
+        assert row.tobytes() == amplitudes_from_angles(PreparationAngles(*angles)).tobytes()
+    # the parts the solver splits M into (see solve_preparation_angles); inside the band it drops the smaller one
+    m00, m01, m10, m11 = c.T
+    smaller = np.minimum(np.hypot(m00 + m11, m10 - m01), np.hypot(m00 - m11, m01 + m10)) / 2.0
+    bound = np.where(2.0 * smaller > _DEGENERATE_GAP, 0.0, smaller) + 1e-12
+    assert np.all(np.max(np.abs(stacked - c), axis=1) <= bound)
 
 
 # ---------------------------------------------------------------- networks
