@@ -181,41 +181,12 @@ def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.array([math.atan2(a, b) for a, b in zip(y.tolist(), x.tolist())])
 
 
-def _solve_angles(c) -> np.ndarray:
-    """Closed-form preparation angles (N, 3) for a stack of targets (N, 4).
-
-    Each row is solved as ``solve_preparation_angles`` (the one-target view)
-    describes, by the same formulas for every target; a degenerate one only
-    has its smaller part zeroed.  Raises ValueError unless every target is
-    finite with unit sum of squares, within ``gates.NORM_TOL`` as for a state.
-    """
-    c = np.asarray(c, dtype=float)
-    if c.ndim != 2 or c.shape[1] != 4:
-        raise ValueError(f"expected a stack of four-amplitude targets, got shape {c.shape}")
-    _check_normalized(c)
-
-    m00, m01, m10, m11 = c.T
-    # rotation part (ux, uy) = p e^{i(theta3 - theta1)}, reflection part (vx, vy) = q e^{i(theta3 + theta1)}
-    ux, uy, vx, vy = (m00 + m11) / 2.0, (m10 - m01) / 2.0, (m00 - m11) / 2.0, (m01 + m10) / 2.0
-    p, q, a, b = np.hypot(ux, uy), np.hypot(vx, vy), _atan2(uy, ux), _atan2(vy, vx)
-    # within the gap the smaller part and its free angle are 0, which splits the other's angle evenly
-    tied = 2.0 * np.minimum(p, q) <= _DEGENERATE_GAP
-    reflection = tied & (p < q)
-    p, a = np.where(reflection, 0.0, [p, a])
-    q, b = np.where(tied & ~reflection, 0.0, [q, b])
-    theta1, theta2, theta3 = (b - a) / 2.0, _atan2(p - q, p + q), (a + b) / 2.0
-    half = math.pi / 2.0
-    # the solution and its singular-value swap, each under the four sign flips
-    solutions = np.array([(theta1, theta2, theta3), (theta1 + half, half - theta2, theta3 + half)])
-    candidates = (solutions.transpose(2, 0, 1)[:, :, None, :] + _SIGN_FLIPS).reshape(-1, 8, 3)
-    wrapped = _wrap_angles(candidates).tolist()
-    return np.array([min(members, key=lambda t: (math.hypot(*t), t)) for members in wrapped]).reshape(-1, 3)
-
-
 def solve_preparation_angles(c) -> PreparationAngles:
-    """Closed-form rotation angles whose preparation-stage image is ``c``.
+    """Closed-form rotation angles whose preparation-stage image is ``c``, batched as ``amplitudes_from_angles``.
 
-    The amplitudes, read as the 2x2 matrix ``M = c.reshape(2, 2)``, factor
+    One target (4,) gives three floats, a stack (N, 4) three (N,) arrays
+    and (0, 4) three empty ones, every target by the same formulas.  Read
+    as the 2x2 matrix ``M = c.reshape(2, 2)``, a target's amplitudes factor
     exactly as ``R(theta3) diag(cos theta2, sin theta2) R(theta1)^T`` with
     ``R(t) = [[cos t, -sin t], [sin t, cos t]]``.  Writing the diagonal
     factor as p I + q Z, with p = (cos theta2 + sin theta2)/2 and
@@ -242,13 +213,32 @@ def solve_preparation_angles(c) -> PreparationAngles:
     theta1 and theta3, where the norm is smallest, so
     ``[1, 0, 0, 1]/sqrt(2)`` gives (0, pi/4, 0).
 
-    Raises ValueError unless ``c`` holds four amplitudes with unit sum of
-    squares.
+    Raises ValueError for any other shape, and unless every target is
+    finite with unit sum of squares, within ``gates.NORM_TOL`` as for a state.
     """
     c = np.asarray(c, dtype=float)
-    if c.shape != (4,):
-        raise ValueError("expected four target amplitudes")
-    return PreparationAngles(*_solve_angles(c[None])[0].tolist())
+    if c.ndim not in (1, 2) or c.shape[-1] != 4:
+        raise ValueError(f"expected four target amplitudes or a stack of them, got shape {c.shape}")
+    _check_normalized(c)
+
+    m00, m01, m10, m11 = c.reshape(-1, 4).T
+    # rotation part (ux, uy) = p e^{i(theta3 - theta1)}, reflection part (vx, vy) = q e^{i(theta3 + theta1)}
+    ux, uy, vx, vy = (m00 + m11) / 2.0, (m10 - m01) / 2.0, (m00 - m11) / 2.0, (m01 + m10) / 2.0
+    p, q, a, b = np.hypot(ux, uy), np.hypot(vx, vy), _atan2(uy, ux), _atan2(vy, vx)
+    # within the gap the smaller part and its free angle are 0, which splits the other's angle evenly
+    tied = 2.0 * np.minimum(p, q) <= _DEGENERATE_GAP
+    reflection = tied & (p < q)
+    p, a = np.where(reflection, 0.0, [p, a])
+    q, b = np.where(tied & ~reflection, 0.0, [q, b])
+    theta1, theta2, theta3 = (b - a) / 2.0, _atan2(p - q, p + q), (a + b) / 2.0
+    half = math.pi / 2.0
+    # the solution and its singular-value swap, each under the four sign flips
+    solutions = np.array([(theta1, theta2, theta3), (theta1 + half, half - theta2, theta3 + half)])
+    candidates = (solutions.transpose(2, 0, 1)[:, :, None, :] + _SIGN_FLIPS).reshape(-1, 8, 3)
+    wrapped = _wrap_angles(candidates).tolist()
+    # shaped (-1, 3), so that an empty stack still gives three fields
+    picked = np.array([min(members, key=lambda t: (math.hypot(*t), t)) for members in wrapped]).reshape(-1, 3)
+    return PreparationAngles(*(picked[0].tolist() if c.ndim == 1 else picked.T))
 
 
 def preparation_network(angles: PreparationAngles, qubits: tuple[int, int] = (0, 1)) -> tuple[Gate, ...]:

@@ -68,6 +68,8 @@ def _check_normalized(amps: np.ndarray) -> None:
     if not np.isfinite(amps).all():
         raise ValueError("amplitudes must be finite")
     norms = (np.abs(amps) ** 2).sum(axis=-1).reshape(-1)
+    if not norms.size:
+        return  # an empty stack has no state to fail
     norm = float(norms[np.abs(norms - 1.0).argmax()])
     if abs(norm - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized (sum of |amp|^2 = {norm!r})")

@@ -16,10 +16,10 @@ A group function that raises fails its rows instead (error inf, the exception
 as observed text).  The tolerance, pinned or overridden, is applied there too.
 A new law is one table row plus its error in the group function.
 
-Checks run on stacks.  The angle solver takes all of its targets in one
-call, and the stage's one forward map, ``amplitudes_from_angles``, maps
-the solved angles back in one fold of the gate kernel (``gates._run``), as
-it does for ``prep`` and the CLI's ``angles``.  The three shared copier
+Checks run on stacks, through the public pair the CLI's ``angles`` runs:
+``solve_preparation_angles`` solves every target in one call, and the one
+forward map, ``amplitudes_from_angles``, maps the angles back in one fold
+of the gate kernel (``gates._run``), as for ``prep``.  Three shared copier
 grids compute each metric when a check first reads it.  The randomized
 property checks draw each random quantity once, as a stack: 100 states,
 100 angles, the densities and the Hermitian matrices.  Every gate law runs
@@ -60,13 +60,12 @@ from .copier import (
     QUBIT_LABELS,
     CopyGrid,
     CopyVariant,
-    PreparationAngles,
     _basis_outputs,
-    _solve_angles,
     amplitudes_from_angles,
     evaluate_grid,
     preparation_amplitudes,
     preparation_angles,
+    solve_preparation_angles,
 )
 from .gates import CNOT, Rotation, _check_normalized, _run
 from .report import _document_meta
@@ -386,11 +385,11 @@ def _angles_results(suite: _Suite) -> list:
     random = _uniforms(20260810, 400).reshape(100, 4)
     random /= np.linalg.norm(random, axis=1, keepdims=True)
     targets = np.concatenate([[preparation_amplitudes(variant) for variant in variants], random])
-    solved = _solve_angles(targets)
-    residuals = np.max(np.abs(amplitudes_from_angles(PreparationAngles(*solved.T)) - targets), axis=1)
+    solved = solve_preparation_angles(targets)
+    residuals = np.max(np.abs(amplitudes_from_angles(solved) - targets), axis=1)
 
     results = []
-    for variant, angles, residual in zip(variants, solved, residuals.tolist()):
+    for variant, angles, residual in zip(variants, solved.as_array().T, residuals.tolist()):
         err_angles = _max_dev(angles, preparation_angles(variant).as_array())
         results.append((max(err_angles, residual), f"angle deviation {err_angles:.3e}, residual {residual:.3e}"))
 

@@ -681,12 +681,14 @@ def test_angles_command_solves_target_a_local_search_missed(capsys):
 
 
 def test_angles_output(capsys):
-    # README's two commands in human text, and the target a local search missed in JSON, pinned byte for byte
+    # README's two commands in human text, and the target a local search missed in JSON, pinned byte for byte; the
+    # degenerate target pins its even split as it prints, with theta1 = 0.0 written as the JSON integer 0
     readme = ["0.8164965809277261", "0.4082482904638631", "0.4082482904638631", "0"]
     cases = [
         ("angles-readme.txt", *readme),
         ("angles-readme-negative.txt", "--", *ANGLES_SEARCH_FAILURE),
         ("angles-search-failure.json", "--format", "json", "--", *ANGLES_SEARCH_FAILURE),
+        ("angles-degenerate.json", "--format", "json", "0.7071067811865476", "0", "0", "0.7071067811865476"),
     ]
     for expected, *argv in cases:
         code, out, err = run_cli(capsys, "angles", *argv)

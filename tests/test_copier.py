@@ -1,3 +1,4 @@
+import cmath
 import math
 import re
 
@@ -24,9 +25,9 @@ from qcopynet.copier import (
     PAIR_LABELS,
     _DEGENERATE_GAP,
     _PAULI,
+    _PHASE_CUTOFF,
     _fidelity,
     _scaling,
-    _solve_angles,
 )
 from qcopynet.gates import PureState, run_network as run
 
@@ -138,6 +139,34 @@ def test_input_qubit_beta_below_the_phase_cutoff_is_taken_as_its_modulus(beta):
     assert q == InputQubit.from_amplitudes(1.0, abs(beta))
 
 
+def phased_pair(k: float, a: float, chi: float, swap: bool) -> tuple[complex, complex]:
+    """A unit pair, one amplitude 10^k e^{ia} and the other real, in either order, times the phase e^{i chi}."""
+    small, large = 10.0**k * cmath.exp(1j * a), math.sqrt(1.0 - 10.0 ** (2.0 * k))
+    alpha, beta = (large, small) if swap else (small, large)
+    return alpha * cmath.exp(1j * chi), beta * cmath.exp(1j * chi)
+
+
+def bloch(alpha: complex, beta: complex) -> np.ndarray:
+    """(r_x, r_y, r_z) of alpha|0> + beta|1>, with r_x + i r_y = 2 conj(alpha) beta."""
+    xy = 2.0 * alpha.conjugate() * beta
+    return np.array([xy.real, xy.imag, abs(alpha) ** 2 - abs(beta) ** 2])
+
+
+PHASES = st.floats(-math.pi, math.pi)
+
+
+# moduli from 1e-20 to 1, across the phase cut-off 1e-15
+@given(st.builds(phased_pair, st.floats(-20.0, 0.0), PHASES, PHASES, st.booleans()))
+# |alpha| = 1e-15, at the cut-off, with phase pi: dropping it moves alpha by 2|alpha|, and r_x + i r_y by 4e-15
+@example(phased_pair(-15.0, math.pi, 0.0, False))
+@settings(derandomize=True, deadline=None)
+def test_input_qubit_from_amplitudes_keeps_the_bloch_vector_of_any_phased_pair(pair):
+    q = InputQubit.from_amplitudes(*pair)
+    assert q.beta >= 0.0 and 0.0 <= q.theta <= math.pi / 2.0 and -math.pi < q.phi <= math.pi
+    # a modulus at or below the cut-off loses its phase, which moves its amplitude by at most twice the cut-off
+    assert np.max(np.abs(bloch(q.alpha, complex(q.beta)) - bloch(*pair))) <= 4.0 * _PHASE_CUTOFF + 1e-15
+
+
 # ------------------------------------------------------------ angle solver
 
 def test_solver_duplicator_target():
@@ -223,12 +252,21 @@ def test_solver_rejects_a_nan_target():
     with pytest.raises(ValueError, match="finite"):
         solve_preparation_angles([math.nan, 0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="finite"):
-        _solve_angles([[1.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 1.0]])
+        solve_preparation_angles([[1.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 1.0]])
 
 
-def test_stacked_solver_rejects_a_lone_target():
-    with pytest.raises(ValueError, match="stack"):
-        _solve_angles([1.0, 0.0, 0.0, 0.0])
+def test_solver_rejects_shapes_other_than_a_target_or_a_stack():
+    for shape in [(3,), (2, 2), (1, 2, 4)]:
+        with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+            solve_preparation_angles(np.full(shape, 0.5))
+
+
+def test_solver_maps_an_empty_stack_to_empty_angles():
+    # an empty stack once failed inside NumPy ("attempt to get argmax of an empty sequence"), though the forward
+    # map takes three empty angle arrays to (0, 4)
+    solved = solve_preparation_angles(np.zeros((0, 4)))
+    assert [np.shape(t) for t in solved.as_array()] == [(0,)] * 3
+    assert amplitudes_from_angles(solved).shape == (0, 4)
 
 
 def scalar_solver(c) -> tuple[float, float, float]:
@@ -328,7 +366,8 @@ def assert_same_angles(got, expected):
 @pytest.mark.parametrize("name", SOLVER_TARGETS)
 def test_stacked_solver_matches_the_scalar_reference(name):
     targets = SOLVER_TARGETS[name]
-    solved = _solve_angles(targets)
+    angles = solve_preparation_angles(targets)
+    solved = angles.as_array().T
     assert_same_angles(np.array([solve_preparation_angles(c).as_array() for c in targets]), solved)
     expected = np.array([scalar_solver(c) for c in targets])
     if name in ("degenerate", "gap-below"):
@@ -337,7 +376,7 @@ def test_stacked_solver_matches_the_scalar_reference(name):
         assert np.max(np.abs(solved - expected)) <= 1e-14
     else:
         # near degeneracy the reference is the less accurate one; the drift test above holds accuracy
-        assert np.max(np.abs(amplitudes_from_angles(PreparationAngles(*solved.T)) - targets)) <= 1e-15
+        assert np.max(np.abs(amplitudes_from_angles(angles) - targets)) <= 1e-15
 
 
 def product_formula(cos, sin) -> np.ndarray:
@@ -403,11 +442,12 @@ NEAR_DEGENERATE_TARGETS = st.builds(
 @settings(derandomize=True, deadline=None)
 def test_solved_angles_round_trip_through_the_forward_map(targets):
     c = np.array(targets)
-    solved = _solve_angles(c)
-    assert np.all((-math.pi < solved) & (solved <= math.pi))
-    stacked = amplitudes_from_angles(PreparationAngles(*solved.T))
-    for row, angles in zip(stacked, solved.tolist()):
-        assert row.tobytes() == amplitudes_from_angles(PreparationAngles(*angles)).tobytes()
+    solved = solve_preparation_angles(c)
+    angles = solved.as_array()
+    assert np.all((-math.pi < angles) & (angles <= math.pi))
+    stacked = amplitudes_from_angles(solved)
+    for row, triple in zip(stacked, angles.T.tolist()):
+        assert row.tobytes() == amplitudes_from_angles(PreparationAngles(*triple)).tobytes()
     # the parts the solver splits M into (see solve_preparation_angles); inside the band it drops the smaller one
     m00, m01, m10, m11 = c.T
     smaller = np.minimum(np.hypot(m00 + m11, m10 - m01), np.hypot(m00 - m11, m01 + m10)) / 2.0

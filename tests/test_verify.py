@@ -9,8 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcopynet import copier, gates, linalg, separability, verify
-from qcopynet.copier import CopyGrid
+from qcopynet import gates, linalg, separability, verify
 from qcopynet.gates import CNOT
 from qcopynet.report import render_json
 from qcopynet.verify import eigenvalues_by_bisection
@@ -213,14 +212,14 @@ def test_each_group_alone_matches_its_rows_of_the_full_run():
 
 
 def test_random_targets_count_only_the_solved_rows(monkeypatch):
-    solve = verify._solve_angles
+    solve = verify.solve_preparation_angles
 
     def one_row_off(targets):
         angles = solve(targets)
-        angles[40] += 0.5  # row 40 is one of the 100 random targets
+        angles.theta1[40] += 0.5  # row 40 is one of the 100 random targets
         return angles
 
-    monkeypatch.setattr(verify, "_solve_angles", one_row_off)
+    monkeypatch.setattr(verify, "solve_preparation_angles", one_row_off)
     check = next(c for c in verify.run_verification(["angles"]) if c.check_id == "angles.random-targets")
     assert check.observed.startswith("99/100 solved, worst residual ")
     assert not check.passed
@@ -356,53 +355,6 @@ def test_a_copy_without_a_scaling_fit_is_counted(monkeypatch, group, grid_name, 
     assert check.observed == "1 copies without a scaling fit"
     assert check.error == math.inf
     assert not check.passed
-
-
-def test_conjugated_input_coordinates_fail_exactly_the_complex_matrix_laws(monkeypatch):
-    # r_y negated conjugates every reduction.  Distances, weights, fits and spectra are blind to that, and the real
-    # grid has r_y = 0, so only the two laws that compare complex matrices with the stated tables can fail.
-    pauli = CopyGrid._pauli.func
-    flip = np.array([[1.0], [1.0], [-1.0], [1.0]])
-    monkeypatch.setattr(CopyGrid, "_pauli", property(lambda grid: pauli(grid) * flip))
-    failed = [c.check_id for c in verify.run_verification() if not c.passed]
-    assert failed == ["original.transpose-law", "trip-complex.single-matrix"]
-
-
-def test_a_preparation_network_with_theta1_and_theta3_swapped_fails_only_the_random_targets(monkeypatch):
-    # both machines have theta1 = theta3 = pi/8, so only the solved, general angle triples run through the network
-    # see the swap; every qcopynet binding of the network is patched, and the machines' cached forms are rebuilt
-    original = copier.preparation_network
-
-    def swapped(angles, qubits=(0, 1)):
-        return original(copier.PreparationAngles(angles.theta3, angles.theta2, angles.theta1), qubits)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qcopynet" and getattr(module, "preparation_network", None) is original:
-            monkeypatch.setattr(module, "preparation_network", swapped)
-    copier._basis_outputs.cache_clear()
-    copier._transfer.cache_clear()
-    try:
-        failed = {c.check_id for c in verify.run_verification() if not c.passed}
-    finally:
-        copier._basis_outputs.cache_clear()
-        copier._transfer.cache_clear()
-    assert failed == {"angles.random-targets"}
-
-
-# sigma_y^T = -sigma_y, so a column of R with an odd number of sigma_y factors changes sign when the image transposes
-ODD_SIGMA_Y = {4: np.array([1.0, 1.0, -1.0, 1.0])}
-ODD_SIGMA_Y[16] = np.array([-1.0 if (a == 2) != (b == 2) else 1.0 for a in range(4) for b in range(4)])
-
-
-@pytest.mark.parametrize(
-    "defect",
-    [lambda r: r[[0, 2, 1, 3]], lambda r: r * ODD_SIGMA_Y[r.shape[1]]],
-    ids=["rows-1-and-2-swapped", "every-image-transposed"],
-)
-def test_a_defective_transfer_matrix_fails_verify(monkeypatch, defect):
-    transfer = copier._transfer
-    monkeypatch.setattr(copier, "_transfer", lambda variant, label: defect(transfer(variant, label)))
-    assert any(not c.passed for c in verify.run_verification())
 
 
 @pytest.mark.parametrize("tolerance", [None, 1e-15], ids=["default", "strict"])

@@ -23,6 +23,10 @@ three-qubit ``network`` request and the whole ``run_verification()``.  Both
 are run warm.  The cold row builds the machines' basis rows and transfer
 matrices from empty caches, as a process's first request does: one fold of
 each nine-gate network over the (2, 8) stack of |000> and |100>.
+
+A row of ``FIELD_LEDGER`` reads one ``CopyGrid`` field alone on a fresh
+README-sized grid of each machine, whose tables are warm.  The solver row
+solves verify's (102, 4) stack of targets, in closed form.
 """
 
 import math
@@ -135,3 +139,33 @@ def test_cold_kernel_work_ledger(monkeypatch):
     for variant in CopyVariant:
         copier.evaluate_grid(variant, [0.3], [0.1]).d1
     assert counts == ([(2, 8)] * 18, [], [])
+
+
+# field: eigensolve batch shapes, reductions built; reading a field alone applies no gate
+FIELD_LEDGER = {
+    **{field: ([], []) for field in ("d1", "d2", "d3", "scaling", "fidelity")},
+    "ppt_spectrum": ([(800, 4, 4)], ["a2a3"]),
+    "qubit_reductions": ([], list(copier.QUBIT_LABELS)),
+    "pair_reductions": ([], list(copier.PAIR_LABELS)),
+}
+
+
+@pytest.mark.parametrize("variant", CopyVariant, ids=lambda variant: variant.value)
+@pytest.mark.parametrize("field", FIELD_LEDGER)
+def test_grid_field_work_ledger(field, variant, monkeypatch):
+    eigensolves, reductions = FIELD_LEDGER[field]
+    for label in (*copier.QUBIT_LABELS, *copier.PAIR_LABELS):
+        copier._transfer(variant, label)  # warm
+    grid = copier.evaluate_grid(variant, README_SWEEP.theta_grid.values(), README_SWEEP.phi_grid.values())
+    counts = _count_work(monkeypatch)
+    getattr(grid, field)
+    assert (grid.theta.size, counts, list(grid._reductions)) == (800, ([], eigensolves, []), reductions)
+
+
+def test_solver_work_ledger(monkeypatch):
+    stacks, solve = [], verify.solve_preparation_angles
+    monkeypatch.setattr(verify, "solve_preparation_angles", lambda c: stacks.append(c) or solve(c))
+    verify.run_verification(["angles"])
+    counts = _count_work(monkeypatch)
+    copier.solve_preparation_angles(*stacks)
+    assert (np.shape(*stacks), counts) == ((102, 4), ([], [], []))
