@@ -5,10 +5,13 @@ at ``%.17g``, so the decimal strings of a sweep are identical in both formats
 and round-trip to the same doubles.  A sweep's rows are one typed table, a
 float64 field per numeric column, and both formats write it by column into
 one ``%`` template per row, with the variant and blank columns written into
-the template once.  The table is read only as a sweep document's ``rows``,
-beside a ``meta`` that names the variant.  JSON appends its pieces to one
-list, joined once: any other dict field by field, a list item by item, and
-a complex value by one ``%`` over a template cached per shape and indent.
+the template once.  A metric cell in ``[1e-4, 1)`` is written as a head
+string and an int, its 17-digit significand, computed exactly in bulk; the
+bytes, ``-0`` included, stay those of ``%.17g``.  The table is read only as
+a sweep document's ``rows``, beside a ``meta`` that names the variant.  JSON
+appends its pieces to one list, joined once: any other dict field by field,
+a list item by item, and a complex value by one ``%`` over a template cached
+per shape and indent.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ def _check_finite(floats: list) -> None:
         raise ValueError(f"non-finite value {next(v for v in floats if not math.isfinite(v))!r} in report")
 
 
-_TABLE_CONTRACT = "a sweep_rows table is read only as a sweep document's rows, beside a meta naming the variant"
+_TABLE_CONTRACT = "a 1-D float64 typed table is read only as a sweep document's rows, beside a meta naming the variant"
 
 # Sweep columns written once per distinct value: each grid axis repeats its values, and s_a2's NaN is a blank.
 _DISTINCT_COLUMNS = frozenset({"theta", "phi", "s_a2"})
@@ -179,6 +182,48 @@ def _distinct_texts(values: np.ndarray, blank: str) -> list[str]:
     return np.array(texts, dtype=object)[inverse].tolist()
 
 
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(23)])  # exact doubles: 5**22 < 2**53
+_HEADS = np.array(["0.", "0.0", "0.00", "0.000", "-0.", "-0.0", "-0.00", "-0.000"], dtype=object)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of each double into two halves of at most 26 significant bits, ``a == high + low``."""
+    c = a * 134217729.0  # 2**27 + 1
+    high = c - (c - a)
+    return high, a - high
+
+
+def _decimal_parts(values: np.ndarray) -> tuple[list, list]:
+    """Heads and tails of a 1-D float64 array's cells: ``head + str(tail)`` is the cell's ``%.17g`` text.
+
+    A cell with ``1e-4 <= |v| < 1`` is a head from ``_HEADS`` and its 17-digit significand, an int without
+    trailing zeros, formed in bulk; any other cell is its ``%.17g`` text and an empty tail.
+    """
+    magnitude = np.abs(values)
+    slow = np.flatnonzero(~((magnitude >= 1e-4) & (magnitude < 1.0)))  # 0, -0, NaN, inf, subnormals, other magnitudes
+    magnitude[slow] = 0.5  # a stand-in, written over below
+    exponent = np.floor(np.log10(magnitude)).astype(np.int64)  # the decimal exponent, or one off near 10**k
+    while True:
+        scale = _POWERS_OF_TEN[16 - exponent]
+        hi = magnitude * scale
+        (a1, a2), (b1, b2) = _split(magnitude), _split(scale)
+        lo = ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2  # Dekker: the product is hi + lo exactly
+        digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # hi >= 2**53 is even, so ties go to even
+        if not (off := (digits >= 10**17).astype(np.int64) - (digits < 10**16)).any():
+            break
+        exponent += off
+    if (zeros := np.flatnonzero(digits % 10 == 0)).size:
+        stripped = digits[zeros]
+        for k in (16, 8, 4, 2, 1):  # strip trailing zeros, largest power first
+            quotient, remainder = np.divmod(stripped, 10**k)
+            stripped = np.where(remainder == 0, quotient, stripped)
+        digits[zeros] = stripped
+    heads, tails = _HEADS[4 * (values < 0) - 1 - exponent].tolist(), digits.tolist()
+    for i, v in zip(slow.tolist(), values[slow].tolist()):
+        heads[i], tails[i] = "%.17g" % v, ""
+    return heads, tails
+
+
 def _is_table(value) -> bool:
     return isinstance(value, np.ndarray) and value.dtype.names is not None
 
@@ -186,14 +231,16 @@ def _is_table(value) -> bool:
 def _table_columns(document: dict, blank: str, text) -> tuple[list[str], list[list]]:
     """A sweep table's CSV columns as ``%`` conversions and the cell lists of the columns that vary.
 
-    A float field goes to ``%.17g`` as it is, or, in ``_DISTINCT_COLUMNS``,
-    to ``%s`` through ``_distinct_texts``.  The variant column is
-    ``text(meta.variant)`` and every other column ``blank``, each written
-    into its conversion.  TypeError unless ``meta.variant`` is a string;
+    A float field goes to ``%s%s`` through ``_decimal_parts``, or, in
+    ``_DISTINCT_COLUMNS``, to ``%s`` through ``_distinct_texts``.  The
+    variant column is ``text(meta.variant)`` and every other column
+    ``blank``, each written into its conversion.  TypeError unless the
+    table is 1-D with only float64 fields and ``meta.variant`` is a string;
     then non-finite values raise, except s_a2's NaN.
     """
     table, meta, specs, cells = document["rows"], document.get("meta"), [], []
-    if not (isinstance(meta, dict) and isinstance(meta.get("variant"), str)):
+    if not (isinstance(meta, dict) and isinstance(meta.get("variant"), str) and table.ndim == 1) or any(
+            table.dtype[name] != np.float64 for name in table.dtype.names):
         raise TypeError(_TABLE_CONTRACT)
     for column in CSV_COLUMNS:
         if column not in table.dtype.names:
@@ -208,8 +255,8 @@ def _table_columns(document: dict, blank: str, text) -> tuple[list[str], list[li
             specs.append("%s")
             cells.append(_distinct_texts(values, blank))
         else:
-            specs.append("%.17g")
-            cells.append(values.tolist())
+            specs.append("%s%s")
+            cells.extend(_decimal_parts(values))
     return specs, cells
 
 
@@ -221,7 +268,9 @@ def render_csv(document: dict) -> str:
     if not _is_table(document.get("rows")):
         raise TypeError("a sweep document's rows must be the typed table of sweep_rows")
     specs, cells = _table_columns(document, "", str)
-    return "".join([f"{','.join(CSV_COLUMNS)}\n", *map(f"{','.join(specs)}\n".__mod__, zip(*cells))])
+    lines = [f"{','.join(CSV_COLUMNS)}\n", *map(f"{','.join(specs)}\n".__mod__, zip(*cells))]
+    del cells  # before the join, so the text and the cells are never held at once
+    return "".join(lines)
 
 
 def _write_table(document: dict, indent: int, out: list) -> None:

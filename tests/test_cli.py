@@ -1220,6 +1220,21 @@ def test_a_typed_table_outside_a_sweep_documents_rows_is_a_type_error(render, ma
         render(make_doc(table))
 
 
+@pytest.mark.parametrize("render", [render_csv, render_json])
+@pytest.mark.parametrize(
+    "rows",
+    [
+        np.zeros(3, dtype=[("theta", np.float32)]),  # raised NumPy's ValueError from the distinct-value writer
+        np.zeros((), dtype=[("theta", float)]),  # a 0-d table raised an AttributeError
+        np.zeros(3, dtype=[("theta", float), ("d1_a2", np.float32)]),  # was written at float32's double value
+    ],
+    ids=["float32-axis", "0-d", "float32-metric"],
+)
+def test_a_table_that_is_not_1d_float64_is_a_type_error(render, rows):
+    with pytest.raises(TypeError, match="^a 1-D float64 typed table is read only as a sweep document's rows"):
+        render({"meta": {"variant": "duplicator"}, "rows": rows})
+
+
 # theta 0, pi/4, pi/2 x phi 0, pi/4, ..., pi: record 5 (pi/4, 0) has a scaled form, record 6 (pi/4, pi/4) has none
 SMALL_SWEEP = SweepSpec(CopyVariant.TRIPLICATOR, GridSpec(0.0, math.pi / 2.0, 3), GridSpec(0.0, math.pi, 5))
 
