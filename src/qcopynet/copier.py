@@ -213,10 +213,15 @@ def solve_preparation_angles(c) -> PreparationAngles:
     theta1 and theta3, where the norm is smallest, so
     ``[1, 0, 0, 1]/sqrt(2)`` gives (0, pi/4, 0).
 
-    Raises ValueError for any other shape, and unless every target is
-    finite with unit sum of squares, within ``gates.NORM_TOL`` as for a state.
+    Raises ValueError for any other shape, for a non-zero imaginary part (a
+    complex target whose imaginary parts are all 0 is read as its real part),
+    and unless every target is finite with unit sum of squares, within
+    ``gates.NORM_TOL`` as for a state.
     """
-    c = np.asarray(c, dtype=float)
+    c = np.asarray(c)
+    if np.iscomplexobj(c) and c.imag.any():
+        raise ValueError("target amplitudes must be real, got a non-zero imaginary part")
+    c = np.asarray(c.real, dtype=float)
     if c.ndim not in (1, 2) or c.shape[-1] != 4:
         raise ValueError(f"expected four target amplitudes or a stack of them, got shape {c.shape}")
     _check_normalized(c)

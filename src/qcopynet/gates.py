@@ -1,16 +1,16 @@
 """Pure-state simulation of small qubit registers.
 
-Gates act by direct amplitude updates (bit masking), never by building
-full matrices, so unitarity properties like the CNOT involution hold
-structurally.  A network is a tuple of gates, applied first to last, so
-networks join with ``+``.  Qubit 0 occupies the most significant bit of
-the basis index; states are immutable values and every operation returns
-a fresh state.  Register sizes and qubit indices follow ``linalg``'s rules.
+Gates act on slices of the amplitudes read with qubit q as tensor axis q,
+as ``linalg`` reads them, never by building full matrices, so unitarity
+properties like the CNOT involution hold structurally.  A network is a
+tuple of gates, applied first to last, so networks join with ``+``.
+Qubit 0 occupies the most significant bit of the basis index; states are
+immutable values and every operation returns a fresh state.  Register
+sizes and qubit indices follow ``linalg``'s rules.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import cos, isfinite, sin
 from typing import Iterable, Union
@@ -122,49 +122,36 @@ def max_qubit(gates: Iterable[Gate]) -> int:
     return max(qubits, default=-1)
 
 
-@functools.cache
-def _index_pair(num_qubits: int, target: int, control: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only basis indices a gate moves amplitudes between, built once per register size and qubits.
-
-    Qubit q is bit num_qubits - 1 - q of the basis index.  Without a control,
-    the indices whose target bit is 0; with one, those whose control bit is 1.
-    Each is paired with the index that has the target bit flipped.
-    """
-    idx = np.arange(1 << num_qubits)
-    if control is None:
-        src = idx[(idx & (1 << (num_qubits - 1 - target))) == 0]
-    else:
-        src = idx[(idx & (1 << (num_qubits - 1 - control))) != 0]
-    pair = (src, src ^ (1 << (num_qubits - 1 - target)))
-    for indices in pair:
-        indices.flags.writeable = False
-    return pair
-
-
 def _apply_gate(amps: np.ndarray, num_qubits: int, gate: Gate) -> np.ndarray:
     """Fresh amplitudes after one gate, for one state or a stack (shape (..., 2**num_qubits)).
 
-    A rotation angle may be an array with one angle per state of the stack.
-    Qubit indices must be integers and not bools (``linalg._qubit_index``): they key the index cache.
+    The gate reads the amplitudes as a (..., 2, ..., 2) view, qubit q on axis q of the last num_qubits, and acts
+    on the pair of slices where its target reads 0 and 1 (and its control, if any, reads 1): a rotation mixes
+    the pair, a CNOT swaps it.  A rotation angle may be an array with one angle per state of the stack.
     """
-    if isinstance(gate, Rotation):
-        lo, hi = _index_pair(num_qubits, _qubit_index(num_qubits, gate.target, "target"))
+    if not isinstance(gate, (Rotation, CNOT)):
+        raise TypeError(f"unknown gate type {type(gate).__name__}")
+    axes = [slice(None)] * num_qubits
+    if isinstance(gate, CNOT):
+        axes[_qubit_index(num_qubits, gate.control, "control")] = 1
+    target = _qubit_index(num_qubits, gate.target, "target")
+    axes[target] = 0
+    lo = (..., *axes)
+    axes[target] = 1
+    hi = (..., *axes)
+    view = amps.reshape(amps.shape[:-1] + (2,) * num_qubits)
+    x, y, out = view[lo], view[hi], view.copy()
+    if isinstance(gate, CNOT):
+        out[lo], out[hi] = y, x
+    else:
         if np.ndim(gate.theta):
-            theta = np.asarray(gate.theta)[..., None]
+            theta = np.reshape(gate.theta, np.shape(gate.theta) + (1,) * (num_qubits - 1))
             c, s = np.cos(theta), np.sin(theta)
         else:
             c, s = cos(gate.theta), sin(gate.theta)
-        out = np.empty_like(amps)
-        out[..., lo] = c * amps[..., lo] - s * amps[..., hi]
-        out[..., hi] = s * amps[..., lo] + c * amps[..., hi]
-        return out
-    if isinstance(gate, CNOT):
-        control = _qubit_index(num_qubits, gate.control, "control")
-        src, dst = _index_pair(num_qubits, _qubit_index(num_qubits, gate.target, "target"), control)
-        out = amps.copy()
-        out[..., dst] = amps[..., src]
-        return out
-    raise TypeError(f"unknown gate type {type(gate).__name__}")
+        x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)  # NumPy's arithmetic is faster on contiguous inputs
+        out[lo], out[hi] = c * x - s * y, s * x + c * y
+    return out.reshape(amps.shape)
 
 
 def _run(amps: np.ndarray, net: Iterable[Gate]) -> np.ndarray:

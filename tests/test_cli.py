@@ -508,6 +508,23 @@ def test_network_output_at_one_and_three_qubits(tmp_path, capsys):
         assert run_cli(capsys, "network", str(net_file), "--state", state) == (0, want, ""), expected
 
 
+PREP_NETWORK = "R 0 0.39269908169872414\nCNOT 0 1\nR 1 -0.16991845472706082\nCNOT 1 0\nR 0 0.39269908169872414\n"
+
+
+@pytest.mark.parametrize("expected, state", [
+    ("network-prep-00.txt", ["--state", "00"]),
+    ("network-prep-real.txt", ["--state", "0.6,0,0,0.8"]),
+    ("network-prep-default.txt", []),  # no --state: the network starts from |00>
+    ("network-prep-complex.txt", ["--state", "0.6,0.48j,0,0.64"]),
+])
+def test_preparation_network_output(expected, state, tmp_path, capsys):
+    # the duplicator's preparation stage, as CI runs it from four states
+    net_file = tmp_path / "prep.txt"
+    net_file.write_text(PREP_NETWORK)
+    want = (EXPECTED / expected).read_text()
+    assert run_cli(capsys, "network", str(net_file), *state) == (0, want, "")
+
+
 def test_network_state_options(tmp_path, capsys):
     net_file = tmp_path / "cnot.txt"
     net_file.write_text("CNOT 0 1\n")

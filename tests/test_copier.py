@@ -255,6 +255,15 @@ def test_solver_rejects_a_nan_target():
         solve_preparation_angles([[1.0, 0.0, 0.0, 0.0], [math.nan, 0.0, 0.0, 1.0]])
 
 
+def test_solver_rejects_an_imaginary_part_and_reads_a_zero_one_as_real():
+    # a complex list once raised TypeError from float(), and a complex array lost its imaginary part to a
+    # ComplexWarning (an error under tier-1's filters) before failing the norm test on what was left
+    for target in ([1j, 0, 0, 0], np.array([0.6 + 0.8j, 0, 0, 0])):
+        with pytest.raises(ValueError, match="non-zero imaginary part"):
+            solve_preparation_angles(target)
+    assert solve_preparation_angles(np.array([1, 0, 0, 0], dtype=complex)) == PreparationAngles(0.0, 0.0, 0.0)
+
+
 def test_solver_rejects_shapes_other_than_a_target_or_a_stack():
     for shape in [(3,), (2, 2), (1, 2, 4)]:
         with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):

@@ -201,6 +201,61 @@ def test_random_networks_preserve_norm(seed, num_qubits):
     assert abs(float(np.sum(np.abs(psi.amplitudes) ** 2)) - 1.0) < 1e-12
 
 
+def rotation_matrix(num_qubits: int, target: int, theta: float) -> np.ndarray:
+    c, s = math.cos(theta), math.sin(theta)
+    return np.kron(np.kron(np.eye(1 << target), [[c, -s], [s, c]]), np.eye(1 << (num_qubits - 1 - target)))
+
+
+def gate_matrix(gate, num_qubits: int, batch: tuple) -> np.ndarray:
+    """The gate's 2**n x 2**n matrix, built apart from the kernel; batch + (2**n, 2**n) for per-state angles."""
+    dim = 1 << num_qubits
+    if isinstance(gate, CNOT):
+        bit = lambda q: 1 << (num_qubits - 1 - q)  # qubit q is bit n - 1 - q of the basis index
+        index = np.arange(dim)
+        matrix = np.zeros((dim, dim))
+        matrix[np.where(index & bit(gate.control), index ^ bit(gate.target), index), index] = 1.0
+        return matrix
+    if not np.ndim(gate.theta):
+        return rotation_matrix(num_qubits, gate.target, gate.theta)
+    matrices = [rotation_matrix(num_qubits, gate.target, theta) for theta in np.ravel(gate.theta).tolist()]
+    return np.array(matrices).reshape(batch + (dim, dim))
+
+
+def draw_gate(data, rng, num_qubits: int, batch: tuple):
+    """A CNOT on any ordered pair, or a rotation on any qubit by a scalar angle or one angle per state."""
+    if num_qubits > 1 and data.draw(st.booleans()):
+        return CNOT(*data.draw(st.permutations(range(num_qubits)))[:2])
+    target = data.draw(st.integers(0, num_qubits - 1))
+    return Rotation(target, rng.uniform(-7.0, 7.0, size=batch if data.draw(st.booleans()) else None))
+
+
+@given(st.data())
+@settings(max_examples=50, derandomize=True, deadline=None)
+def test_gate_kernel_matches_dense_matrices(data):
+    from qcopynet.gates import _apply_gate, _run
+
+    num_qubits = data.draw(st.integers(1, 3))
+    batch = data.draw(st.sampled_from([(0,), (1,), (5,), (2, 3)]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=batch + (1 << num_qubits,)) + 1j * rng.normal(size=batch + (1 << num_qubits,))
+    amps /= np.linalg.norm(amps, axis=-1, keepdims=True)
+    apply = lambda matrix: (matrix @ amps[..., None])[..., 0]
+
+    gate = draw_gate(data, rng, num_qubits, batch)
+    out, expected = _apply_gate(amps, num_qubits, gate), apply(gate_matrix(gate, num_qubits, batch))
+    assert out.shape == expected.shape == amps.shape
+    if isinstance(gate, CNOT):
+        assert np.array_equal(out, expected)
+    else:
+        assert np.abs(out - expected).max(initial=0.0) <= 1e-15
+
+    net = [draw_gate(data, rng, num_qubits, batch) for _ in range(data.draw(st.integers(0, 6)))]
+    product = np.eye(1 << num_qubits)
+    for gate in net:
+        product = gate_matrix(gate, num_qubits, batch) @ product
+    assert np.abs(_run(amps, net) - apply(product)).max(initial=0.0) <= 1e-14
+
+
 # ------------------------------------------------------------- purestate
 
 def test_purestate_rejects_unnormalized():

@@ -17,9 +17,9 @@ import sys
 import numpy as np
 import pytest
 
-from qcopynet import copier, verify
+from qcopynet import copier, gates, verify
 from qcopynet.copier import CopyGrid
-from qcopynet.gates import CNOT, _run
+from qcopynet.gates import CNOT, Rotation, _run
 
 
 def checks(*groups: str) -> frozenset:
@@ -66,6 +66,33 @@ def theta1_theta3_swapped(monkeypatch):
     patch_everywhere(monkeypatch, "preparation_network", swapped)
 
 
+def gate_defect(defect):
+    """A patch that runs every gate of every network through ``defect(apply_gate, amps, num_qubits, gate)``."""
+    def patch(monkeypatch):
+        apply_gate = gates._apply_gate
+        monkeypatch.setattr(gates, "_apply_gate", lambda amps, n, gate: defect(apply_gate, amps, n, gate))
+    return patch
+
+
+def qubits_reversed(apply_gate, amps, n, gate):
+    flip = lambda q: n - 1 - q
+    if isinstance(gate, CNOT):
+        return apply_gate(amps, n, CNOT(flip(gate.control), flip(gate.target)))
+    return apply_gate(amps, n, Rotation(flip(gate.target), gate.theta))
+
+
+def angles_negated(apply_gate, amps, n, gate):
+    return apply_gate(amps, n, Rotation(gate.target, -gate.theta) if isinstance(gate, Rotation) else gate)
+
+
+def cnot_fires_on_control_0(apply_gate, amps, n, gate):
+    if isinstance(gate, Rotation):
+        return apply_gate(amps, n, gate)
+    bit = lambda q: 1 << (n - 1 - q)
+    index = np.arange(1 << n)
+    return amps[..., np.where(index & bit(gate.control), index, index ^ bit(gate.target))]
+
+
 def reduced_qubits(label, qubits):
     return lambda monkeypatch: monkeypatch.setitem(copier._REDUCED_QUBITS, label, qubits)
 
@@ -84,6 +111,11 @@ WRONG_MACHINE = TRANSPOSED | checks(
     "basis: zero-input", "bound: inequality real-phase-eigenvalue", "fidelity: copies-identical",
     "ppt: duplicator-spectrum", "trip-complex: d3", "trip-prep: output-pattern",
     "trip-real: d1 d2 d3 equal-reductions pair-matrix pair-spectrum scaling",
+)
+# the checks that every rotation angle negated fails: the preparation stage's blank state is wrong
+WRONG_PREPARATION = (WRONG_MACHINE - checks("fidelity: copies-identical")) | checks(
+    "angles: duplicator-recovery random-targets triplicator-recovery", "basis: one-input", "bound: tight-at-zero",
+    "prep: duplicator-state", "trip-prep: blank-state",
 )
 # defect: its patch, then the exact check ids it fails, or why it fails none
 KILL_TABLE = {
@@ -105,6 +137,17 @@ KILL_TABLE = {
     "pauli-r_y-negated": (pauli_r_y_negated, checks("original: transpose-law", "trip-complex: single-matrix")),
     # both machines have theta1 = theta3 = pi/8, so only the network's runs on solved, general triples see the swap
     "theta1-theta3-swapped": (theta1_theta3_swapped, checks("angles: random-targets")),
+    # under each kernel defect CNOT twice and a rotation by +t then -t are still the identity, and gates on disjoint
+    # qubits still commute, so properties' gate-involution and gate-commutation pass; the networks' outputs fail
+    "gate-qubits-reversed": (
+        gate_defect(qubits_reversed),
+        WRONG_MACHINE | checks("angles: random-targets", "basis: one-input", "bound: minimum-at-quarter-phase"),
+    ),
+    "gate-rotation-angles-negated": (gate_defect(angles_negated), WRONG_PREPARATION),
+    "gate-cnot-fires-on-control-0": (
+        gate_defect(cnot_fires_on_control_0),
+        WRONG_PREPARATION | checks("fidelity: copies-identical", "trip-complex: no-scaled-form"),
+    ),
     "copy-cnots-0-1-and-0-2-swapped": (
         copy_stage(CNOT(0, 2), CNOT(0, 1), CNOT(1, 0), CNOT(2, 0)),
         "equivalent: the two CNOTs share their control, so they commute",

@@ -56,7 +56,7 @@ PEAK_SLACK_KIB = 128
 # step: eigensolve batch shapes, gate applications, reductions built, tracemalloc peak measured (KiB)
 LEDGER = {
     "sweep_rows": ([(800, 4, 4)], 0, ["a2a3"], 1366),
-    "render_csv": ([], 0, [], 657),
+    "render_csv": ([], 0, [], 602),
     "render_json": ([], 0, [], 777),
 }
 
