@@ -219,6 +219,8 @@ def solve_preparation_angles(c) -> PreparationAngles:
     ``gates.NORM_TOL`` as for a state.
     """
     c = np.asarray(c)
+    if c.dtype == object:  # np.iscomplexobj is false for an object array, whatever its entries
+        c = c.astype(complex)
     if np.iscomplexobj(c) and c.imag.any():
         raise ValueError("target amplitudes must be real, got a non-zero imaginary part")
     c = np.asarray(c.real, dtype=float)

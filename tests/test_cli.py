@@ -20,6 +20,9 @@ from qcopynet.separability import PptReport, ppt_verdict
 from qcopynet.verify import run_verification, verification_document
 
 from conftest import random_pure
+from test_pins import PINS, PREP, Pin, in_process
+
+NETWORKS = Path(__file__).parent / "networks"
 
 
 def run_cli(capsys, *argv):
@@ -47,22 +50,11 @@ def not_normalizable(what: str, norm: str) -> str:
 
 # ------------------------------------------------------------------- copy
 
-# Copy reports pinned byte for byte; the duplicator's 1e-16 entries are the reductions' rounding.
-EXPECTED = Path(__file__).parent / "expected"
-
-
-def test_copy_human_output(capsys):
-    # the README command, then a phased triplicator input, in human text and in JSON
-    phased = ("--theta", "0.7853981633974483", "--phi", "0.3", "--variant", "triplicator")
-    cases = [
-        ("copy-duplicator-readme.txt", "--theta", "0.7853981633974483", "--phi", "0", "--variant", "duplicator"),
-        ("copy-triplicator-phased.txt", *phased),
-        ("copy-triplicator-phased.json", *phased, "--format", "json"),
-    ]
-    for expected, *argv in cases:
-        code, out, err = run_cli(capsys, "copy", *argv)
-        assert (code, err) == (0, "")
-        assert out == (EXPECTED / expected).read_text(), expected
+def test_copy_human_output(monkeypatch, capsys):
+    # tests/test_pins.py's copies pinned byte for byte: README's, a phased triplicator input in both formats, and
+    # the amplitude input
+    found = in_process([pin for pin in PINS if pin.argv[0] == "copy" and pin.stdout], monkeypatch, capsys)
+    assert not found, "\n".join(found)
 
 
 def reference_reduction_lines(label: str, m: np.ndarray) -> list[str]:
@@ -92,7 +84,7 @@ def test_reduction_lines_match_the_two_pass_reference(n, rng):
         assert cli._reduction_lines("pair", m) == reference_reduction_lines("pair", m)
 
 
-THREE_QUBIT_NETWORK = "R 0 0.7\nCNOT 0 1\nR 2 1.1\nCNOT 2 0\nR 1 -0.4\nCNOT 1 2\n"
+THREE_QUBIT_NETWORK = (NETWORKS / "three-qubits.txt").read_text()
 COPY_ARGV = ["copy", "--alpha", "0.6", "--beta", "0.8", "--variant", "triplicator", "--format"]
 
 
@@ -478,51 +470,28 @@ def test_verify_json_deterministic(capsys):
 
 # ---------------------------------------------------------------- network
 
-def test_network_command_runs_file(tmp_path, capsys):
-    net_file = tmp_path / "prep.txt"
-    net_file.write_text(
-        "R 0 0.39269908169872414\n"
-        "CNOT 0 1\n"
-        "R 1 -0.16991845472706082\n"
-        "CNOT 1 0\n"
-        "R 0 0.39269908169872414\n"
-    )
-    code, out, _ = run_cli(capsys, "network", str(net_file))
+def test_network_command_runs_file(capsys):
+    code, out, _ = run_cli(capsys, "network", str(NETWORKS / "prep.txt"))
     assert code == 0
     assert "final state (2 qubits)" in out
     assert "0.816497" in out  # 2/sqrt(6)
     assert "partial-transpose spectrum" in out
 
 
-def test_network_output_at_one_and_three_qubits(tmp_path, capsys):
-    # one qubit: the "1 qubit" header and no pairs; three qubits: three pairs verdicted from one stack.
-    # The three-qubit text holds a 2.77556e-17 entry, its reductions' rounding.
-    cases = [
-        ("network-one-qubit.txt", "R 0 0.5\n", "1"),
-        ("network-three-qubits.txt", THREE_QUBIT_NETWORK, "0.6,0,0.48j,0,0,0,0,0.64"),
-    ]
-    for expected, network, state in cases:
-        net_file = tmp_path / "net.txt"
-        net_file.write_text(network)
-        want = (EXPECTED / expected).read_text()
-        assert run_cli(capsys, "network", str(net_file), "--state", state) == (0, want, ""), expected
-
-
-PREP_NETWORK = "R 0 0.39269908169872414\nCNOT 0 1\nR 1 -0.16991845472706082\nCNOT 1 0\nR 0 0.39269908169872414\n"
+def test_network_output_at_one_and_three_qubits(monkeypatch, capsys):
+    # tests/test_pins.py's one-qubit network (no pairs) and three-qubit network (three pairs from one stack)
+    pins = [pin for pin in PINS if pin.argv[0] == "network" and pin.argv[:2] != PREP and pin.stdout]
+    found = in_process(pins, monkeypatch, capsys)
+    assert not found, "\n".join(found)
 
 
 @pytest.mark.parametrize("expected, state", [
-    ("network-prep-00.txt", ["--state", "00"]),
-    ("network-prep-real.txt", ["--state", "0.6,0,0,0.8"]),
-    ("network-prep-default.txt", []),  # no --state: the network starts from |00>
-    ("network-prep-complex.txt", ["--state", "0.6,0.48j,0,0.64"]),
+    (pin.stdout, pin.argv[len(PREP):]) for pin in PINS if pin.argv[:2] == PREP and pin.stdout
 ])
-def test_preparation_network_output(expected, state, tmp_path, capsys):
-    # the duplicator's preparation stage, as CI runs it from four states
-    net_file = tmp_path / "prep.txt"
-    net_file.write_text(PREP_NETWORK)
-    want = (EXPECTED / expected).read_text()
-    assert run_cli(capsys, "network", str(net_file), *state) == (0, want, "")
+def test_preparation_network_output(expected, state, monkeypatch, capsys):
+    # the duplicator's preparation stage from each state that tests/test_pins.py pins
+    found = in_process([Pin((*PREP, *state), expected)], monkeypatch, capsys)
+    assert not found, "\n".join(found)
 
 
 def test_network_state_options(tmp_path, capsys):
@@ -664,9 +633,8 @@ def test_network_missing_file(capsys):
     assert "cannot read" in err
 
 
-def test_network_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
-    net_file = tmp_path / "latin.txt"
-    net_file.write_bytes(b"R 0 1\xff\n")
+def test_network_file_that_is_not_utf8_is_a_usage_error(capsys):
+    net_file = NETWORKS / "latin1.txt"
     code, out, err = run_cli(capsys, "network", str(net_file))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: cannot read {net_file}: ")
@@ -697,20 +665,11 @@ def test_angles_command_solves_target_a_local_search_missed(capsys):
     assert float(out.rsplit("max residual: ", 1)[1]) <= 1e-10
 
 
-def test_angles_output(capsys):
-    # README's two commands in human text, and the target a local search missed in JSON, pinned byte for byte; the
-    # degenerate target pins its even split as it prints, with theta1 = 0.0 written as the JSON integer 0
-    readme = ["0.8164965809277261", "0.4082482904638631", "0.4082482904638631", "0"]
-    cases = [
-        ("angles-readme.txt", *readme),
-        ("angles-readme-negative.txt", "--", *ANGLES_SEARCH_FAILURE),
-        ("angles-search-failure.json", "--format", "json", "--", *ANGLES_SEARCH_FAILURE),
-        ("angles-degenerate.json", "--format", "json", "0.7071067811865476", "0", "0", "0.7071067811865476"),
-    ]
-    for expected, *argv in cases:
-        code, out, err = run_cli(capsys, "angles", *argv)
-        assert (code, err) == (0, "")
-        assert out == (EXPECTED / expected).read_text(), expected
+def test_angles_output(monkeypatch, capsys):
+    # tests/test_pins.py's angles pinned byte for byte: README's two commands, the target a local search missed in
+    # JSON, and the degenerate target's even split
+    found = in_process([pin for pin in PINS if pin.argv[0] == "angles" and pin.stdout], monkeypatch, capsys)
+    assert not found, "\n".join(found)
 
 
 ANGLES_TARGETS = [
@@ -785,20 +744,13 @@ AMPLITUDE_COMMANDS = st.one_of(
 )
 
 
-@pytest.fixture(scope="module")
-def rotation_file(tmp_path_factory):
-    # one rotation on qubit 0 runs on a register of any size
-    path = tmp_path_factory.mktemp("drawn") / "rotation.txt"
-    path.write_text("R 0 0.5\n")
-    return path
-
-
-def amplitude_argv(command, net_file) -> list[str]:
+def amplitude_argv(command) -> list[str]:
     kind, values, fmt = command
     if kind == "copy":
         return ["copy", f"--alpha={values[0]}", f"--beta={values[1]}", "--format", fmt]
     if kind == "network":
-        return ["network", str(net_file), f"--state={','.join(values)}"]
+        # one rotation on qubit 0 runs on a register of any size
+        return ["network", str(NETWORKS / "one-qubit.txt"), f"--state={','.join(values)}"]
     return ["angles", "--format", fmt, "--", *values]
 
 
@@ -806,10 +758,10 @@ def amplitude_argv(command, net_file) -> list[str]:
 @example(command=("copy", ["1e-320", "1e-320"], "json"))  # EXTREME_AMPLITUDES covers human copies and 4-amplitude states
 @example(command=("network", ["1e-320", "0"], "human"))
 @settings(derandomize=True, deadline=None, max_examples=80)
-def test_drawn_amplitudes_exit_0_or_2_with_the_promised_streams(rotation_file, command):
+def test_drawn_amplitudes_exit_0_or_2_with_the_promised_streams(command):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(amplitude_argv(command, rotation_file))
+        code = main(amplitude_argv(command))
     lines = err.getvalue().splitlines()
     if code == 2:
         assert out.getvalue() == ""
@@ -1021,6 +973,11 @@ def test_render_json_matches_the_reference_on_documents_built_in_process(argv, m
 def test_render_json_rejects_a_real_array():
     with pytest.raises(TypeError, match="cannot serialize ndarray"):
         render_json({"m": np.eye(2)})
+
+
+def test_render_json_writes_an_empty_dict_and_list_as_the_reference():
+    doc = {"a": {}, "b": []}
+    assert render_json(doc) == reference_render_json(doc) == '{\n  "a": {},\n  "b": []\n}\n'
 
 
 def test_render_json_escapes_every_string():

@@ -257,11 +257,13 @@ def test_solver_rejects_a_nan_target():
 
 def test_solver_rejects_an_imaginary_part_and_reads_a_zero_one_as_real():
     # a complex list once raised TypeError from float(), and a complex array lost its imaginary part to a
-    # ComplexWarning (an error under tier-1's filters) before failing the norm test on what was left
-    for target in ([1j, 0, 0, 0], np.array([0.6 + 0.8j, 0, 0, 0])):
+    # ComplexWarning (an error under tier-1's filters) before failing the norm test on what was left; an object
+    # array raised TypeError from float() whatever its imaginary parts
+    for target in ([1j, 0, 0, 0], np.array([0.6 + 0.8j, 0, 0, 0]), np.array([1j, 0, 0, 0], dtype=object)):
         with pytest.raises(ValueError, match="non-zero imaginary part"):
             solve_preparation_angles(target)
-    assert solve_preparation_angles(np.array([1, 0, 0, 0], dtype=complex)) == PreparationAngles(0.0, 0.0, 0.0)
+    for target in (np.array([1, 0, 0, 0], dtype=complex), np.array([1 + 0j, 0, 0, 0], dtype=object)):
+        assert solve_preparation_angles(target) == PreparationAngles(0.0, 0.0, 0.0)
 
 
 def test_solver_rejects_shapes_other_than_a_target_or_a_stack():
@@ -533,6 +535,11 @@ def test_a_value_that_is_not_a_variant_member_raises(call):
     # a string or None used to fall into the triplicator branch, and a list into a TypeError
     with pytest.raises(ValueError, match="variant must be a CopyVariant member"):
         call()
+
+
+def test_an_empty_grid_is_rejected():
+    with pytest.raises(ValueError, match="^the grid needs at least one theta and one phi$"):
+        evaluate_grid(CopyVariant.DUPLICATOR, [], [0.0])
 
 
 # ------------------------------------------------------------- run_copier

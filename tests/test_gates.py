@@ -123,6 +123,13 @@ def test_run_network_reports_gate_position_on_error():
         run_network(PureState.computational(2, 0), net)
 
 
+def test_an_unknown_gate_type_raises_type_error():
+    from qcopynet.gates import _apply_gate
+
+    with pytest.raises(TypeError, match="^unknown gate type str$"):
+        _apply_gate(np.array([1.0, 0.0]), 1, "X")
+
+
 def test_run_network_validates_the_state_once(monkeypatch):
     from qcopynet import CopyVariant, full_network, gates
 

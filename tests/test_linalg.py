@@ -85,6 +85,13 @@ def test_partial_trace_rejects_bad_keep():
         linalg.partial_trace(rho, (2,))
     with pytest.raises(ValueError, match=r"^keep contains duplicate qubit indices: \(0, 0\)$"):
         linalg.partial_trace(rho, (0, 0))
+    with pytest.raises(ValueError, match="^keep must hold integer qubit indices, got 5$"):
+        linalg.partial_trace(rho, 5)
+
+
+def test_partial_trace_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError, match=r"^expected a square matrix or a stack of them, got shape \(4, 2\)$"):
+        linalg.partial_trace(np.zeros((4, 2)), (0,))
 
 
 @pytest.mark.parametrize("keep", [(1.9,), (0, 1.0), ("1",), (True,), (0, np.True_)])
@@ -355,6 +362,11 @@ def test_validate_density_accepts_valid(rng):
 def test_validate_density_rejects_bad_trace():
     with pytest.raises(ValueError, match="trace"):
         linalg.validate_density(np.eye(2))
+
+
+def test_validate_density_rejects_a_non_finite_entry():
+    with pytest.raises(ValueError, match="^density matrix has non-finite entries$"):
+        linalg.validate_density([[math.nan, 0.0], [0.0, 1.0]])
 
 
 def test_validate_density_rejects_negative():

@@ -2,27 +2,20 @@
 
 ``report._decimal_parts`` writes a metric cell in [1e-4, 1) as a head string
 and an int, its exact 17-digit significand, computed in bulk.  These tests
-hold it to ``"%.17g" % v`` cell by cell, and pin the README sweep's CSV and
-JSON bytes by the sha256 digests in ``tests/expected/readme-sweep.sha256``,
-which were taken from the ``qcopynet sweep`` output before the bulk path
-existed.  CI checks the same digests against the CLI's output.
+hold it to ``"%.17g" % v`` cell by cell.  The README sweep's CSV and JSON
+bytes, for both variants, are pinned by sha256 digests in
+``tests/test_pins.py`` and checked here through ``cli.main``; the digests
+were taken from the ``qcopynet sweep`` output before the bulk path existed.
 """
-
-import hashlib
-import math
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qcopynet.copier import CopyVariant
-from qcopynet.report import (
-    METRICS, GridSpec, SweepSpec, _decimal_parts, render_csv, render_json, sweep_document, sweep_rows,
-)
+from qcopynet.report import _decimal_parts
 
-DIGESTS = Path(__file__).resolve().parent / "expected" / "readme-sweep.sha256"
+from test_pins import PINS, in_process
 
 
 def assert_parts_are_the_17g_texts(values: np.ndarray) -> None:
@@ -61,30 +54,26 @@ def test_decimal_parts_match_17g_at_the_edges_of_the_range_and_on_exact_ties():
     assert_parts_are_the_17g_texts(values)
 
 
-README_THETA = GridSpec(0.0, math.pi / 2.0, 20)
-README_PHI = GridSpec(0.0, 2.0 * math.pi, 40)
-# name in the digest file: variant, metrics
+# name: variant, --metrics (None for all metrics)
 README_SWEEPS = {
-    "readme": (CopyVariant.TRIPLICATOR, METRICS),
-    "readme-d1-d2-d3-E": (CopyVariant.TRIPLICATOR, {"d1", "d2", "d3", "E"}),
-    "readme-duplicator": (CopyVariant.DUPLICATOR, METRICS),
-    "readme-duplicator-d1-d2-d3-E": (CopyVariant.DUPLICATOR, {"d1", "d2", "d3", "E"}),
+    "readme": ("triplicator", None),
+    "readme-d1-d2-d3-E": ("triplicator", "d1,d2,d3,E"),
+    "readme-duplicator": ("duplicator", None),
+    "readme-duplicator-d1-d2-d3-E": ("duplicator", "d1,d2,d3,E"),
 }
 
 
-def pinned_digests() -> dict[str, str]:
-    return {name: digest for digest, name in (line.split() for line in DIGESTS.read_text().splitlines())}
+def variant_and_metrics(argv: tuple[str, ...]) -> tuple[str, str | None]:
+    return argv[argv.index("--variant") + 1], argv[argv.index("--metrics") + 1] if "--metrics" in argv else None
 
 
-def test_the_digest_file_pins_every_readme_sweep_in_both_formats():
-    assert set(pinned_digests()) == {f"{name}.{fmt}" for name in README_SWEEPS for fmt in ("csv", "json")}
+SWEEP_PINS = [pin for pin in PINS if pin.argv[0] == "sweep" and pin.stdout]
 
 
 @pytest.mark.parametrize("name", README_SWEEPS)
-def test_readme_sweep_renders_its_pinned_bytes(name):
-    variant, metrics = README_SWEEPS[name]
-    spec = SweepSpec(variant, README_THETA, README_PHI, frozenset(metrics))
-    document = sweep_document(spec, sweep_rows(spec))
-    digests = pinned_digests()
-    for fmt, render in (("csv", render_csv), ("json", render_json)):
-        assert hashlib.sha256(render(document).encode()).hexdigest() == digests[f"{name}.{fmt}"], fmt
+def test_readme_sweep_renders_its_pinned_bytes(name, monkeypatch, capsys):
+    assert {variant_and_metrics(pin.argv) for pin in SWEEP_PINS} == set(README_SWEEPS.values())
+    pins = [pin for pin in SWEEP_PINS if variant_and_metrics(pin.argv) == README_SWEEPS[name]]
+    assert len({pin.stdout for pin in pins}) == 2  # one CSV digest, one JSON
+    found = in_process(pins, monkeypatch, capsys)
+    assert not found, "\n".join(found)

@@ -31,6 +31,7 @@ solves verify's (102, 4) stack of targets, in closed form.
 
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,29 +107,26 @@ def test_forward_map_work_ledger(step, monkeypatch, capsys):
 
 
 COPY_ARGV = ("copy", "--theta", "0.7853981633974483", "--phi", "0.3", "--variant", "triplicator", "--format")
-# the network and state of tests/expected/network-three-qubits.txt
-THREE_QUBIT_NETWORK = "R 0 0.7\nCNOT 0 1\nR 2 1.1\nCNOT 2 0\nR 1 -0.4\nCNOT 1 2\n"
-THREE_QUBIT_STATE = "0.6,0,0.48j,0,0,0,0,0.64"
+# the network and state of the three-qubit pin in tests/test_pins.py
+THREE_QUBIT_ARGV = ("network", str(Path(__file__).parent / "networks" / "three-qubits.txt"),
+                    "--state", "0.6,0,0.48j,0,0,0,0,0.64")
 # prep's and trip-prep's forward maps, 5 each on (4,), angles' 5 on (102, 4), properties' gate laws 42 on (100, 8):
 # 6 CNOTs twice, 3 rotations there and back, 6 CNOT-rotation pairs in both orders
 VERIFY_APPLICATIONS = [(4,)] * 10 + [(102, 4)] * 5 + [(100, 8)] * 42
 VERIFY_EIGENSOLVES = [(400, 4, 4), (3, 40, 4, 4), (3, 40, 4, 4), (50, 4, 4), (30, 4, 4), (2, 50, 4, 4), (100, 4, 4)]
-# step: the request, given the pinned network's file; gate applications, eigensolves, bisections
+# step: the request; gate applications, eigensolves, bisections
 REQUEST_LEDGER = {
-    "copy-human": (lambda net: cli.main([*COPY_ARGV, "human"]), [], [(3, 4, 4)], []),
-    "copy-json": (lambda net: cli.main([*COPY_ARGV, "json"]), [], [(3, 4, 4)], []),
-    "network-three-qubits": (lambda net: cli.main(["network", str(net), "--state", THREE_QUBIT_STATE]),
-                             [(8,)] * 6, [(3, 4, 4)], []),
-    "verify": (lambda net: verify.run_verification(), VERIFY_APPLICATIONS, VERIFY_EIGENSOLVES, [(100, 4, 4)]),
+    "copy-human": (lambda: cli.main([*COPY_ARGV, "human"]), [], [(3, 4, 4)], []),
+    "copy-json": (lambda: cli.main([*COPY_ARGV, "json"]), [], [(3, 4, 4)], []),
+    "network-three-qubits": (lambda: cli.main(list(THREE_QUBIT_ARGV)), [(8,)] * 6, [(3, 4, 4)], []),
+    "verify": (verify.run_verification, VERIFY_APPLICATIONS, VERIFY_EIGENSOLVES, [(100, 4, 4)]),
 }
 
 
 @pytest.mark.parametrize("step", REQUEST_LEDGER)
-def test_request_work_ledger(step, tmp_path, monkeypatch, capsys):
+def test_request_work_ledger(step, monkeypatch, capsys):
     request, *work = REQUEST_LEDGER[step]
-    net = tmp_path / "net.txt"
-    net.write_text(THREE_QUBIT_NETWORK)
-    assert list(_run_warm_and_count(lambda: request(net), monkeypatch, capsys)) == work
+    assert list(_run_warm_and_count(request, monkeypatch, capsys)) == work
 
 
 def test_cold_kernel_work_ledger(monkeypatch):
