@@ -146,7 +146,10 @@ def preparation_angles(variant: CopyVariant) -> PreparationAngles:
 
 
 def amplitudes_from_angles(angles: PreparationAngles) -> np.ndarray:
-    """The preparation network on a real |00> by ``gates._run``, batched as the angles broadcast: (4,) or (N, 4)."""
+    """The preparation network on a real |00> by ``gates._run``, batched as the angles broadcast: (4,) or (N, 4).
+
+    Angle arrays of different lengths do not broadcast and raise ValueError.
+    """
     start = np.zeros(np.broadcast(angles.theta1, angles.theta2, angles.theta3).shape + (4,))
     start[..., 0] = 1.0
     return _run(start, preparation_network(angles))

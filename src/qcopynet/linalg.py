@@ -6,8 +6,10 @@ qubit 0 as the most significant bit, so a two-qubit basis reads
 (|11>, |10>, |01>, |00>) that some references prefer; eigenvalues and
 traces are unaffected by the choice.  Partial traces and transposes,
 eigenvalues and density checks take stacks of matrices (leading batch
-axes), so a grid is handled in one call.  The register contract is stated
-here once: ``num_qubits_of``, ``_qubit_index`` and the amplitude norm ``_norm``.
+axes, an empty stack included), so a grid is handled in one call;
+``partial_trace`` is the program's one reduction.  The register contract
+is stated here once: ``num_qubits_of``, ``_qubit_index`` and the
+amplitude norm ``_norm``.
 """
 
 from __future__ import annotations
@@ -172,7 +174,7 @@ def hermitian_eigenvalues(h) -> np.ndarray:
         within = deviation.max(axis=(-2, -1)) <= _EIG_HERMITICITY_TOL * np.maximum(1.0, scale)
         if not np.all(np.isfinite(scale) & within):
             raise ValueError(f"matrix is not Hermitian (max deviation {worst:.3e})")
-    # the Hermitian part h / 2 + hc / 2, halves first so that no sum overflows, in work and hc, never in h
+    # the Hermitian part h / 2 + hc / 2, halves first so that no sum overflows, in the work buffer and hc, never in h
     np.divide(h, 2.0, out=work)
     hc /= 2.0
     return np.linalg.eigvalsh(np.add(work, hc, out=work))
@@ -201,7 +203,8 @@ def validate_density(rho) -> np.ndarray:
     Raises ValueError if rho is not Hermitian (within HERMITICITY_TOL), not
     unit trace (TRACE_TOL), or not positive semidefinite (PSD_TOL), or if
     any entry is non-finite.  A stack of matrices (shape (..., n, n))
-    passes only if every matrix does; the error names the worst one.
+    passes only if every matrix does; the error names the worst one.  rho
+    itself is never written, so a read-only stack is accepted.
     """
     rho = _check_density(rho)
     low = float(np.min(hermitian_eigenvalues(rho)[..., 0], initial=np.inf))

@@ -207,7 +207,7 @@ def _decimal_parts(values: np.ndarray) -> tuple[list, list]:
         scale = _POWERS_OF_TEN[16 - exponent]
         hi = magnitude * scale
         (a1, a2), (b1, b2) = _split(magnitude), _split(scale)
-        lo = ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2  # Dekker: the product is hi + lo exactly
+        lo = ((a1 * b1 - hi) + a1 * b2 + a2 * b1) + a2 * b2  # with _split's halves the product is hi + lo exactly
         digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)  # hi >= 2**53 is even, so ties go to even
         if not (off := (digits >= 10**17).astype(np.int64) - (digits < 10**16)).any():
             break

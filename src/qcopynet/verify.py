@@ -27,12 +27,7 @@ on every drawn state in that fold, for all six CNOT wirings and a rotation
 of each qubit, and the partial-transpose and eigenvalue checks take stacks
 of matrices.  The eigenvalue cross-check deliberately avoids the production
 eigensolver: it finds every eigenvalue by inertia bisection
-(``eigenvalues_by_bisection``), so the two routes share no code.  The
-oracle is LAPACK ``dstebz``'s bisection in 64 halvings, run on buffers
-allocated once per call; its output is bit for bit that of the plain
-per-step loop, which the tests keep as a reference.  It raises its own
-ValueError for a 0x0 matrix, a non-finite entry, or a matrix that is not
-Hermitian within ``_ORACLE_HERMITICITY_TOL`` (1e-10) times max(1, max|H|).
+(``eigenvalues_by_bisection``), so the two routes share no code.
 
 The expected reduced matrices come from each machine's transfer table in the
 Pauli basis, stated once, and one builder, ``_stated_reductions``, that applies

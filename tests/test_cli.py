@@ -409,12 +409,6 @@ def test_verify_overtight_tolerance_fails(capsys):
     assert "FAIL" in out
 
 
-def test_verify_unknown_group(capsys):
-    code, _, err = run_cli(capsys, "verify", "--only", "nope")
-    assert code == 2
-    assert "unknown check groups" in err
-
-
 @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
 @pytest.mark.parametrize("fmt", ["human", "json"])
 def test_verify_rejects_bad_tolerance(capsys, tolerance, fmt):
@@ -469,14 +463,6 @@ def test_verify_json_deterministic(capsys):
 
 
 # ---------------------------------------------------------------- network
-
-def test_network_command_runs_file(capsys):
-    code, out, _ = run_cli(capsys, "network", str(NETWORKS / "prep.txt"))
-    assert code == 0
-    assert "final state (2 qubits)" in out
-    assert "0.816497" in out  # 2/sqrt(6)
-    assert "partial-transpose spectrum" in out
-
 
 def test_network_output_at_one_and_three_qubits(monkeypatch, capsys):
     # tests/test_pins.py's one-qubit network (no pairs) and three-qubit network (three pairs from one stack)
@@ -788,9 +774,15 @@ def test_module_entry_point_version():
     assert "qcopynet" in proc.stdout
 
 
-def test_usage_error_exit_code():
-    proc = run_module("copy", "--variant", "bogus")
-    assert proc.returncode == 2
+@pytest.mark.parametrize("argv", [
+    ("copy", "--variant", "bogus"), ("angles", "1", "0", "0"), ("bogus",),
+], ids=["copy-variant", "angles-three-amplitudes", "unknown-command"])
+def test_usage_error_exit_code(argv):
+    # argparse's own errors: its usage block, then one "qcopynet <command>: error: ..." line, and nothing on stdout
+    proc = run_module(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    last = proc.stderr.splitlines()[-1]
+    assert last.startswith("qcopynet") and ": error: " in last
 
 
 @pytest.mark.parametrize("command", ["copy", "network"])

@@ -1,6 +1,9 @@
 """README's code blocks, run as written: the Library block against the values its
-comments promise, and every CLI example line against its documented exit code."""
+comments promise, and every CLI example line against its documented exit code;
+and its Tolerances table against the constants it names."""
 
+import ast
+import importlib
 import re
 import shlex
 from pathlib import Path
@@ -54,3 +57,18 @@ def test_readme_cli_examples_exit_as_documented(tmp_path, monkeypatch, capsys):
         expected = 1 if argv == ["verify", "--tolerance", "1e-15"] else 0
         assert (cli.main(argv), capsys.readouterr().err) == (expected, ""), argv
     assert (tmp_path / "sweep.csv").read_text().count("\n") == 801
+
+
+def test_readme_tolerance_table_matches_the_code():
+    # each row's `module.NAME` holds the row's value, and every named tolerance in src has a row
+    rows = re.findall(r"^\| `(\w+)\.(\w+)` \| ([^|]+) \|", README.read_text(), flags=re.MULTILINE)
+    for module, name, value in rows:
+        assert getattr(importlib.import_module(f"qcopynet.{module}"), name) == float(value), (module, name, value)
+    defined = {
+        (path.stem, target.id)
+        for path in Path(cli.__file__).parent.glob("*.py")
+        for node in ast.parse(path.read_text()).body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith(("_TOL", "_CUTOFF", "_GAP", "_SLACK"))
+    }
+    assert defined == {(module, name) for module, name, _ in rows}
